@@ -35,11 +35,12 @@
 namespace ipg::formats {
 
 /// Compresses \p Data (greedy back-reference search, RLE-friendly).
-std::vector<uint8_t> miniZlibCompress(const std::vector<uint8_t> &Data);
+std::vector<uint8_t> miniZlibCompress(ByteSpan Data);
 
 /// Decompresses one stream starting at \p In[0]. Returns the decoded bytes
 /// and sets \p Consumed to one past the terminator; nullopt on malformed
-/// input.
+/// input, including a declared size larger than \p In could encode
+/// (checked before anything is allocated for it).
 std::optional<std::vector<uint8_t>>
 miniZlibDecompress(ByteSpan In, size_t &Consumed);
 

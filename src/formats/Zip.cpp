@@ -106,7 +106,7 @@ std::vector<uint8_t> ipg::formats::synthesizeZip(const ZipSynthSpec &Spec) {
     Info.USize = static_cast<uint32_t>(E.Data.size());
     std::vector<uint8_t> Payload;
     if (E.Compress) {
-      Payload = miniZlibCompress(E.Data);
+      Payload = miniZlibCompress(ByteSpan::of(E.Data));
       Info.Method = 8;
     } else {
       Payload = E.Data;

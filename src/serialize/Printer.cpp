@@ -8,11 +8,13 @@
 #include "serialize/Printer.h"
 
 #include "support/Casting.h"
+#include "support/GenRuntime.h"
 
 #include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 using namespace ipg;
@@ -20,22 +22,25 @@ using namespace ipg::serialize;
 
 namespace {
 
-/// The walk state: output buffer, per-byte coverage, and the running
-/// counters. All offsets handled here are absolute positions in the
-/// printed output; the per-edge shift accumulation happens in the
-/// explicit work-stack walk (walkNode), not here. The walk is iterative
-/// so printing a tree from a loop-flattened or machine-executed deep
-/// parse never consumes C stack proportional to its depth.
+// The coverage kernel writes straight into PrintResult::Bytes.
+static_assert(std::is_same_v<uint8_t, unsigned char>);
+
+/// The walk state: the shared coverage kernel (ipg_rt::PrintCoverage,
+/// which owns the gap and overlap rules and the counters behind them)
+/// plus the span and blackbox bookkeeping. All offsets handled here are
+/// absolute positions in the printed output; the per-edge shift
+/// accumulation happens in the explicit work-stack walk (walkNode), not
+/// here. The walk is iterative so printing a tree from a loop-flattened
+/// or machine-executed deep parse never consumes C stack proportional to
+/// its depth.
 class Printer {
 public:
   Printer(const Grammar &G, const BlackboxRegistry *Registry,
           const PrintOptions &Opts)
-      : G(G), Registry(Registry), Opts(Opts) {
-    if (Opts.Gaps == GapPolicy::FillFromBackground) {
-      R.Bytes.resize(Opts.Background.size(), 0);
-      Covered.resize(Opts.Background.size(), 0);
-    }
-  }
+      : G(G), Registry(Registry), Opts(Opts),
+        Cov(R.Bytes, Opts.Gaps == GapPolicy::FillFromBackground
+                         ? Opts.Background.size()
+                         : 0) {}
 
   Error run(const ParseTree &Root) {
     if (const auto *N = dyn_cast<NodeTree>(&Root)) {
@@ -50,17 +55,25 @@ public:
     } else {
       return Error::failure("cannot print a bare array root");
     }
-    return finish();
+    if (!Cov.finish(Opts.Gaps == GapPolicy::Strict, Opts.Background.data(),
+                    Opts.Background.size(), "; see GapPolicy"))
+      return Error::failure(Cov.error());
+    return Error::success();
   }
 
-  PrintResult take() { return std::move(R); }
+  PrintResult take() {
+    R.CoveredBytes = Cov.CoveredBytes;
+    R.OverlapBytes = Cov.OverlapBytes;
+    R.GapBytes = Cov.GapBytes;
+    return std::move(R);
+  }
 
 private:
   const Grammar &G;
   const BlackboxRegistry *Registry;
   const PrintOptions &Opts;
   PrintResult R;
-  std::vector<uint8_t> Covered; ///< per-output-byte "a leaf wrote this"
+  ipg_rt::PrintCoverage Cov;
 
   /// The node-local value of attribute \p S: the frozen env stores base-
   /// local coordinates and env() resolves the view shift on top, so
@@ -75,27 +88,8 @@ private:
   }
 
   Error writeBytes(int64_t Abs, const uint8_t *Data, size_t Len) {
-    if (Abs < 0)
-      return Error::failure("print placed bytes at negative offset " +
-                            std::to_string(Abs));
-    size_t At = static_cast<size_t>(Abs);
-    if (At + Len > R.Bytes.size()) {
-      R.Bytes.resize(At + Len, 0);
-      Covered.resize(At + Len, 0);
-    }
-    for (size_t I = 0; I < Len; ++I) {
-      if (Covered[At + I]) {
-        if (R.Bytes[At + I] != Data[I])
-          return Error::failure(
-              "overlapping writes disagree at output offset " +
-              std::to_string(At + I));
-        ++R.OverlapBytes;
-        continue;
-      }
-      R.Bytes[At + I] = Data[I];
-      Covered[At + I] = 1;
-      ++R.CoveredBytes;
-    }
+    if (!Cov.write(Abs, Data, Len))
+      return Error::failure(Cov.error());
     return Error::success();
   }
 
@@ -235,31 +229,6 @@ private:
         }
       }
       std::reverse(Work.begin() + Mark, Work.end());
-    }
-    return Error::success();
-  }
-
-  Error finish() {
-    if (Opts.Gaps == GapPolicy::Strict) {
-      for (size_t I = 0; I < R.Bytes.size(); ++I)
-        if (!Covered[I])
-          return Error::failure(
-              "no leaf covers output offset " + std::to_string(I) +
-              " (tree is not print-exact; see GapPolicy)");
-      return Error::success();
-    }
-    // FillFromBackground: the output size is the background's; a tree
-    // that wrote past it is a placement bug, not a gap.
-    if (R.Bytes.size() > Opts.Background.size())
-      return Error::failure(
-          "print wrote past the background (" +
-          std::to_string(R.Bytes.size()) + " > " +
-          std::to_string(Opts.Background.size()) + " bytes)");
-    for (size_t I = 0; I < R.Bytes.size(); ++I) {
-      if (Covered[I])
-        continue;
-      R.Bytes[I] = Opts.Background[I];
-      ++R.GapBytes;
     }
     return Error::success();
   }

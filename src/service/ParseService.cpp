@@ -140,15 +140,15 @@ void ParseService::Impl::workerMain(unsigned Idx) {
   std::vector<std::unique_ptr<Engine>> Engines(Formats.size());
 
   for (;;) {
-    Job J;
-    {
-      std::unique_lock<std::mutex> L(QM);
-      QCV.wait(L, [&] { return Stopping || !Queue.empty(); });
-      if (Queue.empty())
-        break; // Stopping, and all work is done
-      J = std::move(Queue.front());
-      Queue.pop_front();
-    }
+    std::unique_lock<std::mutex> L(QM);
+    QCV.wait(L, [&] { return Stopping || !Queue.empty(); });
+    if (Queue.empty())
+      break; // Stopping, and all work is done
+    // Move-constructed: a default-constructed Job would allocate a
+    // promise's shared state only for the move to discard it.
+    Job J(std::move(Queue.front()));
+    Queue.pop_front();
+    L.unlock();
     process(J, Engines, *Slot, Slot);
   }
 

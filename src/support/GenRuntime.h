@@ -46,6 +46,10 @@
 ///    TreeStore uses (runtime/ParseTree.h), recycled across parses so
 ///    steady-state parsing performs no heap allocation.
 ///
+/// 4. The print coverage kernel (PrintCoverage): the run-based byte
+///    coverage behind both tree printers, serialize/Printer.cpp on host
+///    trees and TreePrinter here on generated ones.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef IPG_SUPPORT_GENRUNTIME_H
@@ -1466,6 +1470,244 @@ inline void visitTree(const Node *Root, const TreeVisitorC &V) {
 }
 
 //===----------------------------------------------------------------------===//
+// Print coverage kernel — the byte bookkeeping of BOTH tree printers
+// (serialize/Printer.cpp on host trees, TreePrinter below on generated
+// ones), so the two cannot drift on what a gap, an overlap or a
+// disagreement is.
+//===----------------------------------------------------------------------===//
+
+/// The output buffer of one print plus which of its bytes a leaf has
+/// written. Coverage is kept as sorted, disjoint, non-touching [Lo, Hi)
+/// runs: printers visit leaves in source order, so nearly every write
+/// lands at or past the end of the last run and costs one memcpy plus an
+/// O(1) run extend. A write that lands on or before covered bytes (a
+/// memoized subtree re-anchored under a second parent, as pdf's xref
+/// rows are) checks its overlap with memcmp, fills the gaps between runs
+/// and merges them. After MaxOutOfOrder such writes in one print the
+/// kernel switches to a byte bitmap for the rest of it, scanned segment
+/// by segment with memchr, so a scattered write order stays linear
+/// instead of splicing the run vector on every write.
+///
+/// The observable behaviour is that of a per-byte loop: bytes are taken
+/// left to right, so on a disagreement the gap bytes before it are
+/// written and counted, the agreeing bytes before it count as overlap,
+/// and the error names the first disagreeing offset. A write ending past
+/// the buffer first grows it with uncovered zero bytes, even when the
+/// write is empty.
+class PrintCoverage {
+public:
+  /// \p Out becomes the printed bytes: \p Presize zero bytes when the
+  /// output size is fixed up front (background fill), else empty.
+  PrintCoverage(std::vector<unsigned char> &Out, size_t Presize) : Out(Out) {
+    Out.assign(Presize, 0);
+  }
+
+  size_t CoveredBytes = 0; ///< bytes some leaf wrote first
+  size_t OverlapBytes = 0; ///< agreeing re-writes of covered bytes
+  size_t GapBytes = 0;     ///< uncovered bytes finish() filled
+
+  /// The diagnostic of the last failed write() or finish().
+  const std::string &error() const { return Err; }
+
+  /// Writes [Data, Data + Len) at absolute offset \p Abs. Fails on a
+  /// negative offset and on an overlap that disagrees with covered bytes.
+  bool write(long long Abs, const unsigned char *Data, size_t Len) {
+    if (Abs < 0)
+      return fail("print placed bytes at negative offset " +
+                  std::to_string(Abs));
+    size_t At = static_cast<size_t>(Abs), End = At + Len;
+    grow(End);
+    if (Len == 0)
+      return true;
+    if (UseMap)
+      return writeMapped(At, End, Data);
+    if (Runs.empty() || At >= Runs.back().Hi) {
+      fill(At, End, Data);
+      if (!Runs.empty() && Runs.back().Hi == At)
+        Runs.back().Hi = End;
+      else
+        Runs.push_back(Run{At, End});
+      return true;
+    }
+    if (++OutOfOrder > MaxOutOfOrder) {
+      switchToMap();
+      return writeMapped(At, End, Data);
+    }
+    return writeMerged(At, End, Data);
+  }
+
+  /// Closes the print. \p Strict: every byte of the buffer must be
+  /// covered; the gap error ends with \p NotExactHint. Otherwise the
+  /// background fixes the output size, so a buffer grown past
+  /// \p BackgroundLen is a placement bug, not a gap; each uncovered byte
+  /// is copied from \p Background.
+  bool finish(bool Strict, const unsigned char *Background,
+              size_t BackgroundLen, const char *NotExactHint) {
+    if (Strict) {
+      size_t Gap = Out.size();
+      forEachGap([&](size_t Lo, size_t) {
+        Gap = Lo;
+        return false;
+      });
+      if (Gap < Out.size())
+        return fail("no leaf covers output offset " + std::to_string(Gap) +
+                    " (tree is not print-exact" + NotExactHint + ")");
+      return true;
+    }
+    if (Out.size() > BackgroundLen)
+      return fail("print wrote past the background (" +
+                  std::to_string(Out.size()) + " > " +
+                  std::to_string(BackgroundLen) + " bytes)");
+    forEachGap([&](size_t Lo, size_t Hi) {
+      std::memcpy(Out.data() + Lo, Background + Lo, Hi - Lo);
+      GapBytes += Hi - Lo;
+      return true;
+    });
+    return true;
+  }
+
+private:
+  struct Run {
+    size_t Lo, Hi;
+  };
+  /// Out-of-order writes one print may merge into the runs before the
+  /// bitmap takes over.
+  static constexpr unsigned MaxOutOfOrder = 8;
+
+  std::vector<unsigned char> &Out;
+  std::vector<Run> Runs;          ///< the coverage, until UseMap
+  std::vector<unsigned char> Map; ///< per-byte coverage, once UseMap
+  bool UseMap = false;
+  unsigned OutOfOrder = 0;
+  std::string Err;
+
+  bool fail(std::string Msg) {
+    Err = std::move(Msg);
+    return false;
+  }
+
+  void grow(size_t End) {
+    if (End <= Out.size())
+      return;
+    Out.resize(End, 0);
+    if (UseMap)
+      Map.resize(End, 0);
+  }
+
+  void fill(size_t Lo, size_t Hi, const unsigned char *Src) {
+    std::memcpy(Out.data() + Lo, Src, Hi - Lo);
+    CoveredBytes += Hi - Lo;
+  }
+
+  /// Compares the covered bytes [Lo, Hi) with \p Src.
+  bool agree(size_t Lo, size_t Hi, const unsigned char *Src) {
+    const unsigned char *Have = Out.data() + Lo;
+    if (std::memcmp(Have, Src, Hi - Lo) == 0) {
+      OverlapBytes += Hi - Lo;
+      return true;
+    }
+    size_t I = 0;
+    while (Have[I] == Src[I])
+      ++I;
+    OverlapBytes += I;
+    return fail("overlapping writes disagree at output offset " +
+                std::to_string(Lo + I));
+  }
+
+  /// A write that starts before the end of the last run: walks the runs
+  /// it overlaps or touches, fills the gaps between them, checks the
+  /// overlaps, and replaces them with one run.
+  bool writeMerged(size_t At, size_t End, const unsigned char *Data) {
+    // Runs are disjoint and sorted, so their ends are sorted too.
+    auto First =
+        std::lower_bound(Runs.begin(), Runs.end(), At,
+                         [](const Run &R, size_t V) { return R.Hi < V; });
+    size_t Lo = At, Hi = End, Pos = At;
+    auto It = First;
+    for (; It != Runs.end() && It->Lo <= End; ++It) {
+      if (It->Lo > Pos) {
+        fill(Pos, It->Lo, Data + (Pos - At));
+        Pos = It->Lo;
+      }
+      size_t OverlapEnd = std::min(It->Hi, End);
+      if (OverlapEnd > Pos) {
+        if (!agree(Pos, OverlapEnd, Data + (Pos - At)))
+          return false;
+        Pos = OverlapEnd;
+      }
+      Lo = std::min(Lo, It->Lo);
+      Hi = std::max(Hi, It->Hi);
+    }
+    if (Pos < End)
+      fill(Pos, End, Data + (Pos - At));
+    if (First == It) {
+      Runs.insert(First, Run{Lo, Hi});
+    } else {
+      *First = Run{Lo, Hi};
+      Runs.erase(First + 1, It);
+    }
+    return true;
+  }
+
+  void switchToMap() {
+    Map.assign(Out.size(), 0);
+    for (const Run &R : Runs)
+      std::memset(Map.data() + R.Lo, 1, R.Hi - R.Lo);
+    Runs.clear();
+    UseMap = true;
+  }
+
+  /// The end of the segment starting at \p Pos whose bitmap bytes all
+  /// equal Map[Pos], capped at \p End.
+  size_t segmentEnd(size_t Pos, size_t End) const {
+    const void *Stop =
+        std::memchr(Map.data() + Pos, Map[Pos] ? 0 : 1, End - Pos);
+    return Stop ? static_cast<size_t>(static_cast<const unsigned char *>(
+                                          Stop) -
+                                      Map.data())
+                : End;
+  }
+
+  bool writeMapped(size_t At, size_t End, const unsigned char *Data) {
+    for (size_t Pos = At; Pos < End;) {
+      size_t Q = segmentEnd(Pos, End);
+      if (Map[Pos]) {
+        if (!agree(Pos, Q, Data + (Pos - At)))
+          return false;
+      } else {
+        fill(Pos, Q, Data + (Pos - At));
+        std::memset(Map.data() + Pos, 1, Q - Pos);
+      }
+      Pos = Q;
+    }
+    return true;
+  }
+
+  /// Calls \p Fn(Lo, Hi) on each maximal uncovered [Lo, Hi) of the
+  /// buffer in order, until it returns false.
+  template <typename F> void forEachGap(F Fn) const {
+    size_t Size = Out.size();
+    if (UseMap) {
+      for (size_t Pos = 0; Pos < Size;) {
+        size_t Q = segmentEnd(Pos, Size);
+        if (!Map[Pos] && !Fn(Pos, Q))
+          return;
+        Pos = Q;
+      }
+      return;
+    }
+    size_t Pos = 0;
+    for (const Run &R : Runs) {
+      if (R.Lo > Pos && !Fn(Pos, R.Lo))
+        return;
+      Pos = R.Hi;
+    }
+    if (Pos < Size)
+      Fn(Pos, Size);
+  }
+};
+
+//===----------------------------------------------------------------------===//
 // Tree serializer — the generated twin of serialize/Printer.cpp, embedded
 // into every generated parser so both execution modes can prove
 // parse(print(tree)) round-trips. The walk runs T-NTSucc's coordinate
@@ -1475,7 +1717,8 @@ inline void visitTree(const Node *Root, const TreeVisitorC &V) {
 // window through the inverse hook (Ctx::callBlackboxInverse). Overlapping
 // writes (memoized subtrees re-anchored under several parents) must agree
 // byte-for-byte; uncovered bytes are gaps — fatal in strict mode, filled
-// from a caller-supplied background otherwise.
+// from a caller-supplied background otherwise. Both checks live in the
+// shared PrintCoverage kernel above.
 //===----------------------------------------------------------------------===//
 
 struct PrintOptions {
@@ -1497,14 +1740,29 @@ struct PrintOut {
 
 class TreePrinter {
 public:
-  TreePrinter(const PrintOptions &O, PrintOut &R) : O(O), R(R) {
-    if (!O.Strict) {
-      R.Bytes.assign(O.BackgroundLen, 0);
-      Covered.assign(O.BackgroundLen, 0);
-    }
+  TreePrinter(const PrintOptions &O, PrintOut &R)
+      : O(O), R(R), Cov(R.Bytes, O.Strict ? 0 : O.BackgroundLen) {}
+
+  /// Prints \p Root; the counters land in R whether or not it succeeds.
+  bool run(const Node *Root) {
+    bool Ok = walkRoot(Root);
+    R.CoveredBytes = Cov.CoveredBytes;
+    R.OverlapBytes = Cov.OverlapBytes;
+    R.GapBytes = Cov.GapBytes;
+    return Ok;
   }
 
-  bool run(const Node *Root) {
+private:
+  const PrintOptions &O;
+  PrintOut &R;
+  PrintCoverage Cov;
+
+  bool fail(const std::string &Msg) {
+    R.Error = Msg;
+    return false;
+  }
+
+  bool walkRoot(const Node *Root) {
     if (!Root)
       return fail("cannot print a null tree");
     if (Root->Kind == Node::KArray)
@@ -1513,41 +1771,13 @@ public:
       return writeBytes(Root->Off, Root->Data, Root->Len);
     if (!walkNode(Root, Root->Shift))
       return false;
-    return finish();
-  }
-
-private:
-  const PrintOptions &O;
-  PrintOut &R;
-  std::vector<unsigned char> Covered;
-
-  bool fail(const std::string &Msg) {
-    R.Error = Msg;
-    return false;
+    if (!Cov.finish(O.Strict, O.Background, O.BackgroundLen, ""))
+      return fail(Cov.error());
+    return true;
   }
 
   bool writeBytes(long long Abs, const unsigned char *Data, size_t Len) {
-    if (Abs < 0)
-      return fail("print placed bytes at negative offset " +
-                  std::to_string(Abs));
-    size_t At = static_cast<size_t>(Abs);
-    if (At + Len > R.Bytes.size()) {
-      R.Bytes.resize(At + Len, 0);
-      Covered.resize(At + Len, 0);
-    }
-    for (size_t I = 0; I < Len; ++I) {
-      if (Covered[At + I]) {
-        if (R.Bytes[At + I] != Data[I])
-          return fail("overlapping writes disagree at output offset " +
-                      std::to_string(At + I));
-        ++R.OverlapBytes;
-        continue;
-      }
-      R.Bytes[At + I] = Data[I];
-      Covered[At + I] = 1;
-      ++R.CoveredBytes;
-    }
-    return true;
+    return Cov.write(Abs, Data, Len) || fail(Cov.error());
   }
 
   /// Raw (base-local) start/end of \p N: the frozen slots hold base
@@ -1651,27 +1881,6 @@ private:
           break;
         }
       }
-    }
-    return true;
-  }
-
-  bool finish() {
-    if (O.Strict) {
-      for (size_t I = 0; I < R.Bytes.size(); ++I)
-        if (!Covered[I])
-          return fail("no leaf covers output offset " + std::to_string(I) +
-                      " (tree is not print-exact)");
-      return true;
-    }
-    if (R.Bytes.size() > O.BackgroundLen)
-      return fail("print wrote past the background (" +
-                  std::to_string(R.Bytes.size()) + " > " +
-                  std::to_string(O.BackgroundLen) + " bytes)");
-    for (size_t I = 0; I < R.Bytes.size(); ++I) {
-      if (Covered[I])
-        continue;
-      R.Bytes[I] = O.Background[I];
-      ++R.GapBytes;
     }
     return true;
   }

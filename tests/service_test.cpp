@@ -29,6 +29,20 @@
 
 #include "TreeCanonical.h"
 
+// Counting global operator new/delete (allocCount()), shared with the
+// bench drivers. GCC inlines the replaced operator delete into gtest's
+// test factories and then flags its free() as mismatched with operator
+// new; both replacements are malloc/free, so the pair is consistent.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+#define IPG_BENCH_COUNT_ALLOCS
+#include "../bench/BenchUtil.h"
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -237,6 +251,34 @@ TEST(ParseServiceTest, ResultsOutliveTheService) {
   // destruction (at scope exit) routes to a closed slot harmlessly.
   auto FE = formats::makeFormatEngine("dns", EngineKind::Interp);
   EXPECT_EQ(renderCanonical(R.root(), FE->Load->G), referenceDump("dns", 1));
+}
+
+TEST(ParseServiceTest, SteadyStateJobCostsOnlyTheClientsPromise) {
+  // One worker, one request in flight, a recycled store: the parse side
+  // allocates nothing, so what a job costs the process is the client's
+  // promise (its shared state and result storage: 2 allocations) plus
+  // the queue's deque-block churn. A worker that default-constructed its
+  // Job before moving into it paid a second promise on top (about 4).
+  ParseServiceOptions Opts;
+  Opts.Workers = 1;
+  Opts.Mode = EngineKind::Vm;
+  auto Svc = ParseService::create({"dns"}, Opts);
+  ASSERT_TRUE(Svc) << Svc.message();
+  std::shared_ptr<InputSource> In =
+      InputSource::fromBytes(formats::sampleInput("dns", 1));
+  auto RunJobs = [&](int N) {
+    for (int I = 0; I < N; ++I) {
+      ParseResult R = (*Svc)->submit(ParseRequest{"dns", In}).get();
+      ASSERT_TRUE(R.ok()) << R.error();
+    }
+  };
+  RunJobs(200); // engine, stores and queue blocks reach steady state
+  const int Jobs = 2000;
+  uint64_t Before = bench::allocCount();
+  RunJobs(Jobs);
+  double PerJob = static_cast<double>(bench::allocCount() - Before) / Jobs;
+  EXPECT_GE(PerJob, 2.0) << "the client's promise must be counted";
+  EXPECT_LT(PerJob, 3.0);
 }
 
 TEST(ParseServiceTest, MisusesFailFastWithDiagnostics) {
