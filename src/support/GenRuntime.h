@@ -1478,15 +1478,14 @@ inline void visitTree(const Node *Root, const TreeVisitorC &V) {
 
 /// The output buffer of one print plus which of its bytes a leaf has
 /// written. Coverage is kept as sorted, disjoint, non-touching [Lo, Hi)
-/// runs: printers visit leaves in source order, so nearly every write
-/// lands at or past the end of the last run and costs one memcpy plus an
-/// O(1) run extend. A write that lands on or before covered bytes (a
-/// memoized subtree re-anchored under a second parent, as pdf's xref
-/// rows are) checks its overlap with memcmp, fills the gaps between runs
-/// and merges them. After MaxOutOfOrder such writes in one print the
-/// kernel switches to a byte bitmap for the rest of it, scanned segment
-/// by segment with memchr, so a scattered write order stays linear
-/// instead of splicing the run vector on every write.
+/// runs. A write at or past the end of the last run, the common case on
+/// formats parsed front to back, costs one memcpy plus an O(1) run
+/// extend. Any other write (formats parsed from their end, such as zip
+/// and pdf, print most leaves from the end down, and memoized subtrees
+/// re-anchored under a second parent rewrite covered bytes) binary-
+/// searches the runs, checks its overlap with memcmp, fills the gaps
+/// between the runs it spans and merges them into one; a write touching
+/// no run inserts one.
 ///
 /// The observable behaviour is that of a per-byte loop: bytes are taken
 /// left to right, so on a disagreement the gap bytes before it are
@@ -1519,8 +1518,6 @@ public:
     grow(End);
     if (Len == 0)
       return true;
-    if (UseMap)
-      return writeMapped(At, End, Data);
     if (Runs.empty() || At >= Runs.back().Hi) {
       fill(At, End, Data);
       if (!Runs.empty() && Runs.back().Hi == At)
@@ -1528,10 +1525,6 @@ public:
       else
         Runs.push_back(Run{At, End});
       return true;
-    }
-    if (++OutOfOrder > MaxOutOfOrder) {
-      switchToMap();
-      return writeMapped(At, End, Data);
     }
     return writeMerged(At, End, Data);
   }
@@ -1570,15 +1563,9 @@ private:
   struct Run {
     size_t Lo, Hi;
   };
-  /// Out-of-order writes one print may merge into the runs before the
-  /// bitmap takes over.
-  static constexpr unsigned MaxOutOfOrder = 8;
 
   std::vector<unsigned char> &Out;
-  std::vector<Run> Runs;          ///< the coverage, until UseMap
-  std::vector<unsigned char> Map; ///< per-byte coverage, once UseMap
-  bool UseMap = false;
-  unsigned OutOfOrder = 0;
+  std::vector<Run> Runs; ///< the coverage
   std::string Err;
 
   bool fail(std::string Msg) {
@@ -1587,11 +1574,8 @@ private:
   }
 
   void grow(size_t End) {
-    if (End <= Out.size())
-      return;
-    Out.resize(End, 0);
-    if (UseMap)
-      Map.resize(End, 0);
+    if (End > Out.size())
+      Out.resize(End, 0);
   }
 
   void fill(size_t Lo, size_t Hi, const unsigned char *Src) {
@@ -1649,61 +1633,17 @@ private:
     return true;
   }
 
-  void switchToMap() {
-    Map.assign(Out.size(), 0);
-    for (const Run &R : Runs)
-      std::memset(Map.data() + R.Lo, 1, R.Hi - R.Lo);
-    Runs.clear();
-    UseMap = true;
-  }
-
-  /// The end of the segment starting at \p Pos whose bitmap bytes all
-  /// equal Map[Pos], capped at \p End.
-  size_t segmentEnd(size_t Pos, size_t End) const {
-    const void *Stop =
-        std::memchr(Map.data() + Pos, Map[Pos] ? 0 : 1, End - Pos);
-    return Stop ? static_cast<size_t>(static_cast<const unsigned char *>(
-                                          Stop) -
-                                      Map.data())
-                : End;
-  }
-
-  bool writeMapped(size_t At, size_t End, const unsigned char *Data) {
-    for (size_t Pos = At; Pos < End;) {
-      size_t Q = segmentEnd(Pos, End);
-      if (Map[Pos]) {
-        if (!agree(Pos, Q, Data + (Pos - At)))
-          return false;
-      } else {
-        fill(Pos, Q, Data + (Pos - At));
-        std::memset(Map.data() + Pos, 1, Q - Pos);
-      }
-      Pos = Q;
-    }
-    return true;
-  }
-
   /// Calls \p Fn(Lo, Hi) on each maximal uncovered [Lo, Hi) of the
   /// buffer in order, until it returns false.
   template <typename F> void forEachGap(F Fn) const {
-    size_t Size = Out.size();
-    if (UseMap) {
-      for (size_t Pos = 0; Pos < Size;) {
-        size_t Q = segmentEnd(Pos, Size);
-        if (!Map[Pos] && !Fn(Pos, Q))
-          return;
-        Pos = Q;
-      }
-      return;
-    }
     size_t Pos = 0;
     for (const Run &R : Runs) {
       if (R.Lo > Pos && !Fn(Pos, R.Lo))
         return;
       Pos = R.Hi;
     }
-    if (Pos < Size)
-      Fn(Pos, Size);
+    if (Pos < Out.size())
+      Fn(Pos, Out.size());
   }
 };
 

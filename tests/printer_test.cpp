@@ -14,9 +14,9 @@
 /// node whose leaves sit at arbitrary offsets, so the printers write them
 /// in child order), and the printed bytes, all four counters and the
 /// error text must equal the model's. The sequences cover in-order and
-/// out-of-order writes (enough of the latter to reach the kernel's
-/// bitmap fallback), agreeing and disagreeing overlaps, zero-length
-/// leaves past the end under Strict, and writes past the background.
+/// out-of-order writes (descending, few, and enough to splice and merge
+/// many runs), agreeing and disagreeing overlaps, zero-length leaves past
+/// the end under Strict, and writes past the background.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -284,7 +284,11 @@ std::vector<Case> fixedSeedCases() {
     std::string R = std::to_string(Round);
     Add("in-order-" + R, M.inOrder(1 + M.below(40), /*Gaps=*/false));
     Add("in-order-gaps-" + R, M.inOrder(1 + M.below(40), /*Gaps=*/true));
-    // Few out-of-order writes stay on the runs; many reach the bitmap.
+    // Formats parsed from their end print their leaves from the end down.
+    std::vector<Write> Down = M.inOrder(1 + M.below(40), /*Gaps=*/true);
+    std::reverse(Down.begin(), Down.end());
+    Add("descending-" + R, Down);
+    // Few out-of-order writes, and many that splice and merge runs.
     Add("scattered-few-" + R, M.scattered(2 + M.below(6), 120));
     Add("scattered-many-" + R, M.scattered(10 + M.below(60), 300));
     // Out-of-order tails after a long in-order prefix.
