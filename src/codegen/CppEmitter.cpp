@@ -14,7 +14,7 @@
 /// every semantic decision (first-update start/end, child-span defaults,
 /// interval/read guards, checked arithmetic, (rule, interval) memoization,
 /// lazy shifted views, blackbox dispatch) is a call into ipg_rt, shared
-/// with runtime/Interp.cpp.
+/// with the host engines' runner (runtime/HostRunner.h).
 ///
 /// Like the interpreter and the bytecode VM, the emitter consumes the
 /// lowered module (lower/LIR.h) rather than re-deriving facts from the

@@ -67,8 +67,9 @@ struct CppEmitterOptions {
   /// rule functions and the paper's plain recursive descent (trees are
   /// byte-identical either way); Engine.MaxDepth is baked in as the
   /// emitted parser's default depth limit (still runtime-adjustable via
-  /// Parser::setDepthLimit). Engine.DetectReentry is interpreter-only
-  /// and ignored here.
+  /// Parser::setDepthLimit). Engine.DetectReentry is honored by the host
+  /// engines (interpreter and VM) only and ignored here; makeEngine()
+  /// refuses it for generated engines.
   EngineOptions Engine;
 };
 

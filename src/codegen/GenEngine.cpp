@@ -383,7 +383,7 @@ Expected<TreePtr> GenEngine::parse(ByteSpan In) {
         NameId < IdToSym.size() ? IdToSym[NameId] : InvalidSymbol;
     Stats.FailOffset = static_cast<int64_t>(S[6]);
   }
-  // TermsExecuted stays 0: an interpreter-only counter.
+  // TermsExecuted stays 0: only the host engines count terms.
   if (!Ok) {
     Stats.ArenaBytesUsed = Cur->arenaBytesUsed();
     return Expected<TreePtr>::failure(

@@ -41,9 +41,9 @@
 /// Stats mapping: NodesCreated/MemoHits/MemoMisses/PeakDepth come from
 /// the module counters (same meaning as the interpreter's — PeakDepth is
 /// the deepest grammar recursion the parse reached, virtual levels of
-/// flattened rules included); TermsExecuted is interpreter-only and stays
-/// 0; ArenaBytesUsed/StoreRecycled describe the host-side conversion
-/// store.
+/// flattened rules included); TermsExecuted is counted by the host
+/// engines (interpreter and VM) only and stays 0; ArenaBytesUsed/
+/// StoreRecycled describe the host-side conversion store.
 ///
 /// Converted nodes carry the grammar's global RuleId when the node's
 /// name resolves to a global rule and InvalidRuleId otherwise (local

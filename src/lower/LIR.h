@@ -23,11 +23,11 @@
 ///  - the deduplicated blackbox call-site table engines resolve against
 ///    their registry at construction time.
 ///
-/// Consumers divide the module between them: the interpreter keeps its
-/// act-stack machine but reads pre-resolved operands (TermL carries a
-/// pointer to the source AST term, so the interpreter still tree-walks
-/// expressions through expr/Eval.h); the bytecode VM (vm/BytecodeVM.h)
-/// executes the compiled expression programs directly; the C++ emitter
+/// Consumers divide the module between them: both host engines run it
+/// through one execution core (runtime/HostRunner.h) that differs only in
+/// expression evaluation — the interpreter tree-walks each program's
+/// source expression (ExprProgram::Src) through expr/Eval.h, the bytecode
+/// VM (vm/BytecodeVM.h) executes the compiled programs; the C++ emitter
 /// (codegen/CppEmitter.cpp) walks lir for structure — name ids, memo
 /// flags, shapes, execution order, blackbox sites — and renders the
 /// source expressions as C++. Name/slot/blackbox resolution lives HERE
@@ -124,11 +124,14 @@ struct ExistsInfo {
 
 /// A compiled expression: a [Begin, End) window into Module::XCode plus
 /// the exact operand-stack high-water mark (so evaluators can reserve
-/// once; tests/vm_test.cpp asserts the bound).
+/// once; tests/vm_test.cpp asserts the bound), and the source expression
+/// it was compiled from (programs are never deduplicated), which the
+/// interpreter's evaluator tree-walks instead of the bytecode.
 struct ExprProgram {
   uint32_t Begin = 0;
   uint32_t End = 0;
   uint32_t MaxStack = 0;
+  const Expr *Src = nullptr;
 };
 
 //===----------------------------------------------------------------------===//
@@ -141,7 +144,7 @@ struct ExprProgram {
 struct IntervalL {
   ExprId Lo = NoExpr;
   ExprId Hi = NoExpr;
-  const Interval *Src = nullptr; ///< source AST (interp / emitter exprs)
+  const Interval *Src = nullptr; ///< source AST (emitter exprs)
 };
 
 /// Lowered term opcodes — one per Term::Kind, but with every operand

@@ -301,6 +301,7 @@ private:
     emitExpr(E);
     Buf = Saved;
     ExprProgram P;
+    P.Src = &E;
     P.Begin = static_cast<uint32_t>(M.XCode.size());
     M.XCode.insert(M.XCode.end(), Local.begin(), Local.end());
     P.End = static_cast<uint32_t>(M.XCode.size());
@@ -599,6 +600,8 @@ std::string ipg::lir::verify(const Module &M) {
     if (Id >= M.Exprs.size())
       return "references out-of-range expression program";
     const ExprProgram &P = M.Exprs[Id];
+    if (!P.Src)
+      return "expression program has no source expression";
     if (P.Begin > P.End || P.End > M.XCode.size())
       return "expression program window out of range";
     uint32_t Max = 0;

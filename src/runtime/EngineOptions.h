@@ -6,12 +6,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The runtime knobs and counters shared by every execution mode. Both
-/// engines (the interpreter and generated parsers) consume the SAME
-/// EngineOptions struct, so defaults cannot drift between them: a depth
-/// limit of 64 means the same hard failure in both, and UseMemo toggles
-/// the same Section-3.3 (rule, absolute-interval) policy on both sides —
-/// tests/engine_test.cpp regression-tests the parity.
+/// The runtime knobs and counters shared by every execution mode. All
+/// three engines — the host engines (interpreter and VM, which share one
+/// execution core, runtime/HostRunner.h) and generated parsers — consume
+/// the SAME EngineOptions struct, so defaults cannot drift between them: a
+/// depth limit of 64 means the same hard failure in each, and UseMemo
+/// toggles the same Section-3.3 (rule, absolute-interval) policy
+/// everywhere — tests/engine_test.cpp regression-tests the parity. The
+/// knobs generated parsers cannot honor (Salvage recovery, DetectReentry)
+/// make makeEngine() refuse to build one rather than be ignored.
 ///
 /// EngineStats is the uniform counter block `Engine::stats()` returns.
 /// Counters are reset at the ENTRY of every parse() — including parses
@@ -40,7 +43,7 @@ enum class RecoveryPolicy : uint8_t {
   /// interval (a zero-copy window over the damaged bytes, like `raw`),
   /// and the enclosing sequence continues. Failures whose bounds are
   /// data-dependent and no longer resolve still reject. Supported by
-  /// the interpreter and the bytecode VM; generated parsers reject the
+  /// the host engines (interpreter and VM); generated parsers reject the
   /// policy at construction (documented limitation).
   Salvage,
 };
@@ -70,15 +73,17 @@ inline const char *verdictName(Verdict V) {
 
 struct EngineOptions {
   /// Packrat memoization of (rule, absolute interval) results
-  /// (Section 3.3). The interpreter honors it per parse; the code
-  /// generator bakes it into the emitted rule functions.
+  /// (Section 3.3). The host engines (interpreter and VM) honor it per
+  /// parse; the code generator bakes it into the emitted rule functions.
   bool UseMemo = true;
   /// Treat re-entry of an in-progress (rule, slice) as failure instead of
   /// recursing; off by default for fidelity to the formal semantics.
-  /// Interpreter-only: generated parsers rely on the depth limit.
+  /// Honored by the host engines (interpreter and VM); generated parsers
+  /// rely on the depth limit, and makeEngine() refuses to build one with
+  /// this set.
   bool DetectReentry = false;
   /// Hard limit on rule recursion depth. Tripping it aborts the whole
-  /// parse (no backtracking into sibling alternatives) in BOTH engines.
+  /// parse (no backtracking into sibling alternatives) in every engine.
   size_t MaxDepth = 8192;
   /// Error-recovery policy; see the enum. Strict preserves today's
   /// byte-for-byte behavior (and counters) exactly.
@@ -87,10 +92,12 @@ struct EngineOptions {
 
 struct EngineStats {
   size_t NodesCreated = 0;
-  size_t TermsExecuted = 0; ///< interpreter-only; 0 for generated parsers
+  /// Terms executed, counted identically by the host engines (interpreter
+  /// and VM); generated parsers do not count terms and report 0.
+  size_t TermsExecuted = 0;
   size_t MemoHits = 0;
   size_t MemoMisses = 0;
-  /// Deepest grammar recursion the parse reached, in BOTH engines.
+  /// Deepest grammar recursion the parse reached, in every engine.
   /// Flattened rules count their virtual levels and the step machine its
   /// work-stack height, so the figure matches what plain recursion would
   /// have reported — parses never consume C stack proportional to it.

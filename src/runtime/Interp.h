@@ -6,11 +6,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The recursive-descent parsing engine implementing the big-step semantics
-/// of Figures 8 and 15: biased choice over alternatives, interval-confined
+/// The reference parsing engine implementing the big-step semantics of
+/// Figures 8 and 15: biased choice over alternatives, interval-confined
 /// subparsers, the start/end/EOI special attributes, arrays, predicates,
 /// and the full-language features (switch, local rules, existentials,
 /// blackboxes).
+///
+/// The interpreter and the bytecode VM (vm/BytecodeVM.h) are the two host
+/// engines, and they share one execution core, host::Runner
+/// (runtime/HostRunner.h): the three recursion-shape tiers, salvage,
+/// deadlines, memoization, reentry tracking and stats. They differ only
+/// in expression evaluation. The interpreter tree-walks each source
+/// expression through expr/Eval.h — the paper's reference semantics, and
+/// the oracle tests/differential_test.cpp holds the VM to.
 ///
 /// Memoization keys on (rule, absolute slice) as described in Section 3.3,
 /// giving the O(n^2) bound; it can be disabled for ablation. The table is

@@ -6,21 +6,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The recycled scratch state shared by the two in-process execution modes
-/// — the tree-walking interpreter (runtime/Interp.cpp) and the bytecode VM
-/// (vm/BytecodeVM.cpp). Both engines run the same three-tier execution
-/// strategy (Direct recursion / Flattened descend-replay / Step work-stack
-/// machine) over the same lowered module (lower/LIR.h), so they share one
-/// state layout: per-depth frame pool, memo + reentry tables, flattened
-/// window stack, machine activation records, and the store-recycling
-/// plumbing. Everything here survives across parse() calls so the steady
+/// The recycled scratch state of the two host engines — the tree-walking
+/// interpreter (runtime/Interp.cpp) and the bytecode VM
+/// (vm/BytecodeVM.cpp). Both are instantiations of one execution core
+/// (runtime/HostRunner.h) running the same three-tier strategy (Direct
+/// recursion / Flattened descend-replay / Step work-stack machine) over
+/// the same lowered module (lower/LIR.h), so they share one state layout:
+/// per-depth frame pool, memo + reentry tables, flattened window stack,
+/// machine activation records, and the store-recycling plumbing. Everything here survives across parse() calls so the steady
 /// state allocates nothing: vectors and the flat hashes keep their
 /// capacity through clear(), the TreeStore keeps its arena blocks through
 /// reset(), and frames are pooled per recursion depth.
 ///
-/// This header is an implementation detail of the two engines; nothing
-/// else should include it (public surfaces expose it only as a forward
-/// declaration behind unique_ptr).
+/// This header is an implementation detail of the host runner and its two
+/// engines; nothing else should include it (public surfaces expose it
+/// only as a forward declaration behind unique_ptr).
 ///
 //===----------------------------------------------------------------------===//
 

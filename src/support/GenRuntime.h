@@ -7,8 +7,8 @@
 ///
 /// \file
 /// The single source of truth for the parse-time semantics shared by the
-/// interpreter (runtime/Interp.cpp, expr/Eval.cpp) and by every parser the
-/// code generator emits. This file is BOTH compiled into ipg_core AND
+/// host engines (runtime/HostRunner.h, expr/Eval.cpp, vm/BytecodeVM.cpp)
+/// and by every parser the code generator emits. This file is BOTH compiled into ipg_core AND
 /// embedded verbatim into each generated parser (CMake wraps it into
 /// GenRuntimeEmbed.inc, which codegen/CppEmitter.cpp pastes ahead of the
 /// emitted rule functions), so the two execution modes cannot drift: a
@@ -153,7 +153,7 @@ inline bool checkedShr(long long L, long long R, long long &Out) {
 
 /// ReadKind encoding shared between the interpreter and the emitter. The
 /// numeric values MUST mirror ipg::ReadKind's declaration order
-/// (expr/Expr.h); runtime/Interp.cpp static_asserts the correspondence.
+/// (expr/Expr.h); runtime/ParseScratch.h static_asserts the correspondence.
 enum : unsigned {
   RK_U8,
   RK_U16Le,

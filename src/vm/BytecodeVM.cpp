@@ -5,34 +5,26 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The Runner below is a structural twin of the interpreter's
-// (runtime/Interp.cpp): the same three execution tiers, the same control
-// flow, the same counter increments and hard-error texts — differential
-// testing depends on that twin-ship. The ONLY divergence is expression
-// evaluation: where the interpreter tree-walks the source AST through
-// expr/Eval.h, this engine executes the compiled postfix programs of the
-// lowered module through evalProgram()'s computed-goto dispatch loop.
-// When changing either file, change both.
+// The VM is host::Runner (runtime/HostRunner.h) instantiated with VmEval,
+// which executes the lowered module's compiled expression programs. This
+// file holds only that evaluator: the construction-time quick-form decoder
+// (classifyExpr) and the quick-form / computed-goto evaluation paths.
 //
 //===----------------------------------------------------------------------===//
 
 #include "vm/BytecodeVM.h"
 
 #include "lower/LIR.h"
+#include "runtime/HostRunner.h"
 #include "runtime/ParseScratch.h"
 #include "support/Casting.h"
-#include "support/FlatHash.h"
 #include "support/GenRuntime.h"
 
-#include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
-#include <utility>
 #include <vector>
 
 using namespace ipg;
@@ -332,90 +324,56 @@ QE classifyExpr(const lir::Module &L, uint32_t Id,
   return Q;
 }
 
-/// One parse() invocation over recycled ParseScratch. See the file
-/// comment: keep structurally in lock-step with Interp.cpp's Runner.
-class Runner {
+/// The VM's expression evaluator for host::Runner: runs the lowered
+/// module's compiled programs, through their pre-decoded quick forms
+/// (BytecodeVM::QuickExpr) where one exists and the dispatch loop
+/// otherwise. Partiality (absent attribute, guarded arithmetic,
+/// out-of-bounds read) returns false — the program fails as a whole,
+/// exactly as expr/Eval.h's std::nullopt does.
+class VmEval {
 public:
-  Runner(const Grammar &G, const EngineOptions &Opts, EngineStats &Stats,
-         ParseScratch &St, const std::vector<QE> &Quick,
-         const std::vector<BytecodeVM::DigitTerm> &Digits, bool HasDeadline,
-         std::chrono::steady_clock::time_point Deadline)
-      : G(G), L(St.Lowered), Opts(Opts), Stats(Stats), St(St),
-        Store(*St.Cur), Quick(Quick), Digits(Digits),
-        Salvage(Opts.Recovery == RecoveryPolicy::Salvage),
-        HasDeadline(HasDeadline), Deadline(Deadline) {}
+  VmEval(ParseScratch &St, const TreeStore &Store, const std::vector<QE> &Quick,
+         const std::vector<BytecodeVM::DigitTerm> &Digits)
+      : L(St.Lowered), St(St), Store(Store), Quick(Quick), Digits(Digits) {}
 
-  Expected<TreePtr> run(ByteSpan Input, RuleId Start) {
-    uint32_t RootId = L.Rules[Start].Shape == ExecShape::Step
-                          ? runMachine(Start, Input)
-                          : parseRule(Start, Input, nullptr);
-    const NodeTree *Node =
-        RootId == InvalidNode
-            ? nullptr
-            : cast<NodeTree>(Store.node(RootId));
-    Stats.ArenaBytesUsed = Store.arenaBytesUsed();
-    if (Hard) {
-      Stats.ParseVerdict =
-          Stats.TimedOut ? Verdict::Timeout : Verdict::Reject;
-      return Expected<TreePtr>(std::move(Hard));
+  /// Executes one compiled program. Nearly every program a parse runs is
+  /// trivial, so the pre-decoded quick form (BytecodeVM::QuickExpr) is
+  /// tried first — a closed-form computation with no operand stack and no
+  /// dispatch. The three kinds that need at most a two-compare helper (a
+  /// constant, EOI +/- a constant, a term's recorded end +/- a constant —
+  /// between them almost every sequential-layout endpoint) are resolved
+  /// right here — this small body inlines into the hot term-execution
+  /// sites, so the most common endpoints cost no call — and everything
+  /// else goes through the outlined switch.
+  bool eval(const Frame &F, lir::ExprId Id, int64_t &Out) {
+    const QE &Q = Quick[Id];
+    if (Q.K == QE::Const) {
+      Out = Q.Imm;
+      return true;
     }
-    if (!Node) {
-      Stats.ParseVerdict = Verdict::Reject;
-      noteFail(L.Rules[Start].Name, Input.absBase());
-      return Expected<TreePtr>::failure(
-          "parse failed: input rejected by rule '" +
-          std::string(G.interner().name(L.Rules[Start].Name)) + "'");
+    if (Q.K == QE::Eoi) {
+      Out = static_cast<int64_t>(F.Input.size()) + Q.Imm;
+      return true;
     }
-    // The verdict counts holes reachable from the RESULT — HolesFilled
-    // also counts holes in activations a later (non-backtrack) failure
-    // abandoned, so it only gates the walk.
-    if (Salvage && Stats.HolesFilled)
-      Stats.HolesInTree = countHoles(*Node);
-    Stats.ParseVerdict =
-        Stats.HolesInTree ? Verdict::Salvage : Verdict::Accept;
-    // Move the store out to the result: the engine keeps no reference
-    // (zero refcount traffic on this path), and when the caller drops the
-    // TreePtr the store parks itself in St.Pool for the next parse.
-    TreeStore *Owned = St.Cur;
-    St.Cur = nullptr;
-    return Expected<TreePtr>(TreePtr(Owned, Node));
+    if (Q.K == QE::TermEnd) {
+      if (!F.termEnd(Q.A, Out))
+        return false;
+      Out += Q.Imm;
+      return true;
+    }
+    // Attribute found in the executing frame with no exists-scan binding
+    // active — loadAttr's overwhelmingly common case. A miss falls
+    // through to the full binds-then-lexical-chain lookup.
+    if (Q.K == QE::Attr && St.Binds.empty()) {
+      if (auto V = F.E.get(Q.Sym)) {
+        Out = *V + Q.Imm;
+        return true;
+      }
+    }
+    return evalQuickRest(F, Q, Id, Out);
   }
 
 private:
-  const Grammar &G;
-  const lir::Module &L;
-  const EngineOptions &Opts;
-  EngineStats &Stats;
-  ParseScratch &St;
-  TreeStore &Store;
-  const std::vector<QE> &Quick;
-  const std::vector<BytecodeVM::DigitTerm> &Digits;
-  const bool Salvage;
-  const bool HasDeadline;
-  const std::chrono::steady_clock::time_point Deadline;
-  unsigned Tick = 0; ///< amortizes the deadline clock reads
-  Error Hard = Error::success();
-  size_t Depth = 0;
-
-  /// Salvage gate (see Lower.cpp's markRecoverable): the number of
-  /// alternative attempts anywhere on the (virtual) stack that still
-  /// have a later alternative to try. A hole may only be emitted when
-  /// this is zero — i.e. when Strict would have failed the whole parse
-  /// rather than backtracked — otherwise salvage would steal a choice
-  /// from an enclosing biased alternative (gif's Block/Blocks). Every
-  /// tier keeps it balanced on soft paths; hard aborts may leak it, but
-  /// Hard already vetoes all salvage and the Runner lives one parse.
-  size_t BacktrackLive = 0;
-
-  /// parseRule's failure id (nodes are 32-bit store indices).
-  static constexpr uint32_t InvalidNode = ~0u;
-
-  //===--------------------------------------------------------------------===//
-  // Expression bytecode evaluation. Partiality (absent attribute, guarded
-  // arithmetic, out-of-bounds read) returns false — the program fails as
-  // a whole, exactly as expr/Eval.h's std::nullopt does.
-  //===--------------------------------------------------------------------===//
-
   /// The exists-scan binding stack (innermost first), then the frame's
   /// lexical chain — the flattened form of Eval.cpp's ScopedBinding
   /// wrappers, which override attribute lookup only.
@@ -493,59 +451,22 @@ private:
     for (int64_t K = 0; K < Len; ++K) {
       St.Binds.push_back({X.LoopVar, K});
       int64_t C = 0;
-      if (!evalProgram(F, X.Cond, C)) {
+      if (!eval(F, X.Cond, C)) {
         St.Binds.pop_back();
         return false;
       }
       if (C != 0) {
-        bool Ok = evalProgram(F, X.Then, Out);
+        bool Ok = eval(F, X.Then, Out);
         St.Binds.pop_back();
         return Ok;
       }
       St.Binds.pop_back();
     }
-    return evalProgram(F, X.Else, Out);
-  }
-
-  /// Executes one compiled program. Nearly every program a parse runs is
-  /// trivial, so the pre-decoded quick form (BytecodeVM::QuickExpr) is
-  /// tried first — a closed-form computation with no operand stack and no
-  /// dispatch. The three kinds that need at most a two-compare helper (a
-  /// constant, EOI +/- a constant, a term's recorded end +/- a constant —
-  /// between them almost every sequential-layout endpoint) are resolved
-  /// right here — this small body inlines into the hot term-execution
-  /// sites, so the most common endpoints cost no call — and everything
-  /// else goes through the outlined switch.
-  bool evalProgram(const Frame &F, lir::ExprId Id, int64_t &Out) {
-    const QE &Q = Quick[Id];
-    if (Q.K == QE::Const) {
-      Out = Q.Imm;
-      return true;
-    }
-    if (Q.K == QE::Eoi) {
-      Out = static_cast<int64_t>(F.Input.size()) + Q.Imm;
-      return true;
-    }
-    if (Q.K == QE::TermEnd) {
-      if (!F.termEnd(Q.A, Out))
-        return false;
-      Out += Q.Imm;
-      return true;
-    }
-    // Attribute found in the executing frame with no exists-scan binding
-    // active — loadAttr's overwhelmingly common case. A miss falls
-    // through to the full binds-then-lexical-chain lookup.
-    if (Q.K == QE::Attr && St.Binds.empty()) {
-      if (auto V = F.E.get(Q.Sym)) {
-        Out = *V + Q.Imm;
-        return true;
-      }
-    }
-    return evalQuickRest(F, Q, Id, Out);
+    return eval(F, X.Else, Out);
   }
 
   /// The remaining quick kinds; General falls through to the dispatch
-  /// loop. Outlined so evalProgram stays small enough to inline.
+  /// loop. Outlined so eval() stays small enough to inline.
 #if defined(__GNUC__) || defined(__clang__)
   __attribute__((noinline))
 #endif
@@ -1034,1234 +955,11 @@ private:
 #undef IPG_VM_FAIL
   }
 
-  //===--------------------------------------------------------------------===//
-  // Shared semantic helpers (twins of Interp.cpp's).
-  //===--------------------------------------------------------------------===//
-
-  /// updStartEnd of Figure 8: the first-update min/max shared with the
-  /// generated runtime. start/end enter the environment only once a term
-  /// touches bytes; there is no pre-seeded sentinel.
-  void updStartEnd(Env &E, int64_t Lo, int64_t Hi, bool Touched) {
-    EnvRef R{E};
-    ipg_rt::updStartEnd(R, G.symStart(), G.symEnd(), Lo, Hi, Touched);
-  }
-
-  /// The subtree's [start, end) as the parent sees it (T-NTSucc defaults,
-  /// shared with the generated runtime): untouched subtrees read as
-  /// [sub-EOI, 0).
-  void childSpan(const NodeTree &Sub, int64_t SubEoi, int64_t &BStart,
-                 int64_t &BEnd) {
-    auto S = Sub.attr(G.symStart());
-    auto En = Sub.attr(G.symEnd());
-    long long BS = 0, BE = 0;
-    ipg_rt::childSpan(S.has_value(), S.value_or(0), En.has_value(),
-                      En.value_or(0), SubEoi, BS, BE);
-    BStart = BS;
-    BEnd = BE;
-  }
-
-  /// Evaluates a lowered interval; false means evaluation failed (term
-  /// fails). An uncompleted interval (NoExpr endpoints) reproduces the
-  /// interpreter's hard error — outlined so the error-string construction
-  /// does not keep this two-program body from inlining into the term
-  /// execution sites.
-  bool evalInterval(const Frame &F, const lir::IntervalL &Iv, int64_t &Lo,
-                    int64_t &Hi) {
-    if (Iv.Lo == lir::NoExpr || Iv.Hi == lir::NoExpr)
-      return uncompletedInterval();
-    return evalProgram(F, Iv.Lo, Lo) && evalProgram(F, Iv.Hi, Hi);
-  }
-
-#if defined(__GNUC__) || defined(__clang__)
-  __attribute__((noinline, cold))
-#endif
-  bool
-  uncompletedInterval() {
-    Hard = Error::failure("internal: interval not completed (run "
-                          "completeIntervals before parsing)");
-    return false;
-  }
-
-  /// Records a successfully parsed child subtree \p Sub (parsed over
-  /// [Lo, Hi) of F's window) into the frame: T-NTSucc span defaults,
-  /// interval shift, first-update start/end, touch record.
-  void completeChildNT(Frame &F, uint32_t TermIdx, int64_t Lo, int64_t Hi,
-                       uint32_t Sub, ParseScratch::FlatKid *Bank = nullptr) {
-    int64_t BStart, BEnd;
-    childSpan(*cast<NodeTree>(Store.node(Sub)), Hi - Lo, BStart, BEnd);
-    uint32_t Adjusted = Store.makeShifted(Sub, Lo, G.symStart(), G.symEnd());
-    updStartEnd(F.E, Lo + BStart, Lo + BEnd, BEnd != 0);
-    F.ChildIds.push_back(Adjusted);
-    F.ChildTermIdx.push_back(TermIdx);
-    F.rec(TermIdx, Lo + BStart, Lo + BEnd);
-    if (Bank)
-      *Bank = ParseScratch::FlatKid{Adjusted, Lo + BStart, Lo + BEnd,
-                                    BEnd != 0};
-  }
-
-  /// Parses a child nonterminal (shared by NT terms, array elements and
-  /// switch arms). Returns false on Fail; records into the frame on
-  /// success. \p Bank, when set, additionally captures the record the
-  /// flattened tier replays on its way back up.
-  bool parseChildNT(Frame &F, uint32_t TermIdx, RuleId Target,
-                    const lir::IntervalL &Iv,
-                    ParseScratch::FlatKid *Bank = nullptr) {
-    int64_t Lo, Hi;
-    if (!evalInterval(F, Iv, Lo, Hi) || Hard)
-      return false;
-    if (!ipg_rt::intervalOk(Lo, Hi, static_cast<int64_t>(F.Input.size())))
-      return false;
-    uint32_t Sub =
-        parseRule(Target, F.Input.slice(static_cast<size_t>(Lo),
-                                        static_cast<size_t>(Hi)),
-                  &F);
-    if (Hard || Sub == InvalidNode)
-      return false;
-    completeChildNT(F, TermIdx, Lo, Hi, Sub, Bank);
-    return true;
-  }
-
-  bool execTerm(Frame &F, const lir::TermL &T) {
-    ++Stats.TermsExecuted;
-    switch (T.Op) {
-    case lir::TermOp::CallRule: {
-      if (T.Rule == InvalidRuleId) {
-        noteFail(T.Sym, F.Input.absBase());
-        Hard = Error::failure("internal: unresolved nonterminal '" +
-                              std::string(G.interner().name(T.Sym)) +
-                              "' (run checkAttributes before parsing)");
-        return false;
-      }
-      return parseChildNT(F, T.TermIdx, T.Rule, T.Iv);
-    }
-
-    case lir::TermOp::MatchBytes:
-    case lir::TermOp::MatchRaw:
-      return execTerminal(F, T);
-
-    case lir::TermOp::SetAttr:
-      return execAttrDef(F, T);
-
-    case lir::TermOp::Check:
-      return execPredicate(F, T);
-
-    case lir::TermOp::ForArray:
-      return execArray(F, T);
-
-    case lir::TermOp::Select: {
-      for (uint32_t AI = T.ArmsBegin; AI != T.ArmsEnd; ++AI) {
-        const lir::ArmL &C = L.Arms[AI];
-        if (C.Cond != lir::NoExpr) {
-          int64_t V;
-          if (!evalProgram(F, C.Cond, V))
-            return false;
-          if (V == 0)
-            continue;
-        }
-        if (C.Rule == InvalidRuleId) {
-          Hard = Error::failure("internal: unresolved switch arm");
-          return false;
-        }
-        return parseChildNT(F, T.TermIdx, C.Rule, C.Iv);
-      }
-      return false; // no arm matched
-    }
-
-    case lir::TermOp::CallBlackbox:
-      return execBlackbox(F, T);
-    }
-    return false;
-  }
-
-  bool execTerminal(Frame &F, const lir::TermL &T) {
-    int64_t Lo, Hi;
-    if (!evalInterval(F, T.Iv, Lo, Hi) || Hard)
-      return false;
-    if (!ipg_rt::intervalOk(Lo, Hi, static_cast<int64_t>(F.Input.size())))
-      return false;
-    if (T.Op == lir::TermOp::MatchRaw) {
-      // `raw` matches the whole interval without reading or copying it.
-      updStartEnd(F.E, Lo, Hi, Hi > Lo);
-      F.ChildIds.push_back(
-          Store.makeLeaf(F.Input.data() + Lo,
-                         static_cast<size_t>(Hi - Lo), Lo,
-                         /*Opaque=*/true));
-      F.ChildTermIdx.push_back(T.TermIdx);
-      F.rec(T.TermIdx, Lo, Hi);
-      return true;
-    }
-    const std::string &Bytes = L.Lits[T.Lit];
-    int64_t Len = static_cast<int64_t>(Bytes.size());
-    if (Hi - Lo < Len)
-      return false;
-    if (!F.Input.matchesAt(static_cast<size_t>(Lo), Bytes))
-      return false;
-    updStartEnd(F.E, Lo, Lo + Len, Len > 0);
-    // Zero-copy: the leaf aliases the matched window of the input.
-    F.ChildIds.push_back(Store.makeLeaf(F.Input.data() + Lo,
-                                        static_cast<size_t>(Len), Lo,
-                                        /*Opaque=*/false));
-    F.ChildTermIdx.push_back(T.TermIdx);
-    F.rec(T.TermIdx, Lo, Lo + Len);
-    return true;
-  }
-
-  /// A terminal on the flattened tier's way DOWN: match and record the
-  /// interval effects (start/end, touch record) but build no leaf — the
-  /// replay on the way back up materializes it. Counts as an execution;
-  /// the replay does not.
-  bool probeTerminal(Frame &F, const lir::TermL &T) {
-    ++Stats.TermsExecuted;
-    int64_t Lo, Hi;
-    if (!evalInterval(F, T.Iv, Lo, Hi) || Hard)
-      return false;
-    if (!ipg_rt::intervalOk(Lo, Hi, static_cast<int64_t>(F.Input.size())))
-      return false;
-    if (T.Op == lir::TermOp::MatchRaw) {
-      updStartEnd(F.E, Lo, Hi, Hi > Lo);
-      F.rec(T.TermIdx, Lo, Hi);
-      return true;
-    }
-    const std::string &Bytes = L.Lits[T.Lit];
-    int64_t Len = static_cast<int64_t>(Bytes.size());
-    if (Hi - Lo < Len)
-      return false;
-    if (!F.Input.matchesAt(static_cast<size_t>(Lo), Bytes))
-      return false;
-    updStartEnd(F.E, Lo, Lo + Len, Len > 0);
-    F.rec(T.TermIdx, Lo, Lo + Len);
-    return true;
-  }
-
-  bool execAttrDef(Frame &F, const lir::TermL &T) {
-    int64_t V;
-    if (!evalProgram(F, T.E0, V))
-      return false;
-    F.E.set(T.Sym, V);
-    return true;
-  }
-
-  bool execPredicate(Frame &F, const lir::TermL &T) {
-    int64_t V;
-    return evalProgram(F, T.E0, V) && V != 0;
-  }
-
-  bool execArray(Frame &F, const lir::TermL &T) {
-    int64_t From, To;
-    if (!evalProgram(F, T.E0, From) || !evalProgram(F, T.E1, To))
-      return false;
-    if (T.Rule == InvalidRuleId) {
-      noteFail(T.Elem, F.Input.absBase());
-      Hard = Error::failure("internal: unresolved array element");
-      return false;
-    }
-
-    // Save any outer binding of the loop variable and bind it per element;
-    // the binding is visible to el/er and (through the lexical chain) to
-    // local element rules, matching T-ArraySucc's E[id -> k].
-    auto Saved = F.E.get(T.Sym);
-    // Element ids accumulate in per-nesting-level scratch. Elements may
-    // contain arrays at deeper levels, and entering a deeper level can
-    // resize the pool — re-index on every access instead of holding a
-    // reference across the recursive parses below.
-    size_t Level = St.ArrayNest++;
-    St.elemScratchAt(Level).clear();
-    bool AnyTouched = false;
-    int64_t MaxEnd = 0;
-    bool Failed = false;
-
-    for (int64_t K = From; K < To; ++K) {
-      F.E.set(T.Sym, K);
-      int64_t Lo, Hi;
-      if (!evalInterval(F, T.Iv, Lo, Hi) || Hard) {
-        Failed = true;
-        break;
-      }
-      if (!ipg_rt::intervalOk(Lo, Hi,
-                              static_cast<int64_t>(F.Input.size()))) {
-        Failed = true;
-        break;
-      }
-      uint32_t Sub =
-          parseRule(T.Rule,
-                    F.Input.slice(static_cast<size_t>(Lo),
-                                  static_cast<size_t>(Hi)),
-                    &F);
-      if (Hard || Sub == InvalidNode) {
-        Failed = true;
-        break;
-      }
-      int64_t BStart, BEnd;
-      childSpan(*cast<NodeTree>(Store.node(Sub)), Hi - Lo, BStart, BEnd);
-      St.ElemScratch[Level].push_back(
-          Store.makeShifted(Sub, Lo, G.symStart(), G.symEnd()));
-      updStartEnd(F.E, Lo + BStart, Lo + BEnd, BEnd != 0);
-      if (BEnd != 0) {
-        AnyTouched = true;
-        MaxEnd = std::max(MaxEnd, Lo + BEnd);
-      }
-    }
-
-    --St.ArrayNest;
-    if (Saved)
-      F.E.set(T.Sym, *Saved);
-    else
-      F.E.erase(T.Sym);
-    if (Failed)
-      return false;
-
-    const std::vector<uint32_t> &Elems = St.ElemScratch[Level];
-    F.ChildIds.push_back(
-        Store.makeArray(T.Elem, Elems.data(),
-                        static_cast<uint32_t>(Elems.size())));
-    F.ChildTermIdx.push_back(T.TermIdx);
-    if (AnyTouched)
-      F.rec(T.TermIdx, 0, MaxEnd);
-    return true;
-  }
-
-  bool execBlackbox(Frame &F, const lir::TermL &T) {
-    int64_t Lo, Hi;
-    if (!evalInterval(F, T.Iv, Lo, Hi) || Hard)
-      return false;
-    if (!ipg_rt::intervalOk(Lo, Hi, static_cast<int64_t>(F.Input.size())))
-      return false;
-
-    // The call site was resolved against the registry at engine
-    // construction (lower/LIR.h's BbSite table).
-    const BlackboxFn *Fn = St.BbFns[T.Bb];
-    if (!Fn) {
-      noteFail(T.Sym, F.Input.absBase() + Lo);
-      Hard = Error::failure("blackbox parser '" +
-                            L.BbSites[T.Bb].NameStr +
-                            "' is not registered");
-      return false;
-    }
-    ByteSpan Slice = F.Input.slice(static_cast<size_t>(Lo),
-                                   static_cast<size_t>(Hi));
-    BlackboxResult Res = (*Fn)(Slice);
-    if (!Res.Ok)
-      return false;
-    if (Res.End > Slice.size()) {
-      noteFail(T.Sym, F.Input.absBase() + Lo);
-      Hard = Error::failure("blackbox parser '" +
-                            L.BbSites[T.Bb].NameStr +
-                            "' consumed past its interval");
-      return false;
-    }
-
-    EnvSlot Slots[3];
-    Slots[0] = {G.symVal(), Res.Value};
-    if (Res.End > 0) {
-      Slots[1] = {G.symStart(), Lo};
-      Slots[2] = {G.symEnd(), Lo + static_cast<int64_t>(Res.End)};
-    } else {
-      Slots[1] = {G.symStart(), Hi - Lo};
-      Slots[2] = {G.symEnd(), Lo};
-    }
-    uint32_t KidIds[1];
-    uint32_t KidTerms[1] = {0};
-    uint32_t NumKids = 0;
-    if (!Res.Output.empty()) {
-      // Decoded output is not a window into the input; copy it into the
-      // arena so the leaf's lifetime matches the tree's.
-      KidIds[0] =
-          Store.makeLeafCopy(Res.Output.data(), Res.Output.size(), 0);
-      NumKids = 1;
-    }
-    uint32_t Node = Store.makeNodeFromSlots(T.Sym, InvalidRuleId, Slots, 3,
-                                            KidIds, KidTerms, NumKids);
-    ++Stats.NodesCreated;
-    updStartEnd(F.E, Lo, Lo + static_cast<int64_t>(Res.End), Res.End > 0);
-    F.ChildIds.push_back(Node);
-    F.ChildTermIdx.push_back(T.TermIdx);
-    F.rec(T.TermIdx, Lo, Lo + static_cast<int64_t>(Res.End));
-    return true;
-  }
-
-  /// Records the failing rule/offset diagnostics. First failure wins: a
-  /// hard error's site is THE failure (everything unwinds through it),
-  /// and soft-reject sites only report at the top level.
-  void noteFail(Symbol Rule, int64_t Off) {
-    if (Stats.FailRule != ~0u)
-      return;
-    Stats.FailRule = Rule;
-    Stats.FailOffset = Off;
-  }
-
-  /// Amortized deadline check at recoverable boundaries (rule entry /
-  /// flattened level / machine act start): the clock is read once per
-  /// 256 boundaries. A trip raises a hard error and flags TimedOut so
-  /// the verdict becomes Timeout.
-  bool pastDeadline(Symbol RuleName, int64_t AbsLo) {
-    if (!HasDeadline)
-      return false;
-    if ((++Tick & 0xFFu) != 0)
-      return false;
-    if (std::chrono::steady_clock::now() < Deadline)
-      return false;
-    Stats.TimedOut = true;
-    noteFail(RuleName, AbsLo);
-    Hard = Error::failure(
-        "parse aborted: deadline exceeded while parsing rule '" +
-        std::string(G.interner().name(RuleName)) + "'");
-    return true;
-  }
-
-  /// execTerm plus the Salvage wrapper: a term that fails SOFTLY at a
-  /// boundary the lowering marked recoverable (lir::TermL::Recoverable)
-  /// is fenced by a hole leaf over its interval and the sequence
-  /// continues. \p Owner names the enclosing rule, used for holes at
-  /// terminal boundaries (which have no callee name of their own).
-  bool execTermSalvage(Frame &F, const lir::TermL &T, Symbol Owner) {
-    if (execTerm(F, T))
-      return true;
-    if (!Salvage || Hard || !T.Recoverable || BacktrackLive != 0)
-      return false;
-    return emitHole(F, T, Owner);
-  }
-
-  /// Fences a failed recoverable term: resolves its interval (the
-  /// committed arm's for Select) and emits a hole leaf over exactly that
-  /// window. False — damage escalates to the enclosing boundary — when
-  /// the interval no longer resolves or lands outside the input (e.g.
-  /// truncation), which keeps salvaged reprints byte-exact.
-  bool emitHole(Frame &F, const lir::TermL &T, Symbol Owner) {
-    const lir::IntervalL *Iv = nullptr;
-    Symbol HoleSym = Owner;
-    switch (T.Op) {
-    case lir::TermOp::CallRule:
-    case lir::TermOp::CallBlackbox:
-      Iv = &T.Iv;
-      HoleSym = T.Sym;
-      break;
-    case lir::TermOp::MatchBytes:
-    case lir::TermOp::MatchRaw:
-      Iv = &T.Iv;
-      break;
-    case lir::TermOp::Select: {
-      // Re-find the committed arm (condition evaluation is pure): the
-      // hole covers the arm the parse committed to, not the whole term.
-      for (uint32_t AI = T.ArmsBegin; AI != T.ArmsEnd; ++AI) {
-        const lir::ArmL &C = L.Arms[AI];
-        if (C.Cond != lir::NoExpr) {
-          int64_t V;
-          if (!evalProgram(F, C.Cond, V))
-            return false;
-          if (V == 0)
-            continue;
-        }
-        Iv = &C.Iv;
-        if (C.Rule != InvalidRuleId)
-          HoleSym = L.Rules[C.Rule].Name;
-        break;
-      }
-      if (!Iv)
-        return false; // no arm matched: nothing bounds the damage
-      break;
-    }
-    default:
-      return false; // SetAttr/Check/ForArray are never recoverable
-    }
-    int64_t Lo, Hi;
-    if (!evalInterval(F, *Iv, Lo, Hi) || Hard)
-      return false;
-    if (!ipg_rt::intervalOk(Lo, Hi, static_cast<int64_t>(F.Input.size())))
-      return false;
-    if (Hi <= Lo)
-      return false; // a hole must cover at least one damaged byte —
-                    // zero-width success where Strict fails could turn
-                    // a proven-terminating list into a livelock
-    emitHoleAt(F, T.TermIdx, Lo, Hi, HoleSym);
-    return true;
-  }
-
-  /// Emits the hole leaf once its window is known, with the exact frame
-  /// effects a `raw` match over [Lo, Hi) would have — so every later
-  /// term (start/end, termEnd references) sees a consistent parse.
-  void emitHoleAt(Frame &F, uint32_t TI, int64_t Lo, int64_t Hi,
-                  Symbol HoleSym) {
-    updStartEnd(F.E, Lo, Hi, Hi > Lo);
-    F.ChildIds.push_back(Store.makeHole(F.Input.data() + Lo,
-                                        static_cast<size_t>(Hi - Lo), Lo,
-                                        HoleSym));
-    F.ChildTermIdx.push_back(TI);
-    F.rec(TI, Lo, Hi);
-    ++Stats.HolesFilled;
-  }
-
-  /// The depth-limit hard error, shared by all three execution tiers.
-  Error depthError(const lir::RuleL &R, int64_t AbsLo) {
-    noteFail(R.Name, AbsLo);
-    return Error::failure(
-        "recursion depth limit exceeded while parsing rule '" +
-        std::string(G.interner().name(R.Name)) +
-        "' (likely a non-terminating grammar; see termination checking)");
-  }
-
-  /// Parses \p Id over \p Input; returns the frozen node id, or
-  /// InvalidNode on failure (check Hard for aborts). Dispatches on the
-  /// rule's recursion shape: Flattened rules run as a descend/replay loop
-  /// (parseFlattened) and Step rules only ever run on the work-stack
-  /// machine starting at the parse root (runMachine) — recursive descent
-  /// here is reserved for Direct rules, whose C-stack use is bounded by
-  /// the grammar, never by the input.
-  uint32_t parseRule(RuleId Id, ByteSpan Input, const Frame *Lexical) {
-    if (Hard)
-      return InvalidNode;
-    const lir::RuleL &R = L.Rules[Id];
-    if (R.Shape == ExecShape::Flattened)
-      return parseFlattened(Id, Input);
-    assert(R.Shape != ExecShape::Step &&
-           "step rules only run on the machine (up-closure violated)");
-    if (Depth >= Opts.MaxDepth) {
-      Hard = depthError(R, Input.absBase());
-      return InvalidNode;
-    }
-    if (pastDeadline(R.Name, Input.absBase()))
-      return InvalidNode;
-    ++Depth;
-    Stats.PeakDepth = std::max(Stats.PeakDepth, Depth);
-
-    // Local rules are never memoized (their meaning depends on the
-    // enclosing frame); leaf rules are excluded as a pure optimization —
-    // re-matching a handful of terminals/attrdefs is cheaper than a probe
-    // (the RuleL::Memoizable policy shared with all engines). Salvage
-    // disables memoization wholesale: with the BacktrackLive gate the
-    // outcome of a subparse depends on the enclosing backtrack state, so
-    // caching it (a hole-bearing tree, or a gated failure) would replay
-    // it into contexts where the opposite decision is required.
-    bool Memoize = Opts.UseMemo && R.Memoizable && !Salvage;
-    bool TrackReentry = Opts.DetectReentry && !R.IsLocal;
-    IntervalKey Key;
-    if (Memoize || TrackReentry)
-      Key = IntervalKey::pack(Id, Input.absBase(),
-                              Input.absBase() + Input.size());
-    if (Memoize) {
-      if (const uint32_t *Hit = St.Memo.find(Key)) {
-        ++Stats.MemoHits;
-        --Depth;
-        unsigned NodeId = 0;
-        return ipg_rt::memoUnpack(*Hit, NodeId) ? NodeId : InvalidNode;
-      }
-      ++Stats.MemoMisses;
-    }
-    if (TrackReentry && !St.InProgress.insert(Key, 1)) {
-      --Depth;
-      return InvalidNode; // packrat-style: in-progress re-entry fails
-    }
-
-    uint32_t Result = InvalidNode;
-    Frame &F = St.frameAt(Depth);
-    for (size_t AI = 0, AE = R.Alts.size(); AI < AE; ++AI) {
-      const lir::AltL &Alt = R.Alts[AI];
-      const bool BT = AI + 1 < AE; // a later alternative is still untried
-      F.beginAlt(Input, R.IsLocal ? Lexical : nullptr, Alt.Exec.size());
-      // The environment starts empty: EOI is answered from the frame
-      // (never stored as an attribute, so a grammar attribute named "EOI"
-      // cannot collide through the lexical lookup), and start/end appear
-      // only once a term touches bytes (first-update updStartEnd) — a
-      // byte-untouched node exposes neither, and reading its X.start
-      // fails with partiality, exactly as in the generated parsers.
-      BacktrackLive += BT;
-      bool Ok = true;
-      for (const lir::TermL &T : Alt.Exec)
-        if (!execTermSalvage(F, T, R.Name)) {
-          Ok = false;
-          break;
-        }
-      BacktrackLive -= BT;
-      if (Hard)
-        break;
-      if (Ok) {
-        Result = Store.makeNode(
-            R.Name, Id, F.E, F.ChildIds.data(), F.ChildTermIdx.data(),
-            static_cast<uint32_t>(F.ChildIds.size()));
-        ++Stats.NodesCreated;
-        break;
-      }
-    }
-
-    if (TrackReentry)
-      St.InProgress.erase(Key);
-    if (Memoize && !Hard)
-      St.Memo.insert(Key, ipg_rt::memoPack(
-                              Result == InvalidNode ? 0u : Result,
-                              Result != InvalidNode));
-    --Depth;
-    return Hard ? InvalidNode : Result;
-  }
-
-  /// Flattened linear recursion (analysis/RecShape.h): the single self
-  /// call becomes a descend/replay loop over a heap-backed window stack,
-  /// so grammar recursion depth is bounded by Opts.MaxDepth alone — never
-  /// by the C stack. One frame serves every level: on the way DOWN each
-  /// level tries its pre-self alternatives for real, probes the self
-  /// alternative's prefix (terminals record intervals but build no leaf;
-  /// child nonterminals parse for real and bank their records), then
-  /// descends into the self interval. On the way UP the self alternative
-  /// replays per level — rebuilding the environment, materializing the
-  /// terminal leaves, rebinding the banked children — completes the self
-  /// child, and runs the suffix. Alternative order, memo traffic, depth
-  /// accounting, and reentry tracking match the recursive form exactly.
-  uint32_t parseFlattened(RuleId Id, ByteSpan Input) {
-    const lir::RuleL &R = L.Rules[Id];
-    const FlattenInfo &FI = R.Flatten;
-    const lir::AltL &SAlt = R.Alts[FI.SelfAlt];
-    const lir::TermL &SelfT = SAlt.Exec[FI.SelfExecPos];
-    const size_t PN = FI.PrefixNTTerms.size();
-    const bool Memoize = Opts.UseMemo && R.Memoizable && !Salvage;
-    const bool TrackReentry = Opts.DetectReentry; // never a local rule
-    // Each level contributes to BacktrackLive while inside its self
-    // alternative iff post-self alternatives exist to fall back to.
-    const bool HasPost = FI.SelfAlt + 1 < R.Alts.size();
-    const size_t EntryDepth = Depth;
-    const size_t LvBase = St.FlatLevels.size();
-    const size_t KidBase = St.FlatKids.size();
-    const size_t KeyBase = St.FlatKeys.size();
-    Frame &F = St.frameAt(EntryDepth + 1);
-    ByteSpan Cur = Input;
-    uint32_t Sub = InvalidNode;
-    int64_t SLo = 0, SHi = 0;
-
-    auto levelKey = [&] {
-      return IntervalKey::pack(Id, Cur.absBase(),
-                               Cur.absBase() + Cur.size());
-    };
-
-  flat_descend:
-    // Depth here is VIRTUAL — entry depth plus pending levels, the exact
-    // figure the recursive form would have reached.
-    Depth = EntryDepth + (St.FlatLevels.size() - LvBase);
-    if (Depth >= Opts.MaxDepth) {
-      Hard = depthError(R, Cur.absBase());
-      goto flat_hard;
-    }
-    if (pastDeadline(R.Name, Cur.absBase()))
-      goto flat_hard;
-    ++Depth;
-    Stats.PeakDepth = std::max(Stats.PeakDepth, Depth);
-    if (Memoize) {
-      if (const uint32_t *Hit = St.Memo.find(levelKey())) {
-        ++Stats.MemoHits;
-        unsigned NodeId = 0;
-        if (ipg_rt::memoUnpack(*Hit, NodeId)) {
-          Sub = NodeId;
-          goto flat_resolved;
-        }
-        goto flat_level_failed;
-      }
-      ++Stats.MemoMisses;
-    }
-    if (TrackReentry) {
-      IntervalKey K = levelKey();
-      if (!St.InProgress.insert(K, 1))
-        goto flat_level_failed; // packrat-style: in-progress re-entry fails
-      St.FlatKeys.push_back(K);
-    }
-
-    // Alternatives BEFORE the self alternative run for real at every
-    // level on the way down (recursion tries them first per activation).
-    for (size_t AI = 0; AI < FI.SelfAlt; ++AI) {
-      const lir::AltL &Alt = R.Alts[AI];
-      F.beginAlt(Cur, nullptr, Alt.Exec.size());
-      ++BacktrackLive; // the self alternative is still untried
-      bool Ok = true;
-      for (const lir::TermL &T : Alt.Exec)
-        if (!execTermSalvage(F, T, R.Name)) {
-          Ok = false;
-          break;
-        }
-      --BacktrackLive;
-      if (Hard)
-        goto flat_hard;
-      if (Ok) {
-        Sub = Store.makeNode(
-            R.Name, Id, F.E, F.ChildIds.data(), F.ChildTermIdx.data(),
-            static_cast<uint32_t>(F.ChildIds.size()));
-        ++Stats.NodesCreated;
-        goto flat_level_ok;
-      }
-    }
-
-    // The self alternative's prefix (descend phase), then push the level
-    // and descend into the self interval.
-    {
-      F.beginAlt(Cur, nullptr, SAlt.Exec.size());
-      // This level enters its self alternative: it contributes to
-      // BacktrackLive until it leaves it — through the prefix, the
-      // whole descent below, and the replay (flat_resolved).
-      BacktrackLive += HasPost;
-      for (size_t Step = 0; Step < FI.SelfExecPos; ++Step) {
-        const lir::TermL &T = SAlt.Exec[Step];
-        bool Ok;
-        if (T.Op == lir::TermOp::CallRule) {
-          if (T.Rule == InvalidRuleId) {
-            noteFail(T.Sym, F.Input.absBase());
-            Hard = Error::failure(
-                "internal: unresolved nonterminal '" +
-                std::string(G.interner().name(T.Sym)) +
-                "' (run checkAttributes before parsing)");
-            goto flat_hard;
-          }
-          ++Stats.TermsExecuted;
-          ParseScratch::FlatKid Bank;
-          Ok = parseChildNT(F, T.TermIdx, T.Rule, T.Iv, &Bank);
-          if (Ok)
-            St.FlatKids.push_back(Bank);
-        } else if (T.Op == lir::TermOp::MatchBytes ||
-                   T.Op == lir::TermOp::MatchRaw) {
-          Ok = probeTerminal(F, T);
-        } else {
-          Ok = execTerm(F, T);
-        }
-        if (!Ok) {
-          if (Hard)
-            goto flat_hard;
-          BacktrackLive -= HasPost; // prefix failed: leave the self alt
-          goto flat_post_alts;
-        }
-      }
-      ++Stats.TermsExecuted; // the self nonterminal term
-      if (!evalInterval(F, SelfT.Iv, SLo, SHi) || Hard) {
-        if (Hard)
-          goto flat_hard;
-        BacktrackLive -= HasPost; // leave the self alt
-        goto flat_post_alts;
-      }
-      if (!ipg_rt::intervalOk(SLo, SHi,
-                              static_cast<int64_t>(F.Input.size()))) {
-        BacktrackLive -= HasPost; // leave the self alt
-        goto flat_post_alts;
-      }
-      St.FlatLevels.push_back(Cur);
-      Cur = F.Input.slice(static_cast<size_t>(SLo),
-                          static_cast<size_t>(SHi));
-      goto flat_descend;
-    }
-
-    // The current level resolved to node Sub at the descend: close its
-    // bookkeeping (recursion: erase reentry, then memoize) and unwind.
-  flat_level_ok:
-    if (TrackReentry) {
-      St.InProgress.erase(St.FlatKeys.back());
-      St.FlatKeys.pop_back();
-    }
-    if (Memoize)
-      St.Memo.insert(levelKey(), ipg_rt::memoPack(Sub, true));
-    goto flat_resolved;
-
-    // Alternatives AFTER the self alternative, tried when the self
-    // alternative failed at the current level (prefix, child, or suffix).
-  flat_post_alts:
-    Depth = EntryDepth + 1 + (St.FlatLevels.size() - LvBase);
-    St.FlatKids.resize(KidBase +
-                       (St.FlatLevels.size() - LvBase) * PN);
-    for (size_t AI = FI.SelfAlt + 1; AI < R.Alts.size(); ++AI) {
-      const lir::AltL &Alt = R.Alts[AI];
-      const bool BT = AI + 1 < R.Alts.size(); // a later alt is untried
-      F.beginAlt(Cur, nullptr, Alt.Exec.size());
-      BacktrackLive += BT;
-      bool Ok = true;
-      for (const lir::TermL &T : Alt.Exec)
-        if (!execTermSalvage(F, T, R.Name)) {
-          Ok = false;
-          break;
-        }
-      BacktrackLive -= BT;
-      if (Hard)
-        goto flat_hard;
-      if (Ok) {
-        Sub = Store.makeNode(
-            R.Name, Id, F.E, F.ChildIds.data(), F.ChildTermIdx.data(),
-            static_cast<uint32_t>(F.ChildIds.size()));
-        ++Stats.NodesCreated;
-        goto flat_level_ok;
-      }
-    }
-    if (TrackReentry) {
-      St.InProgress.erase(St.FlatKeys.back());
-      St.FlatKeys.pop_back();
-    }
-    if (Memoize)
-      St.Memo.insert(levelKey(), ipg_rt::memoPack(0u, false));
-    goto flat_level_failed;
-
-    // A level failed outright: its parent's self call failed, so the
-    // parent falls through to ITS post-self alternatives.
-  flat_level_failed:
-    if (St.FlatLevels.size() == LvBase) {
-      St.FlatKids.resize(KidBase);
-      Depth = EntryDepth;
-      return InvalidNode;
-    }
-    Cur = St.FlatLevels.back();
-    St.FlatLevels.pop_back();
-    BacktrackLive -= HasPost; // the parent level leaves its self alt
-    goto flat_post_alts;
-
-    // A level resolved to node Sub: unwind, deepest pending level first —
-    // replay the self alternative's prefix for real, complete the self
-    // child, run the suffix, build the node.
-  flat_resolved:
-    while (St.FlatLevels.size() > LvBase) {
-      ByteSpan ChildWin = Cur;
-      Cur = St.FlatLevels.back();
-      St.FlatLevels.pop_back();
-      Depth = EntryDepth + 1 + (St.FlatLevels.size() - LvBase);
-      F.beginAlt(Cur, nullptr, SAlt.Exec.size());
-      size_t KidJ = 0;
-      bool Ok = true;
-      for (size_t Step = 0; Step < FI.SelfExecPos && Ok; ++Step) {
-        const lir::TermL &T = SAlt.Exec[Step];
-        if (T.Op == lir::TermOp::CallRule) {
-          const ParseScratch::FlatKid &K =
-              St.FlatKids[KidBase +
-                          (St.FlatLevels.size() - LvBase) * PN + KidJ++];
-          updStartEnd(F.E, K.Start, K.End, K.Touched);
-          F.ChildIds.push_back(K.Node);
-          F.ChildTermIdx.push_back(T.TermIdx);
-          F.rec(T.TermIdx, K.Start, K.End);
-        } else if (T.Op == lir::TermOp::MatchBytes ||
-                   T.Op == lir::TermOp::MatchRaw) {
-          Ok = execTerminal(F, T);
-        } else if (T.Op == lir::TermOp::SetAttr) {
-          Ok = execAttrDef(F, T);
-        } else {
-          Ok = execPredicate(F, T);
-        }
-      }
-      if (Ok) {
-        // Complete the self child from the banked window (the interval
-        // evaluated at the descend; re-evaluation would yield the same).
-        int64_t CLo = static_cast<int64_t>(ChildWin.absBase() -
-                                           Cur.absBase());
-        int64_t CHi = CLo + static_cast<int64_t>(ChildWin.size());
-        completeChildNT(F, FI.SelfTerm, CLo, CHi, Sub);
-        for (size_t Step = FI.SelfExecPos + 1;
-             Step < SAlt.Exec.size() && Ok; ++Step)
-          Ok = execTerm(F, SAlt.Exec[Step]);
-      }
-      if (Hard)
-        goto flat_hard;
-      BacktrackLive -= HasPost; // replay done: leave the self alt
-      if (!Ok)
-        goto flat_post_alts;
-      Sub = Store.makeNode(
-          R.Name, Id, F.E, F.ChildIds.data(), F.ChildTermIdx.data(),
-          static_cast<uint32_t>(F.ChildIds.size()));
-      ++Stats.NodesCreated;
-      if (TrackReentry) {
-        St.InProgress.erase(St.FlatKeys.back());
-        St.FlatKeys.pop_back();
-      }
-      if (Memoize)
-        St.Memo.insert(levelKey(), ipg_rt::memoPack(Sub, true));
-    }
-    St.FlatKids.resize(KidBase);
-    Depth = EntryDepth;
-    return Sub;
-
-    // A hard failure aborts the whole activation: recursion unwinds every
-    // pending level erasing its reentry key and storing nothing.
-  flat_hard:
-    while (St.FlatKeys.size() > KeyBase) {
-      St.InProgress.erase(St.FlatKeys.back());
-      St.FlatKeys.pop_back();
-    }
-    St.FlatLevels.resize(LvBase);
-    St.FlatKids.resize(KidBase);
-    Depth = EntryDepth;
-    return InvalidNode;
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Step tier: the explicit work-stack machine for general recursion
-  // (mutual cycles, multiple self-alternatives, self under array/switch).
-  // One MachineAct per live rule invocation; acts suspend only where a
-  // callee is itself a Step rule — every other term delegates to the
-  // ordinary helpers, whose recursion is bounded by the grammar (Direct)
-  // or heap-backed (Flattened). Depth is the act-stack height, so
-  // MaxDepth limits exactly what it limits under recursion.
-  //===--------------------------------------------------------------------===//
-
-  using MachineAct = ParseScratch::MachineAct;
-
-  uint32_t StartNode = InvalidNode; ///< result of an inline-resolved start
-  bool ChildOk = false;             ///< delivery: did the last act succeed?
-  uint32_t ChildNode = InvalidNode; ///< delivery: its node id
-
-  enum StartStatus { ActPushed, ActDoneOk, ActDoneFail };
-
-  /// Mirrors parseRule's entry sequence (depth check, peak, memo probe,
-  /// reentry insert). Either pushes a new act or resolves inline from the
-  /// memo table (StartNode holds the node on ActDoneOk).
-  StartStatus startAct(RuleId Id, ByteSpan In, const Frame *Lex) {
-    const lir::RuleL &R = L.Rules[Id];
-    if (Depth >= Opts.MaxDepth) {
-      Hard = depthError(R, In.absBase());
-      return ActDoneFail;
-    }
-    if (pastDeadline(R.Name, In.absBase()))
-      return ActDoneFail;
-    ++Depth;
-    Stats.PeakDepth = std::max(Stats.PeakDepth, Depth);
-    bool Memoize = Opts.UseMemo && R.Memoizable && !Salvage;
-    bool TrackReentry = Opts.DetectReentry && !R.IsLocal;
-    IntervalKey Key;
-    if (Memoize || TrackReentry)
-      Key = IntervalKey::pack(Id, In.absBase(), In.absBase() + In.size());
-    if (Memoize) {
-      if (const uint32_t *Hit = St.Memo.find(Key)) {
-        ++Stats.MemoHits;
-        --Depth;
-        unsigned NodeId = 0;
-        if (!ipg_rt::memoUnpack(*Hit, NodeId))
-          return ActDoneFail;
-        StartNode = NodeId;
-        return ActDoneOk;
-      }
-      ++Stats.MemoMisses;
-    }
-    bool Inserted = false;
-    if (TrackReentry) {
-      if (!St.InProgress.insert(Key, 1)) {
-        --Depth;
-        return ActDoneFail; // packrat-style: in-progress re-entry fails
-      }
-      Inserted = true;
-    }
-    MachineAct A;
-    A.Id = Id;
-    A.Input = In;
-    A.Lex = Lex;
-    A.Key = Key;
-    A.Memoize = Memoize;
-    A.Inserted = Inserted;
-    BacktrackLive += R.Alts.size() > 1; // alt 0 begins with later alts
-    St.Acts.push_back(A);
-    return ActPushed;
-  }
-
-  /// Pops the top act with \p Result (InvalidNode on failure), closing its
-  /// bookkeeping exactly as parseRule's exit does, and loads the delivery
-  /// slot for the act below.
-  void finishAct(uint32_t Result) {
-    MachineAct &A = St.Acts.back();
-    if (A.Inserted)
-      St.InProgress.erase(A.Key);
-    if (A.Memoize && !Hard)
-      St.Memo.insert(A.Key, ipg_rt::memoPack(
-                                Result == InvalidNode ? 0u : Result,
-                                Result != InvalidNode));
-    BacktrackLive -= A.AltIdx + 1 < L.Rules[A.Id].Alts.size();
-    --Depth;
-    St.Acts.pop_back();
-    ChildOk = Result != InvalidNode && !Hard;
-    ChildNode = Result;
-  }
-
-  void restoreLoopVar(Frame &F, MachineAct &A) {
-    if (A.ArrHadSaved)
-      F.E.set(A.Arr->Sym, A.ArrSaved);
-    else
-      F.E.erase(A.Arr->Sym);
-  }
-
-  /// Abandons the in-flight array term of act \p I (element failed or an
-  /// interval went bad): unwind exactly like execArray's failure path.
-  int arrayFail(size_t I, Frame &F) {
-    MachineAct &A = St.Acts[I];
-    --St.ArrayNest;
-    restoreLoopVar(F, A);
-    A.Arr = nullptr;
-    A.Wait = MachineAct::WaitNone;
-    return 0;
-  }
-
-  void completeArrayElem(size_t I, Frame &F, uint32_t Sub) {
-    MachineAct &A = St.Acts[I];
-    int64_t Lo = A.PendLo, Hi = A.PendHi;
-    int64_t BStart, BEnd;
-    childSpan(*cast<NodeTree>(Store.node(Sub)), Hi - Lo, BStart, BEnd);
-    St.ElemScratch[A.ArrLevel].push_back(
-        Store.makeShifted(Sub, Lo, G.symStart(), G.symEnd()));
-    updStartEnd(F.E, Lo + BStart, Lo + BEnd, BEnd != 0);
-    if (BEnd != 0) {
-      A.ArrTouched = true;
-      A.ArrMaxEnd = std::max(A.ArrMaxEnd, Lo + BEnd);
-    }
-    ++A.ArrK;
-  }
-
-  /// Drives the element loop of the in-flight array term of act \p I.
-  /// Returns 0 (term failed), 1 (term done), or 2 (suspended on a child
-  /// act).
-  int arrayLoop(size_t I, Frame &F) {
-    for (;;) {
-      MachineAct &A = St.Acts[I];
-      const lir::TermL &Ar = *A.Arr;
-      if (A.ArrK >= A.ArrTo) {
-        --St.ArrayNest;
-        restoreLoopVar(F, A);
-        const std::vector<uint32_t> &Elems = St.ElemScratch[A.ArrLevel];
-        F.ChildIds.push_back(
-            Store.makeArray(Ar.Elem, Elems.data(),
-                            static_cast<uint32_t>(Elems.size())));
-        F.ChildTermIdx.push_back(A.PendTI);
-        if (A.ArrTouched)
-          F.rec(A.PendTI, 0, A.ArrMaxEnd);
-        A.Arr = nullptr;
-        A.Wait = MachineAct::WaitNone;
-        return 1;
-      }
-      F.E.set(Ar.Sym, A.ArrK);
-      int64_t Lo, Hi;
-      if (!evalInterval(F, Ar.Iv, Lo, Hi) || Hard)
-        return arrayFail(I, F);
-      if (!ipg_rt::intervalOk(Lo, Hi,
-                              static_cast<int64_t>(F.Input.size())))
-        return arrayFail(I, F);
-      A.PendLo = Lo;
-      A.PendHi = Hi;
-      A.Wait = MachineAct::WaitArr;
-      StartStatus S2 = startAct(Ar.Rule,
-                                F.Input.slice(static_cast<size_t>(Lo),
-                                              static_cast<size_t>(Hi)),
-                                &F);
-      if (S2 == ActPushed)
-        return 2;
-      St.Acts[I].Wait = MachineAct::WaitNone;
-      if (S2 == ActDoneFail || Hard)
-        return arrayFail(I, F);
-      completeArrayElem(I, F, StartNode);
-    }
-  }
-
-  /// Starts the machine path of an array term whose element rule is Step.
-  int startArrayMachine(size_t I, Frame &F, const lir::TermL &T) {
-    int64_t From, To;
-    if (!evalProgram(F, T.E0, From) || !evalProgram(F, T.E1, To))
-      return 0;
-    MachineAct &A = St.Acts[I];
-    A.Arr = &T;
-    A.PendTI = T.TermIdx;
-    auto Saved = F.E.get(T.Sym);
-    A.ArrHadSaved = Saved.has_value();
-    A.ArrSaved = Saved.value_or(0);
-    A.ArrLevel = St.ArrayNest++;
-    St.elemScratchAt(A.ArrLevel).clear();
-    A.ArrTouched = false;
-    A.ArrMaxEnd = 0;
-    A.ArrK = From;
-    A.ArrTo = To;
-    return arrayLoop(I, F);
-  }
-
-  /// Suspends act \p I on a child parse of \p Target (NT term or switch
-  /// arm); resolves inline when the child answers from the memo table.
-  /// \p Recov / \p HoleSym carry the term's recoverability so a soft
-  /// child failure under Salvage becomes a hole over [Lo, Hi) — both on
-  /// the inline paths here and on the delivery path in advance().
-  int suspendChild(size_t I, Frame &F, uint32_t TI, RuleId Target,
-                   const lir::IntervalL &Iv, bool Recov, Symbol HoleSym) {
-    int64_t Lo, Hi;
-    if (!evalInterval(F, Iv, Lo, Hi) || Hard)
-      return 0;
-    if (!ipg_rt::intervalOk(Lo, Hi, static_cast<int64_t>(F.Input.size())))
-      return 0;
-    Recov = Recov && Hi > Lo; // zero-width holes are refused (see emitHole)
-    MachineAct &A = St.Acts[I];
-    A.PendTI = TI;
-    A.PendLo = Lo;
-    A.PendHi = Hi;
-    A.PendRecov = Salvage && Recov;
-    A.PendHole = HoleSym;
-    A.Wait = MachineAct::WaitNT;
-    StartStatus S2 = startAct(Target,
-                              F.Input.slice(static_cast<size_t>(Lo),
-                                            static_cast<size_t>(Hi)),
-                              &F);
-    if (S2 == ActPushed)
-      return 2;
-    St.Acts[I].Wait = MachineAct::WaitNone;
-    if (Hard)
-      return 0;
-    if (S2 == ActDoneFail) {
-      if (Salvage && Recov && BacktrackLive == 0) {
-        emitHoleAt(F, TI, Lo, Hi, HoleSym);
-        return 1;
-      }
-      return 0;
-    }
-    completeChildNT(F, TI, Lo, Hi, StartNode);
-    return 1;
-  }
-
-  /// Executes one term of act \p I. Terms whose callee needs the machine
-  /// suspend; everything else delegates to the recursive helpers.
-  /// Returns 0 (failed), 1 (done), or 2 (suspended).
-  int execTermMachine(size_t I, Frame &F, const lir::TermL &T) {
-    const Symbol Owner = L.Rules[St.Acts[I].Id].Name;
-    switch (T.Op) {
-    case lir::TermOp::CallRule: {
-      if (T.Rule == InvalidRuleId ||
-          L.Rules[T.Rule].Shape != ExecShape::Step)
-        return execTermSalvage(F, T, Owner) ? 1 : 0;
-      ++Stats.TermsExecuted;
-      return suspendChild(I, F, T.TermIdx, T.Rule, T.Iv, T.Recoverable,
-                          T.Sym);
-    }
-    case lir::TermOp::Select: {
-      // Find the committed arm first (condition evaluation is pure);
-      // delegate whole-term when it does not need the machine.
-      const lir::ArmL *Chosen = nullptr;
-      for (uint32_t AI = T.ArmsBegin; AI != T.ArmsEnd; ++AI) {
-        const lir::ArmL &C = L.Arms[AI];
-        if (C.Cond != lir::NoExpr) {
-          int64_t V;
-          if (!evalProgram(F, C.Cond, V)) {
-            ++Stats.TermsExecuted;
-            return 0;
-          }
-          if (V == 0)
-            continue;
-        }
-        Chosen = &C;
-        break;
-      }
-      if (!Chosen) {
-        ++Stats.TermsExecuted;
-        return 0; // no arm matched
-      }
-      if (Chosen->Rule == InvalidRuleId ||
-          L.Rules[Chosen->Rule].Shape != ExecShape::Step)
-        return execTermSalvage(F, T, Owner) ? 1 : 0;
-      ++Stats.TermsExecuted;
-      return suspendChild(I, F, T.TermIdx, Chosen->Rule, Chosen->Iv,
-                          T.Recoverable, L.Rules[Chosen->Rule].Name);
-    }
-    case lir::TermOp::ForArray: {
-      if (T.Rule == InvalidRuleId ||
-          L.Rules[T.Rule].Shape != ExecShape::Step)
-        return execTerm(F, T) ? 1 : 0; // arrays never salvage
-      ++Stats.TermsExecuted;
-      return startArrayMachine(I, F, T);
-    }
-    default:
-      return execTermSalvage(F, T, Owner) ? 1 : 0;
-    }
-  }
-
-  /// Runs the top act until it pushes a child or pops itself.
-  void advance() {
-    size_t I = St.Acts.size() - 1;
-    Frame &F = St.frameAt(I + 1);
-    const lir::RuleL &R = L.Rules[St.Acts[I].Id];
-    bool AltFailed = false;
-
-    // Consume a pending child delivery first.
-    if (St.Acts[I].Wait == MachineAct::WaitNT) {
-      MachineAct &A = St.Acts[I];
-      A.Wait = MachineAct::WaitNone;
-      if (ChildOk) {
-        completeChildNT(F, A.PendTI, A.PendLo, A.PendHi, ChildNode);
-        ++A.StepIdx;
-      } else if (A.PendRecov && !Hard && BacktrackLive == 0) {
-        // BacktrackLive is judged at failure-delivery time: the child's
-        // own contributions are gone, what remains is this act's current
-        // alternative plus everything enclosing it.
-        emitHoleAt(F, A.PendTI, A.PendLo, A.PendHi, A.PendHole);
-        ++A.StepIdx;
-      } else {
-        AltFailed = true;
-      }
-    } else if (St.Acts[I].Wait == MachineAct::WaitArr) {
-      if (ChildOk) {
-        completeArrayElem(I, F, ChildNode);
-        int AR = arrayLoop(I, F);
-        if (AR == 2)
-          return;
-        if (AR == 1)
-          ++St.Acts[I].StepIdx;
-        else
-          AltFailed = true;
-      } else {
-        arrayFail(I, F);
-        AltFailed = true;
-      }
-    }
-
-    for (;;) {
-      MachineAct &A = St.Acts[I];
-      if (A.AltIdx >= R.Alts.size()) {
-        finishAct(InvalidNode);
-        return;
-      }
-      const lir::AltL &Alt = R.Alts[A.AltIdx];
-      if (!AltFailed) {
-        if (A.NeedBegin) {
-          F.beginAlt(A.Input, R.IsLocal ? A.Lex : nullptr,
-                     Alt.Exec.size());
-          A.NeedBegin = false;
-        }
-        while (A.StepIdx < Alt.Exec.size()) {
-          int TR = execTermMachine(I, F, Alt.Exec[A.StepIdx]);
-          if (TR == 2)
-            return; // suspended: references above are stale now
-          if (TR == 0) {
-            AltFailed = true;
-            break;
-          }
-          ++A.StepIdx;
-        }
-      }
-      if (Hard) {
-        finishAct(InvalidNode);
-        return;
-      }
-      if (!AltFailed) {
-        uint32_t Result = Store.makeNode(
-            R.Name, A.Id, F.E, F.ChildIds.data(), F.ChildTermIdx.data(),
-            static_cast<uint32_t>(F.ChildIds.size()));
-        ++Stats.NodesCreated;
-        finishAct(Result);
-        return;
-      }
-      ++A.AltIdx;
-      if (A.AltIdx + 1 == R.Alts.size())
-        --BacktrackLive; // this act just entered its last alternative
-      A.StepIdx = 0;
-      A.NeedBegin = true;
-      AltFailed = false;
-    }
-  }
-
-  /// Entry point for a Step start rule: the whole parse runs on the
-  /// machine (the up-closure guarantees Direct/Flattened callees never
-  /// lead back into a Step rule mid-descent).
-  uint32_t runMachine(RuleId Start, ByteSpan Input) {
-    St.Acts.clear();
-    ChildOk = false;
-    ChildNode = InvalidNode;
-    StartStatus S0 = startAct(Start, Input, nullptr);
-    if (S0 != ActPushed)
-      return S0 == ActDoneOk && !Hard ? StartNode : InvalidNode;
-    while (!St.Acts.empty() && !Hard)
-      advance();
-    if (Hard) {
-      // Unwind exactly as recursion would: each pending activation
-      // erases its reentry key; nothing is memoized.
-      while (!St.Acts.empty()) {
-        if (St.Acts.back().Inserted)
-          St.InProgress.erase(St.Acts.back().Key);
-        St.Acts.pop_back();
-        --Depth;
-      }
-      return InvalidNode;
-    }
-    return ChildOk ? ChildNode : InvalidNode;
-  }
+  const lir::Module &L;
+  ParseScratch &St;
+  const TreeStore &Store;
+  const std::vector<QE> &Quick;
+  const std::vector<BytecodeVM::DigitTerm> &Digits;
 };
 
 } // namespace
@@ -2289,23 +987,8 @@ Expected<TreePtr> BytecodeVM::parse(ByteSpan Input) {
 }
 
 Expected<TreePtr> BytecodeVM::parse(ByteSpan Input, Symbol StartNT) {
-  // Reset FIRST: stats() must describe this call even when it fails
-  // before doing any work (a stale-stats regression lives in
-  // tests/engine_test.cpp and is asserted by the differential harness).
-  Stats = EngineStats();
-  RuleId Start = StartNT == G.startSymbol()
-                     ? S->Lowered.Start
-                     : S->Lowered.globalRuleOf(StartNT);
-  if (Start == InvalidRuleId) {
-    Stats.FailRule = StartNT;
-    Stats.FailOffset = Input.absBase();
-    return Expected<TreePtr>::failure(
-        "start nonterminal '" +
-        std::string(G.interner().name(StartNT)) + "' has no rule");
-  }
-  S->beginParse(Stats);
-  Runner R(G, Opts, Stats, *S, Quick, QuickDigits, HasDeadline, Deadline);
-  return R.run(Input, Start);
+  return host::parse<VmEval>(G, Opts, Stats, *S, HasDeadline, Deadline,
+                             Input, StartNT, Quick, QuickDigits);
 }
 
 bool BytecodeVM::adoptStore(TreeStore *Store) { return S->adopt(Store); }

@@ -7,23 +7,26 @@
 ///
 /// \file
 /// The third proven-equivalent execution mode: a bytecode VM that runs the
-/// lowered module (lower/LIR.h) directly. It shares the interpreter's
-/// three-tier execution strategy — Direct recursion, Flattened
-/// descend-replay, Step work-stack machine — and the full runtime core
-/// (arena TreeStore, FlatIntervalMap memo, frame pool, store recycler;
-/// runtime/ParseScratch.h), so its trees, counters (nodes, memo traffic,
-/// PeakDepth), hard-error texts, and allocation profile are
-/// byte-identical to the interpreter's (tests/differential_test.cpp locks
-/// all three modes against each other).
+/// lowered module (lower/LIR.h) directly. It and the interpreter are the
+/// two host engines: instantiations of one execution core, host::Runner
+/// (runtime/HostRunner.h) — Direct recursion, Flattened descend-replay,
+/// Step work-stack machine, salvage, deadlines, memoization, stats — over
+/// the same runtime state (arena TreeStore, FlatIntervalMap memo, frame
+/// pool, store recycler; runtime/ParseScratch.h). Its trees, counters (terms, nodes, memo
+/// traffic, PeakDepth), hard-error texts, and allocation profile are
+/// therefore identical to the interpreter's by construction
+/// (tests/differential_test.cpp locks all three modes against each
+/// other).
 ///
-/// Where the interpreter tree-walks source expressions through
-/// expr/Eval.h on every evaluation, the VM executes the compiled postfix
-/// programs lir::lower() produced once per grammar: a computed-goto
-/// dispatch loop (switch fallback on non-GNU compilers) over a persistent
-/// operand stack, with short-circuit logic compiled to structured forward
-/// jumps. Term-level dispatch is a plain switch over the eight lir
-/// opcodes — the instruction mix there is dominated by the work inside
-/// each term, not by dispatch itself.
+/// The one thing the VM supplies is its expression evaluator. Where the
+/// interpreter tree-walks source expressions through expr/Eval.h on every
+/// evaluation, the VM executes the compiled postfix programs lir::lower()
+/// produced once per grammar: a computed-goto dispatch loop (switch
+/// fallback on non-GNU compilers) over a persistent operand stack, with
+/// short-circuit logic compiled to structured forward jumps. Term-level
+/// dispatch is the runner's plain switch over the eight lir opcodes — the
+/// instruction mix there is dominated by the work inside each term, not
+/// by dispatch itself.
 ///
 /// The profiled hot path is not the dispatch loop but how often it is
 /// ENTERED: a parse evaluates tens of thousands of interval-endpoint
@@ -37,8 +40,8 @@
 ///
 /// The memory discipline, depth-free contract (grammar recursion bounded
 /// by EngineOptions::MaxDepth alone, never the C stack), and the
-/// one-engine-per-thread rule are exactly the interpreter's; see
-/// runtime/Interp.h for the long-form contract.
+/// one-engine-per-thread rule are the shared runner's, so exactly the
+/// interpreter's; see runtime/Interp.h for the long-form contract.
 ///
 //===----------------------------------------------------------------------===//
 

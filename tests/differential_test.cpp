@@ -15,8 +15,8 @@
 /// The comparison goes through one canonical text rendering
 /// (ipg_rt::dumpTree, embedded in every generated parser; renderCanonical
 /// below produces the identical format from the interpreter's ParseTree),
-/// so any byte of difference is a semantic divergence between
-/// runtime/Interp.cpp and codegen/CppEmitter.cpp. Memoized and
+/// so any byte of difference is a semantic divergence between the host
+/// runner (runtime/HostRunner.h) and codegen/CppEmitter.cpp. Memoized and
 /// unmemoized generated parsers are also compared against each other:
 /// the memo table must never change a parse result.
 ///

@@ -16,6 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/AttributeCheck.h"
+#include "runtime/Engine.h"
 #include "runtime/Interp.h"
 #include "support/Casting.h"
 
@@ -689,14 +690,19 @@ TEST(SemanticsNontermination, DepthGuardReportsHardError) {
   EXPECT_NE(R.message().find("depth"), std::string::npos);
 }
 
+// The reentry guard is host-runner state, so both host engines honor it.
 TEST(SemanticsNontermination, ReentryDetectionFailsCleanly) {
   Grammar G = load(R"(S -> ""[0, 0] S[0, EOI] ;)");
   InterpOptions Opts;
   Opts.DetectReentry = true;
-  Interp I(G, nullptr, Opts);
-  auto R = parseStr(I, "abc");
-  ASSERT_FALSE(R);
-  EXPECT_NE(R.message().find("rejected"), std::string::npos);
+  for (EngineKind Kind : {EngineKind::Interp, EngineKind::Vm}) {
+    SCOPED_TRACE(engineKindName(Kind));
+    auto E = makeEngine(Kind, G, nullptr, Opts);
+    ASSERT_TRUE(E) << E.message();
+    auto R = (*E)->parse(ByteSpan::of(std::string_view("abc")));
+    ASSERT_FALSE(R);
+    EXPECT_NE(R.message().find("rejected"), std::string::npos);
+  }
 }
 
 TEST(SemanticsNontermination, SeekStyleLoopCaughtByGuards) {
@@ -708,13 +714,17 @@ TEST(SemanticsNontermination, SeekStyleLoopCaughtByGuards) {
   )");
   InterpOptions Opts;
   Opts.DetectReentry = true;
-  Interp I(G, nullptr, Opts);
-  std::vector<uint8_t> Loop = {0, 0, 0};
-  EXPECT_FALSE(I.parse(ByteSpan::of(Loop)));
-  // A chain that advances terminates and accepts.
-  std::vector<uint8_t> Chain = {1, '$'};
-  auto R = I.parse(ByteSpan::of(Chain));
-  EXPECT_TRUE(R) << R.message();
+  for (EngineKind Kind : {EngineKind::Interp, EngineKind::Vm}) {
+    SCOPED_TRACE(engineKindName(Kind));
+    auto E = makeEngine(Kind, G, nullptr, Opts);
+    ASSERT_TRUE(E) << E.message();
+    std::vector<uint8_t> Loop = {0, 0, 0};
+    EXPECT_FALSE((*E)->parse(ByteSpan::of(Loop)));
+    // A chain that advances terminates and accepts.
+    std::vector<uint8_t> Chain = {1, '$'};
+    auto R = (*E)->parse(ByteSpan::of(Chain));
+    EXPECT_TRUE(R) << R.message();
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -166,6 +166,19 @@ const lir::TermL *findOp(const lir::Module &M, lir::TermOp Op) {
 
 } // namespace
 
+// Every program records the source expression it was compiled from,
+// which the interpreter's evaluator walks; verify() rejects a module that
+// lost one.
+TEST(LirTest, EveryProgramKeepsItsSourceExpression) {
+  Grammar G = load(AllTermsGrammar);
+  lir::Module M = lir::lower(G);
+  ASSERT_FALSE(M.Exprs.empty());
+  for (const lir::ExprProgram &P : M.Exprs)
+    EXPECT_NE(P.Src, nullptr);
+  M.Exprs.back().Src = nullptr;
+  EXPECT_NE(lir::verify(M).find("no source expression"), std::string::npos);
+}
+
 TEST(LirTest, OperandsResolvedOnCheckedGrammar) {
   Grammar G = load(AllTermsGrammar);
   lir::Module M = lir::lower(G);
