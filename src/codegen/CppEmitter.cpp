@@ -212,13 +212,13 @@ std::string Emitter::emitExpr(const Expr &E, std::string &Body,
     std::string R = emitExpr(*B.rhs(), Body, Fail);
     switch (B.op()) {
     case BinOpKind::Add:
-      Body += "  " + T + " = " + L + " + " + R + ";\n";
+      Body += "  " + T + " = ipg_rt::wrapAdd(" + L + ", " + R + ");\n";
       break;
     case BinOpKind::Sub:
-      Body += "  " + T + " = " + L + " - " + R + ";\n";
+      Body += "  " + T + " = ipg_rt::wrapSub(" + L + ", " + R + ");\n";
       break;
     case BinOpKind::Mul:
-      Body += "  " + T + " = " + L + " * " + R + ";\n";
+      Body += "  " + T + " = ipg_rt::wrapMul(" + L + ", " + R + ");\n";
       break;
     case BinOpKind::Div:
       Body += "  if (!ipg_rt::checkedDiv(" + L + ", " + R + ", " + T +
@@ -412,13 +412,13 @@ std::string Emitter::totalExpr(const Expr &E) {
     const char *Op = nullptr;
     switch (B.op()) {
     case BinOpKind::Add:
-      Op = " + ";
+      Op = "ipg_rt::wrapAdd(";
       break;
     case BinOpKind::Sub:
-      Op = " - ";
+      Op = "ipg_rt::wrapSub(";
       break;
     case BinOpKind::Mul:
-      Op = " * ";
+      Op = "ipg_rt::wrapMul(";
       break;
     default:
       return ""; // guarded or comparison operators: emit statements
@@ -429,7 +429,7 @@ std::string Emitter::totalExpr(const Expr &E) {
     std::string R = totalExpr(*B.rhs());
     if (R.empty())
       return "";
-    return "(" + L + Op + R + ")";
+    return Op + L + ", " + R + ")";
   }
   default:
     return "";

@@ -92,11 +92,11 @@ static std::optional<int64_t> evalBinary(const BinaryExpr &B,
   long long Guarded = 0;
   switch (B.op()) {
   case BinOpKind::Add:
-    return *L + *R;
+    return ipg_rt::wrapAdd(*L, *R);
   case BinOpKind::Sub:
-    return *L - *R;
+    return ipg_rt::wrapSub(*L, *R);
   case BinOpKind::Mul:
-    return *L * *R;
+    return ipg_rt::wrapMul(*L, *R);
   case BinOpKind::Div:
     if (!ipg_rt::checkedDiv(*L, *R, Guarded))
       return std::nullopt;

@@ -21,13 +21,17 @@
 ///    ipg_rt::IdStart/IdEnd) covering every symbol an emitter can
 ///    reference;
 ///  - the deduplicated blackbox call-site table engines resolve against
-///    their registry at construction time.
+///    their registry at construction time;
+///  - a lir::RecordPlan for every fixed-layout record rule (literals,
+///    `raw`, fixed-offset reads, comparison checks), which the VM runs
+///    as one fused step.
 ///
 /// Consumers divide the module between them: both host engines run it
 /// through one execution core (runtime/HostRunner.h) that differs only in
-/// expression evaluation — the interpreter tree-walks each program's
-/// source expression (ExprProgram::Src) through expr/Eval.h, the bytecode
-/// VM (vm/BytecodeVM.h) executes the compiled programs; the C++ emitter
+/// expression evaluation and record fusion — the interpreter tree-walks
+/// each program's source expression (ExprProgram::Src) through
+/// expr/Eval.h and runs every term, the bytecode VM (vm/BytecodeVM.h)
+/// executes the compiled programs and the record plans; the C++ emitter
 /// (codegen/CppEmitter.cpp) walks lir for structure — name ids, memo
 /// flags, shapes, execution order, blackbox sites — and renders the
 /// source expressions as C++. Name/slot/blackbox resolution lives HERE
@@ -206,6 +210,100 @@ struct AltL {
   std::vector<TermL> Exec;
 };
 
+//===----------------------------------------------------------------------===//
+// Fused fixed-layout records
+//===----------------------------------------------------------------------===//
+
+/// Index of a record plan in Module::Plans.
+using PlanId = uint32_t;
+inline constexpr PlanId NoPlan = ~0u;
+
+/// Upper bounds a record plan may reach, so a runner can keep its whole
+/// working set (leaf windows, env slots) in fixed-size stack arrays.
+inline constexpr uint32_t MaxRecordTerms = 32;
+
+/// Step opcodes of a record plan, one per term of the rule.
+enum class RecOp : uint8_t {
+  Lit,   ///< MatchBytes: literal Lit must match at the window's start
+  Raw,   ///< MatchRaw: accept the window wholesale
+  Read,  ///< SetAttr Sym = fixed-width read (Spec) at constant offset Lo
+  Check, ///< Check: A Cmp B, each a constant or an attribute slot
+};
+
+/// Comparison of a Check step.
+enum class RecCmp : uint8_t { Eq, Ne, Lt, Gt, Le, Ge };
+
+/// A Check operand: the current value of attribute slot Slot, or Imm.
+struct RecOperand {
+  bool IsSlot = false;
+  uint32_t Slot = 0;
+  int64_t Imm = 0;
+};
+
+/// One step of a record plan. Step i of a plan is Exec[i] of the rule's
+/// only alternative (same TermIdx), so a plan never reorders terms.
+struct RecordStep {
+  RecOp Op = RecOp::Raw;
+  uint32_t TermIdx = 0;
+  /// Lit/Raw window. LoE/HiE are the interval's programs when the
+  /// endpoint could not be folded (evaluated at run time), else NoExpr
+  /// and Lo/Hi hold the folded constant. Read: Lo is the read offset.
+  ExprId LoE = NoExpr;
+  ExprId HiE = NoExpr;
+  int64_t Lo = 0;
+  int64_t Hi = 0;
+  uint32_t Lit = 0;   ///< Lit: literal id
+  uint32_t Spec = 0;  ///< Read: ipg_rt::packReadSpec of the read kind
+  Symbol Sym = InvalidSymbol; ///< Read: attribute name
+  uint32_t Slot = 0;  ///< Read: attribute slot (first-definition order)
+  bool FirstDef = false; ///< Read: first definition of Slot in the rule
+  /// Static plans: env position of Slot (Read) / of the slot operands
+  /// (Check), precomputed from the fixed env layout.
+  uint32_t Pos = 0;
+  RecCmp Cmp = RecCmp::Eq;
+  RecOperand A, B;    ///< Check operands
+  uint32_t PosA = 0, PosB = 0; ///< Check, static plans: operand env positions
+};
+
+/// One env slot of a static plan's precomputed layout (layout-compatible
+/// with the runtime's EnvSlot; runtime/HostRunner.h asserts it). Values
+/// of start/end are final; attribute values are placeholders.
+struct PlanSlot {
+  Symbol Key = InvalidSymbol;
+  int64_t Value = 0;
+};
+
+/// A fused fixed-layout record: a single-alternative Direct rule whose
+/// terms are only literals, `raw`, attribute definitions by fixed-offset
+/// read, and comparison checks over those attributes and constants. The
+/// VM runs the whole rule as one step (runtime/HostRunner.h): every
+/// bounds, literal, read and check step first, then the leaves and the
+/// node, falling back to the per-term loop on any failure.
+///
+/// A window endpoint folds to a constant when it is built from literals
+/// and `+ - *` (ipg_rt::wrapAdd/Sub/Mul) over the TermEnd of earlier
+/// constant windows. A plan whose windows all fold (and lie in
+/// [0, MinEoi]) is STATIC: its env layout, start and end are computed
+/// here, and the runner only checks the input is at least MinEoi bytes.
+/// Other plans are dynamic: unfolded endpoints are evaluated at run time
+/// and may read anything but the rule's own attributes or start/end.
+struct RecordPlan {
+  RuleId Rule = InvalidRuleId;
+  uint32_t StepBegin = 0; ///< Module::PlanSteps window
+  uint32_t StepEnd = 0;
+  uint32_t NumAttrs = 0;  ///< distinct attributes the rule defines
+  bool Static = false;
+  /// Static only: the env layout (Module::PlanEnv window), the smallest
+  /// local input every window and read fits in, and the rule's start/end
+  /// (Touched = some window touches bytes; else no start/end slots).
+  uint32_t EnvBegin = 0;
+  uint32_t EnvEnd = 0;
+  int64_t MinEoi = 0;
+  bool Touched = false;
+  int64_t Start = 0;
+  int64_t End = 0;
+};
+
 /// One lowered rule.
 struct RuleL {
   const Rule *Src = nullptr;
@@ -219,6 +317,8 @@ struct RuleL {
   ExecShape Shape = ExecShape::Direct;
   FlattenInfo Flatten;    ///< valid iff Shape == Flattened
   std::vector<AltL> Alts;
+  /// The rule's fused record plan (see RecordPlan), or NoPlan.
+  PlanId Plan = NoPlan;
 };
 
 /// A blackbox call site, deduplicated by name. Engines resolve sites
@@ -246,6 +346,9 @@ struct Module {
   std::vector<ExprProgram> Exprs;    ///< indexed by ExprId
   std::vector<ExistsInfo> Exists;
   std::vector<BbSite> BbSites;
+  std::vector<RecordPlan> Plans;     ///< indexed by PlanId
+  std::vector<RecordStep> PlanSteps; ///< every plan's steps
+  std::vector<PlanSlot> PlanEnv;     ///< static plans' env layouts
   /// Dense name table: NameTable[0] is the grammar's `start` symbol and
   /// NameTable[1] its `end` symbol (the ipg_rt::IdStart/IdEnd contract
   /// generated parsers rely on), followed by every other symbol the
@@ -277,9 +380,12 @@ struct Module {
 Module lower(const Grammar &G);
 
 /// Structural validation of a lowered module: resolved rule targets and
-/// intervals, literal-table consistency, and jump-target well-formedness
-/// plus stack-balance of every expression program. Returns an empty
-/// string when valid, else a description of the first violation.
+/// intervals, literal-table consistency, jump-target well-formedness
+/// plus stack-balance of every expression program, and every record
+/// plan against its rule (step-for-term correspondence, slot use before
+/// definition, and a re-derivation of each static plan's folded windows
+/// and env layout). Returns an empty string when valid, else a
+/// description of the first violation.
 std::string verify(const Module &M);
 
 } // namespace lir

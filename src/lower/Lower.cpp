@@ -9,8 +9,11 @@
 
 #include "expr/Eval.h"
 #include "support/Casting.h"
+#include "support/GenRuntime.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <unordered_map>
 #include <utility>
 
@@ -171,6 +174,155 @@ bool simulate(const XInstr *Code, size_t N, uint32_t &MaxStack,
   return true;
 }
 
+/// Folds a window endpoint to a constant: literals and `+ - *` (the
+/// runtime's wraparound semantics) over the TermEnd of earlier constant
+/// windows, whose ends \p EndOf holds where \p Known is set (indexed by
+/// source term). Anything else does not fold, and leaves \p Out as it
+/// was (an unfolded RecordStep endpoint keeps its 0).
+bool foldConst(const Expr &E, const std::vector<int64_t> &EndOf,
+               const std::vector<uint8_t> &Known, int64_t &Out) {
+  switch (E.kind()) {
+  case Expr::Kind::Num:
+    Out = cast<NumExpr>(&E)->value();
+    return true;
+  case Expr::Kind::Ref: {
+    const auto &R = *cast<RefExpr>(&E);
+    if (R.refKind() != RefKind::TermEnd || R.termIndex() >= Known.size() ||
+        !Known[R.termIndex()])
+      return false;
+    Out = EndOf[R.termIndex()];
+    return true;
+  }
+  case Expr::Kind::Binary: {
+    const auto &B = *cast<BinaryExpr>(&E);
+    int64_t L = 0, R = 0;
+    if (!foldConst(*B.lhs(), EndOf, Known, L) ||
+        !foldConst(*B.rhs(), EndOf, Known, R))
+      return false;
+    switch (B.op()) {
+    case BinOpKind::Add:
+      Out = ipg_rt::wrapAdd(L, R);
+      return true;
+    case BinOpKind::Sub:
+      Out = ipg_rt::wrapSub(L, R);
+      return true;
+    case BinOpKind::Mul:
+      Out = ipg_rt::wrapMul(L, R);
+      return true;
+    default:
+      return false;
+    }
+  }
+  default:
+    return false;
+  }
+}
+
+/// The Check comparison an XOp compiles to, if it is one.
+bool compareOf(XOp Op, RecCmp &Out) {
+  switch (Op) {
+  case XOp::Eq:
+    Out = RecCmp::Eq;
+    return true;
+  case XOp::Ne:
+    Out = RecCmp::Ne;
+    return true;
+  case XOp::Lt:
+    Out = RecCmp::Lt;
+    return true;
+  case XOp::Gt:
+    Out = RecCmp::Gt;
+    return true;
+  case XOp::Le:
+    Out = RecCmp::Le;
+    return true;
+  case XOp::Ge:
+    Out = RecCmp::Ge;
+    return true;
+  default:
+    return false;
+  }
+}
+
+/// The TermEnd a later window reads once folded step \p S succeeded:
+/// Lo + the literal's length, or a raw window's Hi. Wraps like runtime
+/// evaluation, since the window need not be valid (the step then never
+/// succeeds and the value is never used).
+int64_t foldedEnd(const Module &M, const RecordStep &S) {
+  return S.Op == RecOp::Lit
+             ? ipg_rt::wrapAdd(S.Lo,
+                               static_cast<int64_t>(M.Lits[S.Lit].size()))
+             : S.Hi;
+}
+
+/// Derives a static plan's fixed env layout by replaying the per-term
+/// environment writes over its folded windows: start/end enter at the
+/// first window that touches bytes and take the min/max afterwards, and
+/// each attribute enters at its first definition. Fills \p Env, the env
+/// position of every attribute slot (\p SlotPos), MinEoi and the span.
+/// False when some window or read can never succeed (negative or
+/// inverted window, literal longer than its window, negative offset):
+/// such a plan stays dynamic and simply always falls back.
+bool layoutStatic(const Module &M, const RecordStep *Steps, size_t N,
+                  uint32_t NumAttrs, std::vector<PlanSlot> &Env,
+                  std::vector<uint32_t> &SlotPos, RecordPlan &P) {
+  Env.clear();
+  SlotPos.assign(NumAttrs, 0);
+  P.MinEoi = 0;
+  P.Touched = false;
+  P.Start = P.End = 0;
+  for (size_t I = 0; I < N; ++I) {
+    const RecordStep &S = Steps[I];
+    switch (S.Op) {
+    case RecOp::Lit:
+    case RecOp::Raw: {
+      if (S.LoE != NoExpr || S.HiE != NoExpr || S.Lo < 0 || S.Lo > S.Hi)
+        return false;
+      // Leaf and touch record: a literal's own bytes, a raw window whole.
+      const int64_t Len = S.Op == RecOp::Lit
+                              ? static_cast<int64_t>(M.Lits[S.Lit].size())
+                              : S.Hi - S.Lo;
+      if (Len > S.Hi - S.Lo)
+        return false;
+      P.MinEoi = std::max(P.MinEoi, S.Hi);
+      if (Len == 0)
+        break;
+      if (!P.Touched) {
+        P.Touched = true;
+        P.Start = S.Lo;
+        P.End = S.Lo + Len;
+        Env.push_back(PlanSlot{M.G->symStart(), 0});
+        Env.push_back(PlanSlot{M.G->symEnd(), 0});
+      } else {
+        P.Start = std::min(P.Start, S.Lo);
+        P.End = std::max(P.End, S.Lo + Len);
+      }
+      break;
+    }
+    case RecOp::Read:
+      if (S.Lo < 0 || S.Lo > INT64_MAX - 8)
+        return false;
+      // The low byte of an ipg_rt::packReadSpec value is the width.
+      P.MinEoi =
+          std::max(P.MinEoi, S.Lo + static_cast<int64_t>(S.Spec & 0xFFu));
+      if (S.FirstDef) {
+        SlotPos[S.Slot] = static_cast<uint32_t>(Env.size());
+        Env.push_back(PlanSlot{S.Sym, 0});
+      }
+      break;
+    case RecOp::Check:
+      break;
+    }
+  }
+  for (PlanSlot &Sl : Env) {
+    if (Sl.Key == M.G->symStart())
+      Sl.Value = P.Start;
+    else if (Sl.Key == M.G->symEnd())
+      Sl.Value = P.End;
+  }
+  return true;
+}
+
 class Lowering {
 public:
   explicit Lowering(const Grammar &G) : G(G) {
@@ -202,6 +354,7 @@ public:
       for (const Alternative &Alt : R.Alts)
         RL.Alts.push_back(lowerAlt(Alt));
       markRecoverable(RL);
+      planRecord(Id, RL);
     }
     M.Start = G.findGlobal(G.startSymbol());
     return std::move(M);
@@ -213,6 +366,167 @@ private:
   std::unordered_map<std::string, uint32_t> LitIds;
   std::unordered_map<Symbol, uint32_t> BbIds;
   std::vector<XInstr> *Buf = nullptr; ///< program under construction
+
+  /// Record-planning scratch, reused across rules so planning every rule
+  /// of a grammar costs no per-rule allocation once warm.
+  std::vector<Symbol> PlanAttrs;   ///< attribute symbol per slot
+  std::vector<Symbol> AltDefs;     ///< every attribute the alt defines
+  std::vector<int64_t> EndOf;      ///< folded TermEnd per source term
+  std::vector<uint8_t> Known;
+  std::vector<PlanSlot> EnvScratch;
+  std::vector<uint32_t> SlotPos;
+
+  /// Whether window endpoint \p Id, when it did not fold, can still run
+  /// fused: evaluated on the record's frame before any attribute of the
+  /// rule is bound, it must not read those attributes or start/end
+  /// (everything else — lexical attributes, EOI, TermEnd, reads — sees
+  /// what the per-term loop would see). Exists scans, whose programs lie
+  /// outside this one, are left to the loop.
+  bool windowFusible(ExprId Id) const {
+    const ExprProgram &P = M.Exprs[Id];
+    for (uint32_t PC = P.Begin; PC < P.End; ++PC) {
+      const XInstr &I = M.XCode[PC];
+      if (I.Op == XOp::Exists ||
+          (I.Op == XOp::LoadAttr &&
+           (I.Sym == G.symStart() || I.Sym == G.symEnd() ||
+            std::find(AltDefs.begin(), AltDefs.end(), I.Sym) !=
+                AltDefs.end())))
+        return false;
+    }
+    return true;
+  }
+
+  /// A Check operand: a constant or an attribute this rule defined
+  /// earlier (so the per-term loop would find it in the rule's own env).
+  bool checkOperand(const XInstr &I, RecOperand &Out) const {
+    if (I.Op == XOp::Num) {
+      Out.Imm = I.Imm;
+      return true;
+    }
+    if (I.Op != XOp::LoadAttr)
+      return false;
+    auto It = std::find(PlanAttrs.begin(), PlanAttrs.end(), I.Sym);
+    if (It == PlanAttrs.end())
+      return false;
+    Out.IsSlot = true;
+    Out.Slot = static_cast<uint32_t>(It - PlanAttrs.begin());
+    return true;
+  }
+
+  /// The record-fusion pass (see lir::RecordPlan): attaches a plan to a
+  /// single-alternative Direct rule whose terms are only literals, `raw`,
+  /// fixed-offset reads and comparison checks. Runs after the rule's
+  /// terms are lowered; anything outside that shape leaves Plan unset.
+  void planRecord(RuleId Id, RuleL &RL) {
+    if (RL.Alts.size() != 1 || RL.Shape != ExecShape::Direct ||
+        RL.Memoizable)
+      return;
+    const AltL &Alt = RL.Alts[0];
+    if (Alt.Exec.empty() || Alt.Exec.size() > MaxRecordTerms)
+      return;
+    AltDefs.clear();
+    for (const TermL &T : Alt.Exec)
+      if (T.Op == TermOp::SetAttr)
+        AltDefs.push_back(T.Sym);
+    PlanAttrs.clear();
+    EndOf.assign(Alt.Src->Terms.size(), 0);
+    Known.assign(Alt.Src->Terms.size(), 0);
+
+    const size_t Begin = M.PlanSteps.size();
+    RecordPlan P;
+    P.Rule = Id;
+    bool AllFolded = true;
+    auto abandon = [&] { M.PlanSteps.resize(Begin); };
+    for (const TermL &T : Alt.Exec) {
+      RecordStep S;
+      S.TermIdx = T.TermIdx;
+      switch (T.Op) {
+      case TermOp::MatchBytes:
+      case TermOp::MatchRaw: {
+        if (T.Iv.Lo == NoExpr || T.Iv.Hi == NoExpr)
+          return abandon();
+        S.Op = T.Op == TermOp::MatchBytes ? RecOp::Lit : RecOp::Raw;
+        S.Lit = T.Lit;
+        const bool LoK = foldConst(*T.Iv.Src->Lo, EndOf, Known, S.Lo);
+        const bool HiK = foldConst(*T.Iv.Src->Hi, EndOf, Known, S.Hi);
+        if ((!LoK && !windowFusible(T.Iv.Lo)) ||
+            (!HiK && !windowFusible(T.Iv.Hi)))
+          return abandon();
+        if (!LoK)
+          S.LoE = T.Iv.Lo;
+        if (!HiK)
+          S.HiE = T.Iv.Hi;
+        if (LoK && HiK) {
+          EndOf[T.TermIdx] = foldedEnd(M, S);
+          Known[T.TermIdx] = 1;
+        } else {
+          AllFolded = false;
+        }
+        break;
+      }
+      case TermOp::SetAttr: {
+        const ExprProgram &Prog = M.Exprs[T.E0];
+        const XInstr *C = M.XCode.data() + Prog.Begin;
+        if (T.Sym == G.symStart() || T.Sym == G.symEnd() ||
+            Prog.End - Prog.Begin != 2 || C[0].Op != XOp::Num ||
+            C[1].Op != XOp::ReadFixed ||
+            !ipg_rt::packReadSpec(C[1].A, S.Spec))
+          return abandon();
+        S.Op = RecOp::Read;
+        S.Lo = C[0].Imm;
+        S.Sym = T.Sym;
+        auto It = std::find(PlanAttrs.begin(), PlanAttrs.end(), T.Sym);
+        S.FirstDef = It == PlanAttrs.end();
+        S.Slot = static_cast<uint32_t>(It - PlanAttrs.begin());
+        if (S.FirstDef)
+          PlanAttrs.push_back(T.Sym);
+        break;
+      }
+      case TermOp::Check: {
+        const ExprProgram &Prog = M.Exprs[T.E0];
+        const XInstr *C = M.XCode.data() + Prog.Begin;
+        const uint32_t N = Prog.End - Prog.Begin;
+        S.Op = RecOp::Check;
+        if (N == 1) { // check(x): x != 0
+          if (!checkOperand(C[0], S.A))
+            return abandon();
+          S.Cmp = RecCmp::Ne;
+          break;
+        }
+        if (N != 3 || !checkOperand(C[0], S.A) ||
+            !checkOperand(C[1], S.B) || !compareOf(C[2].Op, S.Cmp))
+          return abandon();
+        break;
+      }
+      default:
+        return abandon();
+      }
+      M.PlanSteps.push_back(S);
+    }
+    P.StepBegin = static_cast<uint32_t>(Begin);
+    P.StepEnd = static_cast<uint32_t>(M.PlanSteps.size());
+    P.NumAttrs = static_cast<uint32_t>(PlanAttrs.size());
+    RecordStep *Steps = M.PlanSteps.data() + Begin;
+    const size_t N = P.StepEnd - P.StepBegin;
+    if (AllFolded && layoutStatic(M, Steps, N, P.NumAttrs, EnvScratch,
+                                  SlotPos, P)) {
+      P.Static = true;
+      P.EnvBegin = static_cast<uint32_t>(M.PlanEnv.size());
+      M.PlanEnv.insert(M.PlanEnv.end(), EnvScratch.begin(), EnvScratch.end());
+      P.EnvEnd = static_cast<uint32_t>(M.PlanEnv.size());
+      for (size_t I = 0; I < N; ++I) {
+        RecordStep &S = Steps[I];
+        if (S.Op == RecOp::Read)
+          S.Pos = SlotPos[S.Slot];
+        if (S.Op == RecOp::Check) {
+          S.PosA = S.A.IsSlot ? SlotPos[S.A.Slot] : 0;
+          S.PosB = S.B.IsSlot ? SlotPos[S.B.Slot] : 0;
+        }
+      }
+    }
+    RL.Plan = static_cast<PlanId>(M.Plans.size());
+    M.Plans.push_back(P);
+  }
 
   /// The shared salvage decision point (see lir::TermL::Recoverable):
   /// mark the positional terms of the rule's LAST alternative. Earlier
@@ -590,6 +904,130 @@ private:
 
 Module ipg::lir::lower(const Grammar &G) { return Lowering(G).run(); }
 
+namespace {
+
+/// Checks one record plan against its rule: the rule shape the pass
+/// requires, a step per executed term with matching operands, slots
+/// defined before use, folded windows that refold to the same constants,
+/// and — for static plans — the env layout re-derived from the steps.
+std::string verifyPlan(const Module &M, RuleId Id, const RuleL &R,
+                       std::vector<PlanSlot> &Env,
+                       std::vector<uint32_t> &SlotPos) {
+  if (R.Plan >= M.Plans.size())
+    return "plan id out of range";
+  const RecordPlan &P = M.Plans[R.Plan];
+  if (P.Rule != Id)
+    return "plan belongs to another rule";
+  if (R.Alts.size() != 1 || R.Shape != ExecShape::Direct || R.Memoizable)
+    return "rule is not a single-alternative, unmemoized Direct rule";
+  const AltL &Alt = R.Alts[0];
+  if (P.StepBegin > P.StepEnd || P.StepEnd > M.PlanSteps.size())
+    return "step window out of range";
+  const size_t N = P.StepEnd - P.StepBegin;
+  if (N != Alt.Exec.size() || N > MaxRecordTerms)
+    return "step count does not match the rule's terms";
+  const RecordStep *Steps = M.PlanSteps.data() + P.StepBegin;
+  std::vector<Symbol> Attrs;
+  std::vector<int64_t> EndOf(Alt.Src->Terms.size(), 0);
+  std::vector<uint8_t> Known(Alt.Src->Terms.size(), 0);
+  bool AllFolded = true;
+  auto slotOk = [&](const RecOperand &O) {
+    return !O.IsSlot || O.Slot < Attrs.size();
+  };
+  for (size_t I = 0; I < N; ++I) {
+    const RecordStep &S = Steps[I];
+    const TermL &T = Alt.Exec[I];
+    auto bad = [I](const char *Why) {
+      return "step " + std::to_string(I) + ": " + Why;
+    };
+    if (S.TermIdx != T.TermIdx)
+      return bad("term index does not match");
+    switch (S.Op) {
+    case RecOp::Lit:
+    case RecOp::Raw: {
+      const TermOp Want =
+          S.Op == RecOp::Lit ? TermOp::MatchBytes : TermOp::MatchRaw;
+      if (T.Op != Want)
+        return bad("window step over a different term");
+      if (S.Op == RecOp::Lit && S.Lit != T.Lit)
+        return bad("literal id does not match");
+      if (T.Iv.Lo == NoExpr || T.Iv.Hi == NoExpr)
+        return bad("window was never completed");
+      if ((S.LoE != NoExpr && S.LoE != T.Iv.Lo) ||
+          (S.HiE != NoExpr && S.HiE != T.Iv.Hi))
+        return bad("unfolded endpoint is not the term's program");
+      int64_t V = 0;
+      if (S.LoE == NoExpr &&
+          !(foldConst(*T.Iv.Src->Lo, EndOf, Known, V) && V == S.Lo))
+        return bad("folded start does not refold to the same constant");
+      if (S.HiE == NoExpr &&
+          !(foldConst(*T.Iv.Src->Hi, EndOf, Known, V) && V == S.Hi))
+        return bad("folded end does not refold to the same constant");
+      if (S.LoE == NoExpr && S.HiE == NoExpr) {
+        EndOf[S.TermIdx] = foldedEnd(M, S);
+        Known[S.TermIdx] = 1;
+      } else {
+        AllFolded = false;
+      }
+      break;
+    }
+    case RecOp::Read: {
+      if (T.Op != TermOp::SetAttr || S.Sym != T.Sym)
+        return bad("read step over a different term");
+      if (S.Sym == M.G->symStart() || S.Sym == M.G->symEnd())
+        return bad("reads into start/end");
+      const uint32_t W = S.Spec & 0xFFu;
+      if ((W != 1 && W != 2 && W != 4 && W != 8) || (S.Spec & ~0x1FFu))
+        return bad("bad read spec");
+      auto It = std::find(Attrs.begin(), Attrs.end(), S.Sym);
+      if (S.FirstDef != (It == Attrs.end()) ||
+          S.Slot != static_cast<uint32_t>(It - Attrs.begin()))
+        return bad("attribute slot out of definition order");
+      if (S.FirstDef)
+        Attrs.push_back(S.Sym);
+      break;
+    }
+    case RecOp::Check:
+      if (T.Op != TermOp::Check)
+        return bad("check step over a different term");
+      if (!slotOk(S.A) || !slotOk(S.B))
+        return bad("check reads an attribute before its definition");
+      break;
+    }
+  }
+  if (Attrs.size() != P.NumAttrs)
+    return "attribute count does not match the steps";
+  RecordPlan Want = P;
+  const bool CanBeStatic =
+      AllFolded && layoutStatic(M, Steps, N, P.NumAttrs, Env, SlotPos, Want);
+  if (P.Static != CanBeStatic)
+    return P.Static ? "static plan with an unfoldable or invalid window"
+                    : "foldable plan was left dynamic";
+  if (!P.Static)
+    return std::string();
+  if (P.EnvBegin > P.EnvEnd || P.EnvEnd > M.PlanEnv.size() ||
+      P.EnvEnd - P.EnvBegin != Env.size())
+    return "env layout window does not match the derived layout";
+  for (size_t I = 0; I < Env.size(); ++I)
+    if (M.PlanEnv[P.EnvBegin + I].Key != Env[I].Key ||
+        M.PlanEnv[P.EnvBegin + I].Value != Env[I].Value)
+      return "env layout slot " + std::to_string(I) + " diverges";
+  if (Want.MinEoi != P.MinEoi || Want.Touched != P.Touched ||
+      Want.Start != P.Start || Want.End != P.End)
+    return "static span or minimum input size diverges";
+  for (size_t I = 0; I < N; ++I) {
+    const RecordStep &S = Steps[I];
+    if ((S.Op == RecOp::Read && S.Pos != SlotPos[S.Slot]) ||
+        (S.Op == RecOp::Check &&
+         ((S.A.IsSlot && S.PosA != SlotPos[S.A.Slot]) ||
+          (S.B.IsSlot && S.PosB != SlotPos[S.B.Slot]))))
+      return "step " + std::to_string(I) + ": env position diverges";
+  }
+  return std::string();
+}
+
+} // namespace
+
 std::string ipg::lir::verify(const Module &M) {
   auto where = [&](const RuleL &R) {
     return "rule '" + std::string(M.nameOf(R.Name)) + "'";
@@ -682,5 +1120,13 @@ std::string ipg::lir::verify(const Module &M) {
     for (ExprId Id : {X.Cond, X.Then, X.Else})
       if (std::string E = checkExpr(Id); !E.empty())
         return "exists: " + E;
+  std::vector<PlanSlot> Env;
+  std::vector<uint32_t> SlotPos;
+  for (RuleId Id = 0; Id < M.Rules.size(); ++Id) {
+    const RuleL &R = M.Rules[Id];
+    if (R.Plan != NoPlan)
+      if (std::string E = verifyPlan(M, Id, R, Env, SlotPos); !E.empty())
+        return where(R) + ": record plan: " + E;
+  }
   return std::string();
 }

@@ -20,9 +20,10 @@
 /// The engines differ only in how an expression is evaluated, which the
 /// Runner takes as its template parameter. An Evaluator is constructed
 /// from (ParseScratch &, const TreeStore &, extra engine arguments...)
-/// and provides one hook:
+/// and provides one hook and one trait:
 ///
 ///   bool eval(const ParseScratch::Frame &F, lir::ExprId Id, int64_t &Out);
+///   static constexpr bool Fuse;
 ///
 /// evaluating program \p Id of the lowered module in frame \p F; false is
 /// partiality (absent attribute, guarded arithmetic, out-of-bounds read)
@@ -32,6 +33,13 @@
 /// computed-goto dispatch loop. Each engine instantiates the template in
 /// its own translation unit, so the VM's small evaluator body inlines into
 /// the term-execution sites exactly as a member function would.
+///
+/// Fuse (set by the VM, clear for the interpreter) runs rules that carry
+/// a lir::RecordPlan as one step — runRecord, after parseRule's prologue
+/// and inline per element of a record array — falling back to the
+/// per-term loop on any failing step, so results and counters never
+/// depend on it; the interpreter keeps executing every term as the
+/// reference the VM is compared against.
 ///
 /// Private to the two engines: nothing else should include this header.
 ///
@@ -59,6 +67,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -379,6 +388,15 @@ private:
     bool AnyTouched = false;
     int64_t MaxEnd = 0;
     bool Failed = false;
+    // Elements of a static record rule run their plan inline (see
+    // parseRecordElem); under DetectReentry they keep parseRule's guard.
+    const lir::RecordPlan *EP = nullptr;
+    if constexpr (Evaluator::Fuse) {
+      const lir::RuleL &ER = L.Rules[T.Rule];
+      if (ER.Plan != lir::NoPlan && L.Plans[ER.Plan].Static &&
+          !(Opts.DetectReentry && !ER.IsLocal))
+        EP = &L.Plans[ER.Plan];
+    }
 
     for (int64_t K = From; K < To; ++K) {
       F.E.set(T.Sym, K);
@@ -392,17 +410,23 @@ private:
         Failed = true;
         break;
       }
-      uint32_t Sub =
-          parseRule(T.Rule,
-                    F.Input.slice(static_cast<size_t>(Lo),
-                                  static_cast<size_t>(Hi)),
-                    &F);
+      const ByteSpan Slice = F.Input.slice(static_cast<size_t>(Lo),
+                                           static_cast<size_t>(Hi));
+      bool Fused = false;
+      uint32_t Sub = EP ? parseRecordElem(*EP, T.Rule, Slice, &F, Fused)
+                        : parseRule(T.Rule, Slice, &F);
       if (Hard || Sub == InvalidNode) {
         Failed = true;
         break;
       }
       int64_t BStart, BEnd;
-      childSpan(*cast<NodeTree>(Store.node(Sub)), Hi - Lo, BStart, BEnd);
+      if (Fused) {
+        // The plan's constant span is what childSpan would read back.
+        BStart = EP->Touched ? EP->Start : Hi - Lo;
+        BEnd = EP->Touched ? EP->End : 0;
+      } else {
+        childSpan(*cast<NodeTree>(Store.node(Sub)), Hi - Lo, BStart, BEnd);
+      }
       St.ElemScratch[Level].push_back(
           Store.makeShifted(Sub, Lo, G.symStart(), G.symEnd()));
       updStartEnd(F.E, Lo + BStart, Lo + BEnd, BEnd != 0);
@@ -428,6 +452,161 @@ private:
     if (AnyTouched)
       F.rec(T.TermIdx, 0, MaxEnd);
     return true;
+  }
+
+  //===--------------------------------------------------------------------===//
+  // Fused records (lir::RecordPlan), VM only: Evaluator::Fuse.
+  //===--------------------------------------------------------------------===//
+
+  static_assert(sizeof(EnvSlot) == sizeof(lir::PlanSlot) &&
+                    offsetof(EnvSlot, Key) == offsetof(lir::PlanSlot, Key) &&
+                    offsetof(EnvSlot, Value) == offsetof(lir::PlanSlot, Value),
+                "a static plan's env layout is copied as EnvSlots");
+
+  static bool compare(lir::RecCmp C, int64_t A, int64_t B) {
+    switch (C) {
+    case lir::RecCmp::Eq:
+      return A == B;
+    case lir::RecCmp::Ne:
+      return A != B;
+    case lir::RecCmp::Lt:
+      return A < B;
+    case lir::RecCmp::Gt:
+      return A > B;
+    case lir::RecCmp::Le:
+      return A <= B;
+    case lir::RecCmp::Ge:
+      return A >= B;
+    }
+    return false;
+  }
+
+  /// Runs record plan \p P of rule \p Id over \p Input as one step: every
+  /// bounds, literal, read and check step first, then the leaves and the
+  /// node — exactly the store writes, env slot order and counters the
+  /// per-term loop produces on success. On any failing step it returns
+  /// InvalidNode having written nothing to the store or the counters, and
+  /// the caller runs the per-term loop, which reproduces the failure
+  /// (Salvage holes, FailRule/FailOffset) term by term. A static plan
+  /// needs no frame: its windows, env layout and span are constants. A
+  /// dynamic plan evaluates its unfolded endpoints on \p F (begun for the
+  /// rule) and keeps F's touch records current for TermEnd reads.
+  template <bool Static>
+  uint32_t runRecord(const lir::RecordPlan &P, RuleId Id, ByteSpan Input,
+                     Frame *F) {
+    const lir::RecordStep *const Steps = L.PlanSteps.data() + P.StepBegin;
+    const uint32_t NumSteps = P.StepEnd - P.StepBegin;
+    const uint8_t *const In = Input.data();
+    const int64_t N = static_cast<int64_t>(Input.size());
+    EnvSlot Env[lir::MaxRecordTerms + 2];
+    uint32_t NE = 0;
+    uint32_t Pos[lir::MaxRecordTerms]; // dynamic: env position per slot
+    uint32_t StartPos = ~0u;           // dynamic: env position of start
+    int64_t LeafLo[lir::MaxRecordTerms], LeafLen[lir::MaxRecordTerms];
+    uint32_t Kids[lir::MaxRecordTerms], KidTerms[lir::MaxRecordTerms];
+    bool LeafRaw[lir::MaxRecordTerms];
+    uint32_t NL = 0;
+    if constexpr (Static) {
+      if (N < P.MinEoi)
+        return InvalidNode;
+      NE = P.EnvEnd - P.EnvBegin;
+      if (NE)
+        std::memcpy(Env, L.PlanEnv.data() + P.EnvBegin,
+                    sizeof(EnvSlot) * NE);
+    }
+    auto slotValue = [&](const lir::RecOperand &O, uint32_t StaticPos) {
+      if (!O.IsSlot)
+        return O.Imm;
+      return Env[Static ? StaticPos : Pos[O.Slot]].Value;
+    };
+    for (uint32_t I = 0; I < NumSteps; ++I) {
+      const lir::RecordStep &S = Steps[I];
+      switch (S.Op) {
+      case lir::RecOp::Lit:
+      case lir::RecOp::Raw: {
+        int64_t Lo = S.Lo, Hi = S.Hi;
+        if constexpr (!Static) {
+          if ((S.LoE != lir::NoExpr && !Ev.eval(*F, S.LoE, Lo)) ||
+              (S.HiE != lir::NoExpr && !Ev.eval(*F, S.HiE, Hi)) ||
+              !ipg_rt::intervalOk(Lo, Hi, N))
+            return InvalidNode;
+        }
+        int64_t Len = Hi - Lo;
+        if (S.Op == lir::RecOp::Lit) {
+          const std::string &Bytes = L.Lits[S.Lit];
+          Len = static_cast<int64_t>(Bytes.size());
+          if (!Static && Hi - Lo < Len)
+            return InvalidNode;
+          if (Len && std::memcmp(In + Lo, Bytes.data(),
+                                 static_cast<size_t>(Len)) != 0)
+            return InvalidNode;
+        }
+        if constexpr (!Static) {
+          if (Len > 0) { // updStartEnd's first-update min/max
+            if (StartPos == ~0u) {
+              StartPos = NE;
+              Env[NE++] = EnvSlot{G.symStart(), Lo};
+              Env[NE++] = EnvSlot{G.symEnd(), Lo + Len};
+            } else {
+              Env[StartPos].Value = std::min(Env[StartPos].Value, Lo);
+              Env[StartPos + 1].Value =
+                  std::max(Env[StartPos + 1].Value, Lo + Len);
+            }
+          }
+          F->rec(S.TermIdx, Lo, Lo + Len);
+        }
+        LeafLo[NL] = Lo;
+        LeafLen[NL] = Len;
+        LeafRaw[NL] = S.Op == lir::RecOp::Raw;
+        KidTerms[NL++] = S.TermIdx;
+        break;
+      }
+      case lir::RecOp::Read: {
+        long long V = 0;
+        if (!ipg_rt::readPacked(In, N, S.Lo, S.Spec, V))
+          return InvalidNode;
+        if constexpr (Static) {
+          Env[S.Pos].Value = V;
+        } else if (S.FirstDef) {
+          Pos[S.Slot] = NE;
+          Env[NE++] = EnvSlot{S.Sym, V};
+        } else {
+          Env[Pos[S.Slot]].Value = V;
+        }
+        break;
+      }
+      case lir::RecOp::Check:
+        if (!compare(S.Cmp, slotValue(S.A, S.PosA), slotValue(S.B, S.PosB)))
+          return InvalidNode;
+        break;
+      }
+    }
+    for (uint32_t I = 0; I < NL; ++I)
+      Kids[I] = Store.makeLeaf(In + LeafLo[I], static_cast<size_t>(LeafLen[I]),
+                               LeafLo[I], LeafRaw[I]);
+    const uint32_t Node = Store.makeNodeFromSlots(
+        L.Rules[Id].Name, Id, Env, NE, Kids, KidTerms, NL);
+    ++Stats.NodesCreated;
+    Stats.TermsExecuted += NumSteps;
+    return Node;
+  }
+
+  /// An array element whose rule has a static record plan, inlined into
+  /// the element loop: parseRule's prologue, the plan, and — only when a
+  /// step fails — the rule's per-term body. \p Fused reports whether the
+  /// plan built the node (the caller then knows its span statically).
+  uint32_t parseRecordElem(const lir::RecordPlan &P, RuleId Id,
+                           ByteSpan Input, const Frame *Lexical,
+                           bool &Fused) {
+    const lir::RuleL &R = L.Rules[Id];
+    if (!enterRule(R, Input))
+      return InvalidNode;
+    const uint32_t Node = runRecord<true>(P, Id, Input, nullptr);
+    if (Node == InvalidNode)
+      return parseEntered(Id, R, Input, Lexical, /*TryPlan=*/false);
+    --Depth;
+    Fused = true;
+    return Node;
   }
 
   bool execBlackbox(Frame &F, const lir::TermL &T) {
@@ -624,15 +803,33 @@ private:
       return parseFlattened(Id, Input);
     assert(R.Shape != ExecShape::Step &&
            "step rules only run on the machine (up-closure violated)");
+    if (!enterRule(R, Input))
+      return InvalidNode;
+    return parseEntered(Id, R, Input, Lexical, /*TryPlan=*/true);
+  }
+
+  /// parseRule's prologue: the depth limit, the amortized deadline tick,
+  /// and the depth/peak bookkeeping. False when the rule must not run
+  /// (Hard is set).
+  bool enterRule(const lir::RuleL &R, ByteSpan Input) {
     if (Depth >= Opts.MaxDepth) {
       Hard = depthError(R, Input.absBase());
-      return InvalidNode;
+      return false;
     }
     if (pastDeadline(R.Name, Input.absBase()))
-      return InvalidNode;
+      return false;
     ++Depth;
     Stats.PeakDepth = std::max(Stats.PeakDepth, Depth);
+    return true;
+  }
 
+  /// The rest of parseRule once enterRule() succeeded: memo probe,
+  /// reentry guard, the fused record plan (VM only, when \p TryPlan),
+  /// and the per-term alternative loop. Leaves the depth where
+  /// enterRule() found it.
+  uint32_t parseEntered(RuleId Id, const lir::RuleL &R, ByteSpan Input,
+                        const Frame *Lexical,
+                        [[maybe_unused]] bool TryPlan) {
     // Local rules are never memoized (their meaning depends on the
     // enclosing frame); leaf rules are excluded as a pure optimization —
     // re-matching a handful of terminals/attrdefs is cheaper than a probe
@@ -663,7 +860,20 @@ private:
 
     uint32_t Result = InvalidNode;
     Frame &F = St.frameAt(Depth);
-    for (size_t AI = 0, AE = R.Alts.size(); AI < AE; ++AI) {
+    if constexpr (Evaluator::Fuse) {
+      if (TryPlan && R.Plan != lir::NoPlan) {
+        const lir::RecordPlan &P = L.Plans[R.Plan];
+        if (P.Static) {
+          Result = runRecord<true>(P, Id, Input, nullptr);
+        } else {
+          F.beginAlt(Input, R.IsLocal ? Lexical : nullptr,
+                     R.Alts[0].Exec.size());
+          Result = runRecord<false>(P, Id, Input, &F);
+        }
+      }
+    }
+    for (size_t AI = 0, AE = Result == InvalidNode ? R.Alts.size() : 0;
+         AI < AE; ++AI) {
       const lir::AltL &Alt = R.Alts[AI];
       const bool BT = AI + 1 < AE; // a later alternative is still untried
       F.beginAlt(Input, R.IsLocal ? Lexical : nullptr, Alt.Exec.size());

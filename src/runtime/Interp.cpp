@@ -118,6 +118,10 @@ private:
 /// reference semantics the VM is held to.
 class AstEval {
 public:
+  /// The interpreter executes every term: it is the per-term reference
+  /// the VM's fused records are compared against.
+  static constexpr bool Fuse = false;
+
   AstEval(ParseScratch &St, const TreeStore &Store)
       : L(St.Lowered), Store(Store) {}
 

@@ -61,7 +61,9 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <new>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -415,15 +417,35 @@ public:
                              ChildTermIdx, NumChildren);
   }
 
+  /// One arena bump per node: the NodeTree, its frozen env and both child
+  /// arrays share a single allocation of exactly the bytes the four
+  /// separate copies used to take (so arena accounting is unchanged).
   uint32_t makeNodeFromSlots(Symbol Name, RuleId Rule, const EnvSlot *Slots,
                              uint32_t NumSlots, const uint32_t *ChildIds,
                              const uint32_t *ChildTermIdx,
                              uint32_t NumChildren) {
-    const EnvSlot *Frozen = Mem.copyArray(Slots, NumSlots);
-    const uint32_t *Ids = Mem.copyArray(ChildIds, NumChildren);
-    const uint32_t *Terms = Mem.copyArray(ChildTermIdx, NumChildren);
-    return addNode(Mem.make<NodeTree>(this, Name, Rule, Frozen, NumSlots,
-                                      Ids, Terms, NumChildren));
+    static_assert(sizeof(NodeTree) % alignof(EnvSlot) == 0 &&
+                      alignof(NodeTree) >= alignof(EnvSlot) &&
+                      sizeof(EnvSlot) % alignof(uint32_t) == 0,
+                  "node block layout: node, env slots, ids, term indices");
+    const size_t EnvBytes = sizeof(EnvSlot) * NumSlots;
+    const size_t KidBytes = sizeof(uint32_t) * NumChildren;
+    auto *Block = static_cast<uint8_t *>(Mem.allocate(
+        sizeof(NodeTree) + EnvBytes + 2 * KidBytes, alignof(NodeTree)));
+    EnvSlot *Frozen = nullptr;
+    uint32_t *Ids = nullptr, *Terms = nullptr;
+    if (NumSlots) {
+      Frozen = reinterpret_cast<EnvSlot *>(Block + sizeof(NodeTree));
+      std::memcpy(Frozen, Slots, EnvBytes);
+    }
+    if (NumChildren) {
+      Ids = reinterpret_cast<uint32_t *>(Block + sizeof(NodeTree) + EnvBytes);
+      Terms = Ids + NumChildren;
+      std::memcpy(Ids, ChildIds, KidBytes);
+      std::memcpy(Terms, ChildTermIdx, KidBytes);
+    }
+    return addNode(new (Block) NodeTree(this, Name, Rule, Frozen, NumSlots,
+                                        Ids, Terms, NumChildren));
   }
 
   /// Lazy shifted view of node \p BaseId (T-NTSucc): shares the frozen

@@ -14,39 +14,39 @@
 
 using namespace ipg;
 
-void *Arena::allocate(size_t Bytes, size_t Align) {
-  TotalAllocated += Bytes;
-  for (;;) {
-    if (Current < Blocks.size()) {
-      Block &B = Blocks[Current];
-      // Align the actual address, not the block offset: operator new[]
-      // only guarantees 16-byte alignment, so over-aligned requests need
-      // the base pointer folded in.
-      auto Base = reinterpret_cast<uintptr_t>(B.Memory.get());
-      size_t Aligned =
-          static_cast<size_t>(((Base + B.Used + Align - 1) & ~(Align - 1)) -
-                              Base);
-      if (Aligned + Bytes <= B.Size) {
-        B.Used = Aligned + Bytes;
-        return B.Memory.get() + Aligned;
-      }
-      ++Current;
-      continue;
-    }
-    size_t Size = NextBlockSize;
-    while (Size < Bytes + Align)
-      Size *= 2;
-    NextBlockSize = Size * 2;
-    Block B;
-    B.Memory = std::make_unique<uint8_t[]>(Size);
-    B.Size = Size;
-    Blocks.push_back(std::move(B));
-  }
+void *Arena::refill(size_t Bytes, size_t Align) {
+  auto bumpIn = [&](size_t I) -> void * {
+    Block &B = Blocks[I];
+    const uintptr_t Base = reinterpret_cast<uintptr_t>(B.Memory.get());
+    const uintptr_t P = (Base + Align - 1) & ~static_cast<uintptr_t>(Align - 1);
+    if (P + Bytes > Base + B.Size)
+      return nullptr;
+    Current = I;
+    Cur = reinterpret_cast<uint8_t *>(P + Bytes);
+    End = B.Memory.get() + B.Size;
+    return reinterpret_cast<void *>(P);
+  };
+  // Blocks kept by reset() are revisited in order, as the cursor left
+  // them; a block the request does not fit is skipped for good.
+  for (size_t I = Cur ? Current + 1 : 0; I < Blocks.size(); ++I)
+    if (void *P = bumpIn(I))
+      return P;
+  size_t Size = NextBlockSize;
+  while (Size < Bytes + Align)
+    Size *= 2;
+  NextBlockSize = Size * 2;
+  Block B;
+  B.Memory.reset(new uint8_t[Size]);
+  B.Size = Size;
+  Blocks.push_back(std::move(B));
+  return bumpIn(Blocks.size() - 1);
 }
 
 void Arena::reset() {
-  for (Block &B : Blocks)
-    B.Used = 0;
   Current = 0;
   TotalAllocated = 0;
+  if (Blocks.empty())
+    return;
+  Cur = Blocks[0].Memory.get();
+  End = Cur + Blocks[0].Size;
 }

@@ -14,7 +14,8 @@
 /// child-index array, and frozen attribute environment from here instead of
 /// the heap.
 ///
-/// Allocation bumps a cursor through geometrically growing blocks; reset()
+/// Allocation bumps a cursor through geometrically growing blocks (the
+/// bump is inline; only a block change calls out of line); reset()
 /// drops every allocation at once but keeps the blocks, so a reused arena
 /// reaches an allocation-free steady state. Individual objects are never
 /// destroyed — only trivially destructible types may live here — and
@@ -39,7 +40,23 @@ class Arena {
 public:
   explicit Arena(size_t FirstBlock = 4096) : NextBlockSize(FirstBlock) {}
 
-  void *allocate(size_t Bytes, size_t Align = alignof(std::max_align_t));
+  /// Bump-pointer fast path, inline at every call site: align the cursor
+  /// and advance it when the current block still has room. Everything
+  /// else (moving to a kept block after reset(), adding a block) is the
+  /// out-of-line refill(). A zero-byte request may return nullptr.
+  void *allocate(size_t Bytes, size_t Align = alignof(std::max_align_t)) {
+    TotalAllocated += Bytes;
+    // Align the actual address, not a block offset: operator new[] only
+    // guarantees 16-byte alignment, so over-aligned requests need the
+    // base pointer folded in.
+    const uintptr_t P = (reinterpret_cast<uintptr_t>(Cur) + Align - 1) &
+                        ~static_cast<uintptr_t>(Align - 1);
+    if (P + Bytes <= reinterpret_cast<uintptr_t>(End)) {
+      Cur = reinterpret_cast<uint8_t *>(P + Bytes);
+      return reinterpret_cast<void *>(P);
+    }
+    return refill(Bytes, Align);
+  }
 
   template <typename T, typename... Args> T *make(Args &&...As) {
     static_assert(std::is_trivially_destructible_v<T>,
@@ -86,13 +103,21 @@ public:
   }
 
 private:
+  /// The slow path of allocate(): the cursor's block cannot hold the
+  /// request, so bump from the next kept block that can, or add a block.
+  /// TotalAllocated is already counted.
+  void *refill(size_t Bytes, size_t Align);
+
   struct Block {
+    /// Never value-initialised: the arena writes every byte it hands out
+    /// before anything reads it.
     std::unique_ptr<uint8_t[]> Memory;
     size_t Size = 0;
-    size_t Used = 0;
   };
   std::vector<Block> Blocks;
-  size_t Current = 0;
+  size_t Current = 0;       ///< index of the cursor's block
+  uint8_t *Cur = nullptr;   ///< bump cursor (null before the first block)
+  uint8_t *End = nullptr;   ///< end of the cursor's block
   size_t NextBlockSize;
   size_t TotalAllocated = 0;
 };

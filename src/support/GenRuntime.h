@@ -119,6 +119,24 @@ inline void childSpan(bool HasStart, long long StartV, bool HasEnd,
   BEnd = HasEnd ? EndV : 0;
 }
 
+/// `+ - *` on attribute values: two's-complement wraparound, computed
+/// through unsigned arithmetic so an overflow is defined in every engine
+/// (and in lowering's constant folding) instead of undefined behaviour.
+inline long long wrapAdd(long long L, long long R) {
+  return static_cast<long long>(static_cast<unsigned long long>(L) +
+                                static_cast<unsigned long long>(R));
+}
+
+inline long long wrapSub(long long L, long long R) {
+  return static_cast<long long>(static_cast<unsigned long long>(L) -
+                                static_cast<unsigned long long>(R));
+}
+
+inline long long wrapMul(long long L, long long R) {
+  return static_cast<long long>(static_cast<unsigned long long>(L) *
+                                static_cast<unsigned long long>(R));
+}
+
 /// Division/modulo fail (partiality, not UB) on zero divisors and on the
 /// one overflowing quotient.
 inline bool checkedDiv(long long L, long long R, long long &Out) {
@@ -217,6 +235,40 @@ inline bool readScalar(const unsigned char *Base, long long Size,
       V = (V << 8) | Base[Off + I];
   Out = static_cast<long long>(V);
   return true;
+}
+
+/// A fixed-width read kind packed as width | 0x100 when big-endian, so a
+/// reader can switch to a compile-time-width readScalar (readPacked).
+/// False for the btoi kinds, whose width is a run-time window.
+inline bool packReadSpec(unsigned RK, unsigned &Spec) {
+  long long Width = 0;
+  bool BigEndian = false;
+  if (!readKindSpec(RK, Width, BigEndian))
+    return false;
+  Spec = static_cast<unsigned>(Width) | (BigEndian ? 0x100u : 0u);
+  return true;
+}
+
+/// readScalar for a packReadSpec'd kind: each case has a constant width
+/// and endianness, so the byte loop unrolls to a plain load.
+inline bool readPacked(const unsigned char *Base, long long Size,
+                       long long Off, unsigned Spec, long long &Out) {
+  switch (Spec) {
+  case 1:
+    return readScalar(Base, Size, Off, 1, false, Out);
+  case 2:
+    return readScalar(Base, Size, Off, 2, false, Out);
+  case 4:
+    return readScalar(Base, Size, Off, 4, false, Out);
+  case 8:
+    return readScalar(Base, Size, Off, 8, false, Out);
+  case 2 | 0x100:
+    return readScalar(Base, Size, Off, 2, true, Out);
+  case 4 | 0x100:
+    return readScalar(Base, Size, Off, 4, true, Out);
+  default:
+    return false; // not a packReadSpec value
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -85,17 +85,9 @@ QE classifyExpr(const lir::Module &L, uint32_t Id,
   // Reads pre-resolve the ReadKind to a width|endian spec so the
   // evaluator can use compile-time-width loads (readFixedQuick). A kind
   // without a fixed spec stays General.
-  auto readSpec = [](uint32_t RK, uint32_t &Spec) -> bool {
-    long long Width = 0;
-    bool BigEndian = false;
-    if (!ipg_rt::readKindSpec(RK, Width, BigEndian))
-      return false;
-    Spec = static_cast<uint32_t>(Width) | (BigEndian ? 0x100u : 0u);
-    return true;
-  };
   if (N == 2 && C[1].Op == lir::XOp::ReadFixed) {
     uint32_t Spec = 0;
-    if (!readSpec(C[1].A, Spec))
+    if (!ipg_rt::packReadSpec(C[1].A, Spec))
       return Q;
     if (C[0].Op == lir::XOp::Num) {
       Q.K = QE::ReadAtConst;
@@ -239,7 +231,7 @@ QE classifyExpr(const lir::Module &L, uint32_t Id,
   if (N == 4 && C[0].Op == lir::XOp::LoadAttr && C[1].Op == lir::XOp::Num &&
       C[2].Op == lir::XOp::Add && C[3].Op == lir::XOp::ReadFixed) {
     uint32_t Spec = 0;
-    if (!readSpec(C[3].A, Spec))
+    if (!ipg_rt::packReadSpec(C[3].A, Spec))
       return Q;
     Q.K = QE::ReadAtAttr;
     Q.A = Spec;
@@ -258,10 +250,8 @@ QE classifyExpr(const lir::Module &L, uint32_t Id,
         return Q;
       Addend = -Addend;
     }
-    // Fold with the dispatch loop's wrapping semantics (two's-complement
-    // add, not UB signed overflow at classification time).
-    B.Imm = static_cast<int64_t>(static_cast<uint64_t>(B.Imm) +
-                                 static_cast<uint64_t>(Addend));
+    // Fold with the dispatch loop's wrapping semantics.
+    B.Imm = ipg_rt::wrapAdd(B.Imm, Addend);
     return B;
   }
   // Positional decimal decode: sum of (read(off_i) - sub) * w_i over
@@ -283,7 +273,7 @@ QE classifyExpr(const lir::Module &L, uint32_t Id,
         break;
       }
       uint32_t S = 0;
-      if (!readSpec(C[I + 1].A, S) || (!First && S != Spec) ||
+      if (!ipg_rt::packReadSpec(C[I + 1].A, S) || (!First && S != Spec) ||
           (!First && C[I + 2].Imm != Sub)) {
         Ok = false;
         break;
@@ -332,6 +322,9 @@ QE classifyExpr(const lir::Module &L, uint32_t Id,
 /// exactly as expr/Eval.h's std::nullopt does.
 class VmEval {
 public:
+  /// Fixed-layout records run as one step (lir::RecordPlan).
+  static constexpr bool Fuse = true;
+
   VmEval(ParseScratch &St, const TreeStore &Store, const std::vector<QE> &Quick,
          const std::vector<BytecodeVM::DigitTerm> &Digits)
       : L(St.Lowered), St(St), Store(Store), Quick(Quick), Digits(Digits) {}
@@ -352,13 +345,13 @@ public:
       return true;
     }
     if (Q.K == QE::Eoi) {
-      Out = static_cast<int64_t>(F.Input.size()) + Q.Imm;
+      Out = ipg_rt::wrapAdd(static_cast<int64_t>(F.Input.size()), Q.Imm);
       return true;
     }
     if (Q.K == QE::TermEnd) {
       if (!F.termEnd(Q.A, Out))
         return false;
-      Out += Q.Imm;
+      Out = ipg_rt::wrapAdd(Out, Q.Imm);
       return true;
     }
     // Attribute found in the executing frame with no exists-scan binding
@@ -366,7 +359,7 @@ public:
     // through to the full binds-then-lexical-chain lookup.
     if (Q.K == QE::Attr && St.Binds.empty()) {
       if (auto V = F.E.get(Q.Sym)) {
-        Out = *V + Q.Imm;
+        Out = ipg_rt::wrapAdd(*V, Q.Imm);
         return true;
       }
     }
@@ -479,36 +472,37 @@ private:
     case QE::Attr:
       if (!loadAttr(F, Q.Sym, Out))
         return false;
-      Out += Q.Imm;
+      Out = ipg_rt::wrapAdd(Out, Q.Imm);
       return true;
     case QE::NtAttr:
       if (!loadNtAttr(F, Q.Sym, Q.A, Out))
         return false;
-      Out += Q.Imm;
+      Out = ipg_rt::wrapAdd(Out, Q.Imm);
       return true;
     case QE::TermEnd:
       if (!F.termEnd(Q.A, Out))
         return false;
-      Out += Q.Imm;
+      Out = ipg_rt::wrapAdd(Out, Q.Imm);
       return true;
     case QE::TermEndAttr: {
       int64_t B = 0, At = 0;
       if (!F.termEnd(Q.A, B) || !loadAttr(F, Q.Sym, At))
         return false;
-      Out = B + At;
+      Out = ipg_rt::wrapAdd(B, At);
       return true;
     }
     case QE::AttrMulImm:
       if (!loadAttr(F, Q.Sym, Out))
         return false;
-      Out = Q.Imm * (Out + Q.Imm2);
+      Out = ipg_rt::wrapMul(Q.Imm, ipg_rt::wrapAdd(Out, Q.Imm2));
       return true;
     case QE::NtAffine: {
       int64_t Base = 0, Idx = 0, Stride = 0;
       if (!loadNtAttr(F, Q.Sym, Q.A, Base) || !loadAttr(F, Q.Sym3, Idx) ||
           !loadNtAttr(F, Q.Sym2, Q.Attr2, Stride))
         return false;
-      Out = Base + (Idx + Q.Imm) * Stride;
+      Out = ipg_rt::wrapAdd(
+          Base, ipg_rt::wrapMul(ipg_rt::wrapAdd(Idx, Q.Imm), Stride));
       return true;
     }
     case QE::AttrAffinePair: {
@@ -626,7 +620,7 @@ private:
       int64_t Off = 0;
       if (!loadAttr(F, Q.Sym, Off))
         return false;
-      return readFixedQuick(F, Q.A, Off + Q.Imm, Out);
+      return readFixedQuick(F, Q.A, ipg_rt::wrapAdd(Off, Q.Imm), Out);
     }
     case QE::General:
       break;
@@ -634,41 +628,16 @@ private:
     return evalGeneral(F, Id, Out);
   }
 
-  /// Fixed-width read for the quick forms. \p Spec is the pre-resolved
-  /// width|endian encoding classifyExpr derived from the ReadKind
-  /// (readKindSpec ran once at engine construction), so each case calls
-  /// readScalar with compile-time width and endianness — the byte loop
-  /// unrolls to a plain load. Bounds behavior is readScalar's, exactly as
-  /// the dispatch loop's ReadFixed.
+  /// Fixed-width read for the quick forms: \p Spec is the packed
+  /// width|endian encoding classifyExpr derived from the ReadKind once at
+  /// engine construction. Bounds behavior is readScalar's, exactly as the
+  /// dispatch loop's ReadFixed.
   bool readFixedQuick(const Frame &F, uint32_t Spec, int64_t Off,
                       int64_t &Out) const {
-    const unsigned char *B = F.Input.data();
-    const long long N = static_cast<long long>(F.Input.size());
     long long V = 0;
-    bool Ok = false;
-    switch (Spec) {
-    case 1:
-      Ok = ipg_rt::readScalar(B, N, Off, 1, false, V);
-      break;
-    case 2:
-      Ok = ipg_rt::readScalar(B, N, Off, 2, false, V);
-      break;
-    case 4:
-      Ok = ipg_rt::readScalar(B, N, Off, 4, false, V);
-      break;
-    case 8:
-      Ok = ipg_rt::readScalar(B, N, Off, 8, false, V);
-      break;
-    case 2 | 0x100:
-      Ok = ipg_rt::readScalar(B, N, Off, 2, true, V);
-      break;
-    case 4 | 0x100:
-      Ok = ipg_rt::readScalar(B, N, Off, 4, true, V);
-      break;
-    default:
-      break; // unreachable: classifyExpr only emits the specs above
-    }
-    if (!Ok)
+    if (!ipg_rt::readPacked(F.Input.data(),
+                            static_cast<long long>(F.Input.size()), Off, Spec,
+                            V))
       return false;
     Out = V;
     return true;
@@ -759,17 +728,17 @@ private:
 
     IPG_VM_CASE(Add)
     T1 = *--SP;
-    SP[-1] += T1;
+    SP[-1] = ipg_rt::wrapAdd(SP[-1], T1);
     IPG_VM_NEXT();
 
     IPG_VM_CASE(Sub)
     T1 = *--SP;
-    SP[-1] -= T1;
+    SP[-1] = ipg_rt::wrapSub(SP[-1], T1);
     IPG_VM_NEXT();
 
     IPG_VM_CASE(Mul)
     T1 = *--SP;
-    SP[-1] *= T1;
+    SP[-1] = ipg_rt::wrapMul(SP[-1], T1);
     IPG_VM_NEXT();
 
     IPG_VM_CASE(Div)

@@ -18,15 +18,18 @@
 /// (tests/differential_test.cpp locks all three modes against each
 /// other).
 ///
-/// The one thing the VM supplies is its expression evaluator. Where the
+/// The VM supplies its expression evaluator, and that evaluator's Fuse
+/// trait switches on the runner's fused records: fixed-layout record
+/// rules (lir::RecordPlan — ELF/PE header and table rows, ZIP's EOCD,
+/// DNS's header) run as one step, with the per-term loop as fallback on
+/// any failure, so trees and counters stay the interpreter's. Where the
 /// interpreter tree-walks source expressions through expr/Eval.h on every
 /// evaluation, the VM executes the compiled postfix programs lir::lower()
 /// produced once per grammar: a computed-goto dispatch loop (switch
 /// fallback on non-GNU compilers) over a persistent operand stack, with
 /// short-circuit logic compiled to structured forward jumps. Term-level
-/// dispatch is the runner's plain switch over the eight lir opcodes — the
-/// instruction mix there is dominated by the work inside each term, not
-/// by dispatch itself.
+/// dispatch is the runner's plain switch over the eight lir opcodes,
+/// except inside fused records.
 ///
 /// The profiled hot path is not the dispatch loop but how often it is
 /// ENTERED: a parse evaluates tens of thousands of interval-endpoint

@@ -23,11 +23,17 @@
 #include "lower/LIR.h"
 
 #include "TreeCanonical.h"
+#include "analysis/Completion.h"
 #include "formats/FormatRegistry.h"
+#include "frontend/Parser.h"
 #include "grammar/Grammar.h"
 #include "runtime/Engine.h"
+#include "runtime/ParseTree.h"
+#include "support/Casting.h"
 
+#include <cstdint>
 #include <gtest/gtest.h>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -232,6 +238,64 @@ TEST(LirTest, OperandsResolvedOnCheckedGrammar) {
   }
 }
 
+TEST(LirTest, VerifyRejectsCorruptRecordPlans) {
+  // lir::verify re-derives every record plan from its rule; each
+  // corruption below must be reported. ELF's H is static: "\x7fELF"
+  // raw[60], three reads, check(sz = 64).
+  auto Load = formats::loadFormatGrammar("elf");
+  ASSERT_TRUE(Load) << Load.message();
+  const lir::Module M = lir::lower(Load->G);
+  ASSERT_EQ(lir::verify(M), "");
+  const lir::RuleL &H =
+      M.Rules[Load->G.findGlobal(Load->G.interner().lookup("H"))];
+  ASSERT_NE(H.Plan, lir::NoPlan);
+  const lir::RecordPlan &P = M.Plans[H.Plan];
+  ASSERT_TRUE(P.Static);
+  ASSERT_EQ(P.StepEnd - P.StepBegin, 6u);
+
+  auto expectRejected = [&](const char *What, auto Corrupt) {
+    lir::Module Bad = M;
+    Corrupt(Bad, Bad.Plans[H.Plan]);
+    EXPECT_NE(lir::verify(Bad), "") << What;
+  };
+  expectRejected("shifted folded window", [](lir::Module &B,
+                                             lir::RecordPlan &Q) {
+    B.PlanSteps[Q.StepBegin + 1].Hi += 1;
+  });
+  expectRejected("wrong minimum input", [](lir::Module &, lir::RecordPlan &Q) {
+    Q.MinEoi -= 1;
+  });
+  expectRejected("wrong span", [](lir::Module &, lir::RecordPlan &Q) {
+    Q.End += 1;
+  });
+  expectRejected("swapped env layout", [](lir::Module &B,
+                                          lir::RecordPlan &Q) {
+    std::swap(B.PlanEnv[Q.EnvBegin], B.PlanEnv[Q.EnvBegin + 1]);
+  });
+  expectRejected("static-ness dropped", [](lir::Module &,
+                                           lir::RecordPlan &Q) {
+    Q.Static = false;
+  });
+  expectRejected("read into another slot", [](lir::Module &B,
+                                              lir::RecordPlan &Q) {
+    for (uint32_t I = Q.StepBegin; I < Q.StepEnd; ++I)
+      if (B.PlanSteps[I].Op == lir::RecOp::Read) {
+        B.PlanSteps[I].Slot += 1;
+        return;
+      }
+  });
+  expectRejected("check before definition", [](lir::Module &B,
+                                               lir::RecordPlan &Q) {
+    for (uint32_t I = Q.StepBegin; I < Q.StepEnd; ++I)
+      if (B.PlanSteps[I].Op == lir::RecOp::Check)
+        B.PlanSteps[I].A.Slot = 7;
+  });
+  expectRejected("plan on a multi-term mismatch", [](lir::Module &B,
+                                                     lir::RecordPlan &Q) {
+    std::swap(B.PlanSteps[Q.StepBegin], B.PlanSteps[Q.StepBegin + 1]);
+  });
+}
+
 TEST(LirTest, LiteralsAreInterned) {
   // "ab" appears three times across two rules, "cd" once: two entries.
   Grammar G = load(R"(
@@ -347,6 +411,33 @@ TEST(VmTest, ShiftRangeGuardAgrees) {
   expectVmAgrees(Src, bytes("x"));
 }
 
+TEST(VmTest, WraparoundArithmeticAgrees) {
+  // `+ - *` wrap in two's complement at the ends of the int64 range, in
+  // the quick forms (attr +/- const, const * attr) and in the dispatch
+  // loop alike; an overflow is a defined value, never partiality.
+  const char *Src = R"(
+    S -> "x"[0, 1] {mx = 9223372036854775807} {mn = 0 - mx - 1}
+         {a = mx + 1} {b = mn - 1} {c = mx * 2} {d = 2 * mx}
+         {e = mn * (0 - 1)} {f = mn + mn} {g = mn - mx} {h = 0 - mn}
+         check(a = mn && b = mx && c = 0 - 2 && d = c)
+         check(e = mn && f = 0 && g = 1 && h = mn) ;
+  )";
+  expectVmAgrees(Src, bytes("x"));
+  Grammar G = load(Src);
+  for (EngineKind K : {EngineKind::Interp, EngineKind::Vm}) {
+    auto E = makeEngine(K, G);
+    ASSERT_TRUE(E) << E.message();
+    std::vector<uint8_t> In = bytes("x");
+    auto R = (*E)->parse(ByteSpan::of(In));
+    ASSERT_TRUE(R) << R.message();
+    const auto *Root = dyn_cast<NodeTree>(R->get());
+    ASSERT_NE(Root, nullptr);
+    EXPECT_EQ(Root->attr(G.interner().lookup("a")), INT64_MIN);
+    EXPECT_EQ(Root->attr(G.interner().lookup("b")), INT64_MAX);
+    EXPECT_EQ(Root->attr(G.interner().lookup("d")), -2);
+  }
+}
+
 TEST(VmTest, ExistsScanAgrees) {
   Grammar G = load(R"(
     S -> {n = u8(0)}
@@ -390,4 +481,382 @@ TEST(VmTest, BtoiReadsAgree) {
   )";
   std::vector<uint8_t> In = {1, 2, 3, 4, 5, 6, 7, 8, 9};
   expectVmAgrees(Src, In);
+}
+
+//===----------------------------------------------------------------------===//
+// Record fusion (lir::RecordPlan). The census locks WHICH rules the pass
+// fuses per format and HOW MUCH of a real parse runs fused, so a grammar
+// or lowering edit that silently stops fusing fails here; the parity
+// tests drive the fused path and its per-term fallback through every
+// failure shape and demand the interpreter's trees, verdicts,
+// diagnostics and counters.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Names of the rules lowering attached a record plan to, sorted.
+std::set<std::string> fusedRules(const lir::Module &M) {
+  std::set<std::string> Out;
+  for (const lir::RuleL &R : M.Rules)
+    if (R.Plan != lir::NoPlan)
+      Out.insert(std::string(M.nameOf(R.Name)));
+  return Out;
+}
+
+/// Walks a parse tree and splits the terms its nodes executed into those
+/// inside fused records and the rest. Only valid for trees whose rules
+/// all have one alternative (each node then ran exactly that
+/// alternative's terms).
+void censusWalk(const lir::Module &M, const ParseTree &Root, size_t &Fused,
+                size_t &Total) {
+  std::vector<const ParseTree *> Work{&Root};
+  while (!Work.empty()) {
+    const ParseTree *T = Work.back();
+    Work.pop_back();
+    if (const auto *A = dyn_cast<ArrayTree>(T)) {
+      for (TreeRef C : A->elements())
+        Work.push_back(C.get());
+      continue;
+    }
+    const auto *N = dyn_cast<NodeTree>(T);
+    if (!N)
+      continue;
+    const lir::RuleL &R = M.Rules[N->rule()];
+    EXPECT_EQ(R.Alts.size(), 1u) << M.nameOf(R.Name);
+    Total += R.Alts[0].Exec.size();
+    if (R.Plan != lir::NoPlan)
+      Fused += R.Alts[0].Exec.size();
+    for (TreeRef C : N->children())
+      Work.push_back(C.get());
+  }
+}
+
+} // namespace
+
+TEST(RecordFusionTest, CensusLocksFusedRulesPerFormat) {
+  // Every plan-bearing rule per format, and the static ones among them
+  // (all windows folded to constants). OtherSec, OptHdr, Sec, Stored,
+  // GCT, Opaque and Payload are `raw` over [0, EOI], a dynamic window.
+  struct Census {
+    std::set<std::string> Fused;
+    std::set<std::string> Static;
+  };
+  const std::map<std::string, Census> Want = {
+      {"elf", {{"H", "SH", "DynEnt", "Sym", "OtherSec"},
+               {"H", "SH", "DynEnt", "Sym"}}},
+      {"pe", {{"DOS", "COFF", "OptHdr", "SecHdr", "Sec"},
+              {"DOS", "COFF", "SecHdr"}}},
+      {"zip", {{"EOCD", "Stored", "Bad"}, {"EOCD", "Bad"}}},
+      {"gif", {{"GCT", "Empty", "Trailer"}, {"Empty", "Trailer"}}},
+      {"dns", {{"Hdr", "QFix", "End0"}, {"Hdr", "QFix", "End0"}}},
+      {"ipv4udp", {{"Opaque", "Payload"}, {}}},
+      {"pdf", {{}, {}}},
+  };
+  for (const formats::FormatInfo &FI : formats::allFormats()) {
+    SCOPED_TRACE("format: " + FI.Name);
+    auto Load = formats::loadFormatGrammar(FI.Name);
+    ASSERT_TRUE(Load) << Load.message();
+    lir::Module M = lir::lower(Load->G);
+    ASSERT_EQ(lir::verify(M), "");
+    std::set<std::string> Static;
+    for (const lir::RuleL &R : M.Rules)
+      if (R.Plan != lir::NoPlan && M.Plans[R.Plan].Static)
+        Static.insert(std::string(M.nameOf(R.Name)));
+    auto It = Want.find(FI.Name);
+    ASSERT_NE(It, Want.end()) << "new format: add its census";
+    EXPECT_EQ(fusedRules(M), It->second.Fused);
+    EXPECT_EQ(Static, It->second.Static);
+  }
+
+  // The dynamic share: of the terms a VM parse of the sample executes,
+  // how many run inside fused records. The walk must account for every
+  // executed term (these grammars are single-alternative throughout and
+  // the sample parses without backtracking).
+  const std::map<std::string, double> MinShare = {{"elf", 0.9},
+                                                  {"pe", 0.75}};
+  for (const auto &[Fmt, Min] : MinShare) {
+    SCOPED_TRACE("format: " + Fmt);
+    auto Load = formats::loadFormatGrammar(Fmt);
+    ASSERT_TRUE(Load) << Load.message();
+    lir::Module M = lir::lower(Load->G);
+    auto E = makeEngine(EngineKind::Vm, Load->G);
+    ASSERT_TRUE(E) << E.message();
+    std::vector<uint8_t> In = formats::sampleInput(Fmt);
+    auto R = (*E)->parse(ByteSpan::of(In));
+    ASSERT_TRUE(R) << R.message();
+    size_t Fused = 0, Total = 0;
+    censusWalk(M, *R->get(), Fused, Total);
+    EXPECT_EQ(Total, (*E)->stats().TermsExecuted);
+    ASSERT_GT(Total, 0u);
+    EXPECT_GE(static_cast<double>(Fused) / static_cast<double>(Total), Min)
+        << Fused << " of " << Total << " terms fused";
+  }
+}
+
+namespace {
+
+/// Node-by-node equality of two stores: same ids, same kinds, same
+/// names, env sizes, child counts, shifts and leaf windows. Equal stores
+/// mean the fused path created exactly the per-term loop's objects, in
+/// its order.
+void expectStoresEqual(const TreeStore &A, const TreeStore &B) {
+  ASSERT_EQ(A.nodeCount(), B.nodeCount());
+  for (uint32_t Id = 0; Id < A.nodeCount(); ++Id) {
+    const ParseTree *X = A.node(Id), *Y = B.node(Id);
+    ASSERT_EQ(X->kind(), Y->kind()) << "node " << Id;
+    if (const auto *LX = dyn_cast<LeafTree>(X)) {
+      const auto *LY = cast<LeafTree>(Y);
+      EXPECT_EQ(LX->offset(), LY->offset()) << "leaf " << Id;
+      EXPECT_EQ(LX->bytes(), LY->bytes()) << "leaf " << Id;
+      EXPECT_EQ(LX->isOpaque(), LY->isOpaque()) << "leaf " << Id;
+      EXPECT_EQ(LX->holeRule(), LY->holeRule()) << "leaf " << Id;
+    } else if (const auto *NX = dyn_cast<NodeTree>(X)) {
+      const auto *NY = cast<NodeTree>(Y);
+      EXPECT_EQ(NX->name(), NY->name()) << "node " << Id;
+      EXPECT_EQ(NX->shift(), NY->shift()) << "node " << Id;
+      EXPECT_EQ(NX->children().size(), NY->children().size())
+          << "node " << Id;
+      const EnvView EX = NX->env(), EY = NY->env();
+      ASSERT_EQ(EX.size(), EY.size()) << "node " << Id;
+      for (uint32_t I = 0; I < EX.size(); ++I) { // slot ORDER matches too
+        EXPECT_EQ(EX.slot(I).Key, EY.slot(I).Key) << "node " << Id;
+        EXPECT_EQ(EX.slot(I).Value, EY.slot(I).Value) << "node " << Id;
+      }
+    } else {
+      EXPECT_EQ(cast<ArrayTree>(X)->size(), cast<ArrayTree>(Y)->size());
+    }
+  }
+}
+
+/// Parses \p In with the interpreter (every term executed) and the VM
+/// (records fused) under \p Policy and demands the same verdict, message,
+/// tree, store and counters, including FailRule/FailOffset.
+void expectFusedParity(const Grammar &G, const std::vector<uint8_t> &In,
+                       RecoveryPolicy Policy) {
+  SCOPED_TRACE(Policy == RecoveryPolicy::Salvage ? "salvage" : "strict");
+  EngineOptions O;
+  O.Recovery = Policy;
+  auto IE = makeEngine(EngineKind::Interp, G, nullptr, O);
+  auto VE = makeEngine(EngineKind::Vm, G, nullptr, O);
+  ASSERT_TRUE(IE) << IE.message();
+  ASSERT_TRUE(VE) << VE.message();
+  auto RI = (*IE)->parse(ByteSpan::of(In));
+  auto RV = (*VE)->parse(ByteSpan::of(In));
+  ASSERT_EQ(static_cast<bool>(RI), static_cast<bool>(RV))
+      << "interp: " << (RI ? "accept" : RI.message())
+      << ", vm: " << (RV ? "accept" : RV.message());
+  if (RI) {
+    EXPECT_EQ(testutil::renderCanonical(*RI, G),
+              testutil::renderCanonical(*RV, G));
+    expectStoresEqual(*RI->store(), *RV->store());
+  } else {
+    EXPECT_EQ(RI.message(), RV.message());
+  }
+  const EngineStats &SI = (*IE)->stats(), &SV = (*VE)->stats();
+  EXPECT_EQ(SI.TermsExecuted, SV.TermsExecuted);
+  EXPECT_EQ(SI.NodesCreated, SV.NodesCreated);
+  EXPECT_EQ(SI.MemoHits, SV.MemoHits);
+  EXPECT_EQ(SI.MemoMisses, SV.MemoMisses);
+  EXPECT_EQ(SI.PeakDepth, SV.PeakDepth);
+  EXPECT_EQ(SI.ArenaBytesUsed, SV.ArenaBytesUsed);
+  EXPECT_EQ(SI.HolesFilled, SV.HolesFilled);
+  EXPECT_EQ(SI.HolesInTree, SV.HolesInTree);
+  EXPECT_EQ(SI.ParseVerdict, SV.ParseVerdict);
+  EXPECT_EQ(SI.FailRule, SV.FailRule);
+  EXPECT_EQ(SI.FailOffset, SV.FailOffset);
+}
+
+void expectFusedParityBoth(const Grammar &G, const std::vector<uint8_t> &In) {
+  expectFusedParity(G, In, RecoveryPolicy::Strict);
+  expectFusedParity(G, In, RecoveryPolicy::Salvage);
+}
+
+/// Asserts lowering fused rule \p Name (static or dynamic as given), so a
+/// parity test cannot pass by never reaching the fused path.
+void expectPlan(const Grammar &G, const char *Name, bool Static) {
+  lir::Module M = lir::lower(G);
+  ASSERT_EQ(lir::verify(M), "");
+  bool Found = false;
+  for (const lir::RuleL &RL : M.Rules)
+    if (M.nameOf(RL.Name) == Name) {
+      ASSERT_NE(RL.Plan, lir::NoPlan) << Name << " is not fused";
+      EXPECT_EQ(M.Plans[RL.Plan].Static, Static) << Name;
+      Found = true;
+    }
+  EXPECT_TRUE(Found) << "no rule " << Name;
+}
+
+/// A static record: literal, raw, two fixed-offset reads, a check, and a
+/// raw window at TermEnd of the previous one.
+const char *RecordGrammar = R"(
+  File -> Rec ;
+  Rec -> "RC" raw[2] {len = u16le(2)} {kind = u8(4)} check(kind < 9)
+         raw[3] ;
+)";
+
+} // namespace
+
+TEST(RecordFusionTest, AcceptedRecordMatchesPerTerm) {
+  Grammar G = load(RecordGrammar);
+  expectPlan(G, "Rec", /*Static=*/true);
+  expectFusedParityBoth(G, {'R', 'C', 0x10, 0x00, 3, 'x', 'y'});
+  // Longer than the record: the tail stays outside its span.
+  expectFusedParityBoth(G, {'R', 'C', 0x10, 0x00, 3, 'x', 'y', 'z', 'w'});
+}
+
+TEST(RecordFusionTest, LiteralMismatchFallsBack) {
+  Grammar G = load(RecordGrammar);
+  // Strict rejects at Rec; Salvage fences the literal with a hole.
+  expectFusedParityBoth(G, {'R', 'X', 0x10, 0x00, 3, 'x', 'y'});
+}
+
+TEST(RecordFusionTest, FixedReadPastEoiFallsBack) {
+  Grammar G = load(RecordGrammar);
+  // u8(4) reads past a 4-byte input; Salvage fences the whole Rec.
+  expectFusedParityBoth(G, {'R', 'C', 0x10, 0x00});
+  // The reads fit but raw[3] runs past EOI.
+  expectFusedParityBoth(G, {'R', 'C', 0x10, 0x00, 3, 'x'});
+}
+
+TEST(RecordFusionTest, FailingCheckFallsBack) {
+  Grammar G = load(RecordGrammar);
+  expectFusedParityBoth(G, {'R', 'C', 0x10, 0x00, 200, 'x', 'y'});
+  // The comparison's boundary: kind = 9 fails `kind < 9`, 8 passes.
+  expectFusedParityBoth(G, {'R', 'C', 0x10, 0x00, 9, 'x', 'y'});
+  expectFusedParityBoth(G, {'R', 'C', 0x10, 0x00, 8, 'x', 'y'});
+}
+
+TEST(RecordFusionTest, ZeroWidthRawLeavesRecordUntouched) {
+  // Z touches no byte, so it has no start/end; the parent's span sees
+  // the untouched defaults, inline in the array too. (An all-untouched
+  // array leaves no touch record, so the last window is explicit.)
+  Grammar G = load(R"(
+    File -> Z[0, EOI] for i = 0 to 3 do Z[i, i + 1] raw[1, EOI] ;
+    Z -> raw[0] {v = u8(0)} ;
+  )");
+  expectPlan(G, "Z", /*Static=*/true);
+  expectFusedParityBoth(G, {7, 8, 9, 10});
+  expectFusedParityBoth(G, {7, 8}); // the array runs off the end
+}
+
+TEST(RecordFusionTest, RedefinedAttributeKeepsFirstSlot) {
+  // checkAttributes rejects a second definition in one alternative, so
+  // this grammar skips it (terms then run in source order). A
+  // redefinition overwrites the first slot in place; a check between the
+  // definitions sees the first value.
+  auto Parsed = parseGrammarText(R"(
+    D -> raw[4] {a = u8(0)} check(a = 1) {b = u8(2)} {a = u8(1)}
+         check(a = 2) ;
+  )");
+  ASSERT_TRUE(Parsed) << Parsed.message();
+  Grammar G = std::move(*Parsed);
+  ASSERT_TRUE(completeIntervals(G));
+  expectPlan(G, "D", /*Static=*/true);
+  expectFusedParityBoth(G, {1, 2, 3, 4});
+  expectFusedParityBoth(G, {1, 3, 3, 4});
+
+  // The same in a dynamic plan (window to EOI): the node keeps the
+  // second value in the first slot.
+  auto Dyn = parseGrammarText("E -> raw {a = u8(0)} {b = u8(2)} {a = u8(1)} ;");
+  ASSERT_TRUE(Dyn) << Dyn.message();
+  Grammar GD = std::move(*Dyn);
+  ASSERT_TRUE(completeIntervals(GD));
+  expectPlan(GD, "E", /*Static=*/false);
+  expectFusedParityBoth(GD, {1, 2, 3, 4});
+}
+
+TEST(RecordFusionTest, AttributeNamedStartIsNotFused) {
+  // Defining start competes with updStartEnd's min/max: lowering leaves
+  // the rule to the per-term loop, and the engines still agree.
+  Grammar G = load(R"(
+    File -> S ;
+    S -> {start = u8(0)} raw[2] ;
+  )");
+  lir::Module M = lir::lower(G);
+  for (const lir::RuleL &R : M.Rules)
+    EXPECT_EQ(R.Plan, lir::NoPlan) << M.nameOf(R.Name);
+  expectFusedParityBoth(G, {1, 2});
+  expectFusedParityBoth(G, {0, 2});
+}
+
+TEST(RecordFusionTest, WhereClauseRecordReadsLexicalAttribute) {
+  // Item's window width is the enclosing rule's attribute w: a dynamic
+  // window evaluated through the lexical chain. Cell is a static local
+  // record run inline from the array.
+  Grammar G = load(R"(
+    File -> {w = u8(0)} Item[1, EOI]
+            for i = 0 to 2 do Cell[1 + 2 * i, 3 + 2 * i]
+        where {
+          Item -> raw[w] {b = u8(0)} ;
+          Cell -> raw[2] {c = u8(1)} check(c > 0) ;
+        } ;
+  )");
+  expectPlan(G, "Item", /*Static=*/false);
+  expectPlan(G, "Cell", /*Static=*/true);
+  expectFusedParityBoth(G, {3, 5, 6, 7, 8});
+  expectFusedParityBoth(G, {9, 5, 6, 7, 8}); // w past the item's window
+  expectFusedParityBoth(G, {3, 5, 0, 7, 8}); // first cell's check fails
+}
+
+TEST(RecordFusionTest, TermEndRelativeWindows) {
+  // Static: "AB" then raw[2] at TermEnd(0). Dynamic: a raw window ending
+  // at EOI - 2, then raw[2] at its TermEnd — evaluated at run time from
+  // the record's touch records.
+  Grammar G = load(R"(
+    File -> T U ;
+    T -> "AB" raw[2] "CD" {x = u8(4)} ;
+    U -> raw[0, EOI - 2] raw[2] {y = u8(0)} ;
+  )");
+  expectPlan(G, "T", /*Static=*/true);
+  expectPlan(G, "U", /*Static=*/false);
+  expectFusedParityBoth(G, {'A', 'B', 1, 2, 'C', 'D', 5, 6, 7, 8});
+  expectFusedParityBoth(G, {'A', 'B', 1, 2, 'C', 'X', 5, 6, 7, 8});
+  expectFusedParityBoth(G, {'A', 'B', 1, 2, 'C', 'D', 5});
+}
+
+TEST(RecordFusionTest, ImpossibleConstantWindowsStayDynamic) {
+  // Windows that fold but can never succeed — inverted, or a literal at
+  // INT64_MAX whose TermEnd wraps — leave the plan dynamic; it fails at
+  // run time and the per-term loop reports the failure.
+  Grammar G = load(R"(
+    File -> Inv[0, 4] / Far[0, 4] / raw[0, 4] ;
+    Inv -> raw[3, 1] {a = u8(0)} ;
+    Far -> "AB"[9223372036854775807, 9223372036854775807] raw[2] ;
+  )");
+  expectPlan(G, "Inv", /*Static=*/false);
+  expectPlan(G, "Far", /*Static=*/false);
+  expectFusedParityBoth(G, {1, 2, 3, 4});
+}
+
+TEST(RecordFusionTest, OutOfOrderWindowsTakeMinStartMaxEnd) {
+  // A later window below an earlier one: start is the min, end the max,
+  // in the env layout lowering derives (V, static) and in the one the
+  // runner builds (W, dynamic: its first window ends at EOI).
+  Grammar G = load(R"(
+    File -> V[0, 6] W[6, EOI] ;
+    V -> raw[4, 6] raw[0, 2] {a = u8(5)} ;
+    W -> raw[2, EOI] raw[0, 1] {b = u8(0)} ;
+  )");
+  expectPlan(G, "V", /*Static=*/true);
+  expectPlan(G, "W", /*Static=*/false);
+  expectFusedParityBoth(G, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
+}
+
+TEST(RecordFusionTest, RecordArrayMiddleElementFails) {
+  // Three elements, the middle one damaged: a failing check (escalates
+  // under both policies) and a literal mismatch (a hole under Salvage).
+  Grammar G = load(R"(
+    File -> {n = u8(0)} for i = 0 to n do E[1 + 4 * i, 5 + 4 * i] ;
+    E -> "E" raw[1] {v = u8(1)} check(v < 100) raw[2] ;
+  )");
+  expectPlan(G, "E", /*Static=*/true);
+  const std::vector<uint8_t> Good = {3,   'E', 1, 'a', 'b', 'E', 2,
+                                     'c', 'd', 'E', 3, 'e', 'f'};
+  expectFusedParityBoth(G, Good);
+  std::vector<uint8_t> BadCheck = Good;
+  BadCheck[6] = 200;
+  expectFusedParityBoth(G, BadCheck);
+  std::vector<uint8_t> BadLit = Good;
+  BadLit[5] = 'X';
+  expectFusedParityBoth(G, BadLit);
 }
