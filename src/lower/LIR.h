@@ -293,15 +293,13 @@ struct RecordPlan {
   uint32_t StepEnd = 0;
   uint32_t NumAttrs = 0;  ///< distinct attributes the rule defines
   bool Static = false;
-  /// Static only: the env layout (Module::PlanEnv window), the smallest
-  /// local input every window and read fits in, and the rule's start/end
-  /// (Touched = some window touches bytes; else no start/end slots).
+  /// Static only: the env layout (Module::PlanEnv window; start/end
+  /// slots hold the rule's final span, present only when some window
+  /// touches bytes) and the smallest local input every window and read
+  /// fits in.
   uint32_t EnvBegin = 0;
   uint32_t EnvEnd = 0;
   int64_t MinEoi = 0;
-  bool Touched = false;
-  int64_t Start = 0;
-  int64_t End = 0;
 };
 
 /// One lowered rule.

@@ -259,7 +259,7 @@ int64_t foldedEnd(const Module &M, const RecordStep &S) {
 /// environment writes over its folded windows: start/end enter at the
 /// first window that touches bytes and take the min/max afterwards, and
 /// each attribute enters at its first definition. Fills \p Env, the env
-/// position of every attribute slot (\p SlotPos), MinEoi and the span.
+/// position of every attribute slot (\p SlotPos) and MinEoi.
 /// False when some window or read can never succeed (negative or
 /// inverted window, literal longer than its window, negative offset):
 /// such a plan stays dynamic and simply always falls back.
@@ -269,8 +269,8 @@ bool layoutStatic(const Module &M, const RecordStep *Steps, size_t N,
   Env.clear();
   SlotPos.assign(NumAttrs, 0);
   P.MinEoi = 0;
-  P.Touched = false;
-  P.Start = P.End = 0;
+  bool Touched = false;
+  int64_t Start = 0, End = 0;
   for (size_t I = 0; I < N; ++I) {
     const RecordStep &S = Steps[I];
     switch (S.Op) {
@@ -287,15 +287,15 @@ bool layoutStatic(const Module &M, const RecordStep *Steps, size_t N,
       P.MinEoi = std::max(P.MinEoi, S.Hi);
       if (Len == 0)
         break;
-      if (!P.Touched) {
-        P.Touched = true;
-        P.Start = S.Lo;
-        P.End = S.Lo + Len;
+      if (!Touched) {
+        Touched = true;
+        Start = S.Lo;
+        End = S.Lo + Len;
         Env.push_back(PlanSlot{M.G->symStart(), 0});
         Env.push_back(PlanSlot{M.G->symEnd(), 0});
       } else {
-        P.Start = std::min(P.Start, S.Lo);
-        P.End = std::max(P.End, S.Lo + Len);
+        Start = std::min(Start, S.Lo);
+        End = std::max(End, S.Lo + Len);
       }
       break;
     }
@@ -316,9 +316,9 @@ bool layoutStatic(const Module &M, const RecordStep *Steps, size_t N,
   }
   for (PlanSlot &Sl : Env) {
     if (Sl.Key == M.G->symStart())
-      Sl.Value = P.Start;
+      Sl.Value = Start;
     else if (Sl.Key == M.G->symEnd())
-      Sl.Value = P.End;
+      Sl.Value = End;
   }
   return true;
 }
@@ -1012,9 +1012,8 @@ std::string verifyPlan(const Module &M, RuleId Id, const RuleL &R,
     if (M.PlanEnv[P.EnvBegin + I].Key != Env[I].Key ||
         M.PlanEnv[P.EnvBegin + I].Value != Env[I].Value)
       return "env layout slot " + std::to_string(I) + " diverges";
-  if (Want.MinEoi != P.MinEoi || Want.Touched != P.Touched ||
-      Want.Start != P.Start || Want.End != P.End)
-    return "static span or minimum input size diverges";
+  if (Want.MinEoi != P.MinEoi)
+    return "static minimum input size diverges";
   for (size_t I = 0; I < N; ++I) {
     const RecordStep &S = Steps[I];
     if ((S.Op == RecOp::Read && S.Pos != SlotPos[S.Slot]) ||

@@ -35,10 +35,10 @@
 /// the term-execution sites exactly as a member function would.
 ///
 /// Fuse (set by the VM, clear for the interpreter) runs rules that carry
-/// a lir::RecordPlan as one step — runRecord, after parseRule's prologue
-/// and inline per element of a record array — falling back to the
-/// per-term loop on any failing step, so results and counters never
-/// depend on it; the interpreter keeps executing every term as the
+/// a lir::RecordPlan as one step — runRecord, in parseRule before the
+/// alternative loop and inline per element of a record array — falling
+/// back to the per-term loop on any failing step, so results and counters
+/// never depend on it; the interpreter keeps executing every term as the
 /// reference the VM is compared against.
 ///
 /// Private to the two engines: nothing else should include this header.
@@ -388,7 +388,7 @@ private:
     bool AnyTouched = false;
     int64_t MaxEnd = 0;
     bool Failed = false;
-    // Elements of a static record rule run their plan inline (see
+    // Elements of a static record rule try their plan inline (see
     // parseRecordElem); under DetectReentry they keep parseRule's guard.
     const lir::RecordPlan *EP = nullptr;
     if constexpr (Evaluator::Fuse) {
@@ -412,21 +412,14 @@ private:
       }
       const ByteSpan Slice = F.Input.slice(static_cast<size_t>(Lo),
                                            static_cast<size_t>(Hi));
-      bool Fused = false;
-      uint32_t Sub = EP ? parseRecordElem(*EP, T.Rule, Slice, &F, Fused)
+      uint32_t Sub = EP ? parseRecordElem(*EP, T.Rule, Slice, &F)
                         : parseRule(T.Rule, Slice, &F);
       if (Hard || Sub == InvalidNode) {
         Failed = true;
         break;
       }
       int64_t BStart, BEnd;
-      if (Fused) {
-        // The plan's constant span is what childSpan would read back.
-        BStart = EP->Touched ? EP->Start : Hi - Lo;
-        BEnd = EP->Touched ? EP->End : 0;
-      } else {
-        childSpan(*cast<NodeTree>(Store.node(Sub)), Hi - Lo, BStart, BEnd);
-      }
+      childSpan(*cast<NodeTree>(Store.node(Sub)), Hi - Lo, BStart, BEnd);
       St.ElemScratch[Level].push_back(
           Store.makeShifted(Sub, Lo, G.symStart(), G.symEnd()));
       updStartEnd(F.E, Lo + BStart, Lo + BEnd, BEnd != 0);
@@ -591,21 +584,19 @@ private:
     return Node;
   }
 
-  /// An array element whose rule has a static record plan, inlined into
-  /// the element loop: parseRule's prologue, the plan, and — only when a
-  /// step fails — the rule's per-term body. \p Fused reports whether the
-  /// plan built the node (the caller then knows its span statically).
+  /// An array element whose rule has static record plan \p P: the plan
+  /// runs inline, saving the element a call into parseRule. Everything
+  /// else goes to parseRule, which runs the same plan itself — the depth
+  /// limit, a deadline, and a failing step (the plan wrote nothing, so
+  /// parseRule repeats it and falls back to the per-term loop).
   uint32_t parseRecordElem(const lir::RecordPlan &P, RuleId Id,
-                           ByteSpan Input, const Frame *Lexical,
-                           bool &Fused) {
-    const lir::RuleL &R = L.Rules[Id];
-    if (!enterRule(R, Input))
-      return InvalidNode;
+                           ByteSpan Input, const Frame *Lexical) {
+    if (Depth >= Opts.MaxDepth || HasDeadline)
+      return parseRule(Id, Input, Lexical);
     const uint32_t Node = runRecord<true>(P, Id, Input, nullptr);
     if (Node == InvalidNode)
-      return parseEntered(Id, R, Input, Lexical, /*TryPlan=*/false);
-    --Depth;
-    Fused = true;
+      return parseRule(Id, Input, Lexical);
+    Stats.PeakDepth = std::max(Stats.PeakDepth, Depth + 1);
     return Node;
   }
 
@@ -803,33 +794,15 @@ private:
       return parseFlattened(Id, Input);
     assert(R.Shape != ExecShape::Step &&
            "step rules only run on the machine (up-closure violated)");
-    if (!enterRule(R, Input))
-      return InvalidNode;
-    return parseEntered(Id, R, Input, Lexical, /*TryPlan=*/true);
-  }
-
-  /// parseRule's prologue: the depth limit, the amortized deadline tick,
-  /// and the depth/peak bookkeeping. False when the rule must not run
-  /// (Hard is set).
-  bool enterRule(const lir::RuleL &R, ByteSpan Input) {
     if (Depth >= Opts.MaxDepth) {
       Hard = depthError(R, Input.absBase());
-      return false;
+      return InvalidNode;
     }
     if (pastDeadline(R.Name, Input.absBase()))
-      return false;
+      return InvalidNode;
     ++Depth;
     Stats.PeakDepth = std::max(Stats.PeakDepth, Depth);
-    return true;
-  }
 
-  /// The rest of parseRule once enterRule() succeeded: memo probe,
-  /// reentry guard, the fused record plan (VM only, when \p TryPlan),
-  /// and the per-term alternative loop. Leaves the depth where
-  /// enterRule() found it.
-  uint32_t parseEntered(RuleId Id, const lir::RuleL &R, ByteSpan Input,
-                        const Frame *Lexical,
-                        [[maybe_unused]] bool TryPlan) {
     // Local rules are never memoized (their meaning depends on the
     // enclosing frame); leaf rules are excluded as a pure optimization —
     // re-matching a handful of terminals/attrdefs is cheaper than a probe
@@ -861,7 +834,7 @@ private:
     uint32_t Result = InvalidNode;
     Frame &F = St.frameAt(Depth);
     if constexpr (Evaluator::Fuse) {
-      if (TryPlan && R.Plan != lir::NoPlan) {
+      if (R.Plan != lir::NoPlan) {
         const lir::RecordPlan &P = L.Plans[R.Plan];
         if (P.Static) {
           Result = runRecord<true>(P, Id, Input, nullptr);

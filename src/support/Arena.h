@@ -39,6 +39,10 @@ namespace ipg {
 class Arena {
 public:
   explicit Arena(size_t FirstBlock = 4096) : NextBlockSize(FirstBlock) {}
+  // The cursor points into the blocks, so a copied or moved-from arena
+  // would bump into memory it no longer owns.
+  Arena(const Arena &) = delete;
+  Arena &operator=(const Arena &) = delete;
 
   /// Bump-pointer fast path, inline at every call site: align the cursor
   /// and advance it when the current block still has room. Everything

@@ -265,8 +265,8 @@ TEST(LirTest, VerifyRejectsCorruptRecordPlans) {
   expectRejected("wrong minimum input", [](lir::Module &, lir::RecordPlan &Q) {
     Q.MinEoi -= 1;
   });
-  expectRejected("wrong span", [](lir::Module &, lir::RecordPlan &Q) {
-    Q.End += 1;
+  expectRejected("wrong span", [](lir::Module &B, lir::RecordPlan &Q) {
+    B.PlanEnv[Q.EnvBegin + 1].Value += 1; // H's end slot
   });
   expectRejected("swapped env layout", [](lir::Module &B,
                                           lir::RecordPlan &Q) {
@@ -630,12 +630,15 @@ void expectStoresEqual(const TreeStore &A, const TreeStore &B) {
 
 /// Parses \p In with the interpreter (every term executed) and the VM
 /// (records fused) under \p Policy and demands the same verdict, message,
-/// tree, store and counters, including FailRule/FailOffset.
+/// tree, store and counters, including FailRule/FailOffset. \p MaxDepth,
+/// when nonzero, overrides the engines' depth limit.
 void expectFusedParity(const Grammar &G, const std::vector<uint8_t> &In,
-                       RecoveryPolicy Policy) {
+                       RecoveryPolicy Policy, size_t MaxDepth = 0) {
   SCOPED_TRACE(Policy == RecoveryPolicy::Salvage ? "salvage" : "strict");
   EngineOptions O;
   O.Recovery = Policy;
+  if (MaxDepth)
+    O.MaxDepth = MaxDepth;
   auto IE = makeEngine(EngineKind::Interp, G, nullptr, O);
   auto VE = makeEngine(EngineKind::Vm, G, nullptr, O);
   ASSERT_TRUE(IE) << IE.message();
@@ -859,4 +862,21 @@ TEST(RecordFusionTest, RecordArrayMiddleElementFails) {
   std::vector<uint8_t> BadLit = Good;
   BadLit[5] = 'X';
   expectFusedParityBoth(G, BadLit);
+}
+
+TEST(RecordFusionTest, RecordArrayElementAtDepthLimit) {
+  // File runs at depth 1 and each element at depth 2: a limit of 1 must
+  // stop the first element with the per-term loop's depth error, which
+  // the inline element path leaves to parseRule.
+  Grammar G = load(R"(
+    File -> {n = u8(0)} for i = 0 to n do E[1 + 2 * i, 3 + 2 * i] ;
+    E -> "E" {v = u8(1)} ;
+  )");
+  expectPlan(G, "E", /*Static=*/true);
+  const std::vector<uint8_t> In = {2, 'E', 7, 'E', 9};
+  for (size_t Limit : {1, 2}) {
+    SCOPED_TRACE("MaxDepth " + std::to_string(Limit));
+    expectFusedParity(G, In, RecoveryPolicy::Strict, Limit);
+    expectFusedParity(G, In, RecoveryPolicy::Salvage, Limit);
+  }
 }
