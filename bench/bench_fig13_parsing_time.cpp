@@ -18,7 +18,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "support/Arena.h"
 #include "baselines/KaitaiParsers.h"
 #include "baselines/NailParsers.h"
 #include "formats/Dns.h"

@@ -14,7 +14,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "support/Arena.h"
 #include "baselines/NailParsers.h"
 #include "formats/Dns.h"
 #include "formats/FormatRegistry.h"

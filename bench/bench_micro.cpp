@@ -18,6 +18,7 @@
 #include "formats/FormatRegistry.h"
 #include "formats/Ipv4Udp.h"
 #include "runtime/Engine.h"
+#include "runtime/Env.h"
 
 #include <benchmark/benchmark.h>
 #include <cstddef>

@@ -12,7 +12,6 @@
 #include <cstring>
 
 using namespace ipg::baselines;
-using ipg::Arena;
 
 namespace {
 

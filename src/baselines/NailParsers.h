@@ -16,12 +16,14 @@
 #ifndef IPG_BASELINES_NAILPARSERS_H
 #define IPG_BASELINES_NAILPARSERS_H
 
-#include "support/Arena.h"
+#include "support/GenRuntime.h"
 
 #include <cstddef>
 #include <cstdint>
 
 namespace ipg::baselines {
+
+using ipg_rt::Arena;
 
 struct NailDnsAnswer {
   uint16_t Type;

@@ -18,9 +18,11 @@
 ///
 /// Like the interpreter and the bytecode VM, the emitter consumes the
 /// lowered module (lower/LIR.h) rather than re-deriving facts from the
-/// Grammar: name-table ids, recursion shapes, flattening plans, the memo
-/// policy, blackbox sites, and the resolved start rule all come from
-/// lir::lower. Expressions are emitted INLINE into the rule bodies;
+/// Grammar: recursion shapes, flattening plans, the memo policy, blackbox
+/// sites, and the resolved start rule all come from lir::lower. Names are
+/// the grammar's own Symbols, so the trees a generated parser builds
+/// (into the caller's ipg_rt::NodeStore) are the trees every other tier
+/// builds. Expressions are emitted INLINE into the rule bodies;
 /// attributes defined by an alternative become hoisted C++ locals
 /// (`long long aN`), so later reads within the same alternative compile
 /// to a register copy instead of an environment lookup. Out-of-line
@@ -115,13 +117,9 @@ private:
   }
   std::string name(Symbol S) { return std::string(G.interner().name(S)); }
 
-  /// The id of \p S in the generated name table — the lowered module's
-  /// dense NameTable id (lower/Lower.cpp collects every symbol any
-  /// engine can reference, leading with start/end as ipg_rt requires).
-  unsigned nameId(Symbol S) { return M.nameIdOf(S); }
-  /// Renders an id with its name as a comment, e.g. `7u /*num*/`.
+  /// Renders a symbol with its name as a comment, e.g. `7u /*num*/`.
   std::string idRef(Symbol S) {
-    return std::to_string(nameId(S)) + "u /*" + name(S) + "*/";
+    return std::to_string(S) + "u /*" + name(S) + "*/";
   }
 
   /// A fresh hoisted attribute local for the current rule function.
@@ -293,16 +291,13 @@ std::string Emitter::emitExpr(const Expr &E, std::string &Body,
       return T;
     }
     case RefKind::NtAttr:
-      Body += "  { ipg_rt::Node *N2 = F.findNode(" + idRef(R.nt()) +
-              "); if (!N2 || !N2->getById(" + idRef(R.attrName()) + ", " +
-              T + ")) " + Fail + " }\n";
+      Body += "  if (!F.ntAttr(" + idRef(R.nt()) + ", " +
+              idRef(R.attrName()) + ", " + T + ")) " + Fail + "\n";
       return T;
     case RefKind::NtElemAttr: {
       std::string Idx = emitExpr(*R.index(), Body, Fail);
-      Body += "  { ipg_rt::Node *A = F.findArray(" + idRef(R.nt()) +
-              "); if (!A || " + Idx + " < 0 || (unsigned long long)" + Idx +
-              " >= A->NumKids || !A->kid((size_t)" + Idx + ")->getById(" +
-              idRef(R.attrName()) + ", " + T + ")) " + Fail + " }\n";
+      Body += "  if (!F.elemAttr(" + idRef(R.nt()) + ", " + Idx + ", " +
+              idRef(R.attrName()) + ", " + T + ")) " + Fail + "\n";
       return T;
     }
     case RefKind::TermEnd:
@@ -334,12 +329,12 @@ std::string Emitter::emitExpr(const Expr &E, std::string &Body,
     // Partiality inside the scan sets XFail and leaves the for-loop
     // first: \p Fail may itself be a `break` targeting an ENCLOSING
     // emitted loop (array bodies), so it must run at block scope.
-    Body += "  { ipg_rt::Node *A = F.findArray(" + idRef(ArrayNT) +
-            "); if (!A) " + Fail + "\n"
+    Body += "  { const ipg_rt::ArrayTree *A = F.findArray(" +
+            idRef(ArrayNT) + "); if (!A) " + Fail + "\n"
             "    bool Found = false; bool XFail = false; "
             "long long Saved = 0;\n"
             "    bool HadSaved = F.getAttr(" + Var + ", Saved);\n"
-            "    for (unsigned K = 0; K < A->NumKids; ++K) {\n"
+            "    for (size_t K = 0; K < A->size(); ++K) {\n"
             "      F.setAttr(" + Var + ", (long long)K);\n"
             "      long long C2 = 0;\n"
             "      if (!eval_" + std::to_string(CondFn) +
@@ -779,9 +774,7 @@ void Emitter::emitTerm(const lir::TermL &TL, std::string &Body,
     // on an unregistered name or a decoder overrunning its slice, and
     // Ctx::blackboxNode mirrors the interpreter's execBlackbox node
     // (val/start/end attributes + optional decoded-output leaf).
-    const lir::BbSite &B = M.BbSites[TL.Bb];
-    std::string BbRef =
-        std::to_string(B.NameId) + "u /*" + B.NameStr + "*/";
+    std::string BbRef = idRef(M.BbSites[TL.Bb].Name);
     Body += "    { long long L = 0, H = 0;\n" +
             intervalStmts(*TL.Iv.Src, "      ", OnFail) +
             "      if (!ipg_rt::intervalOk(L, H, F.eoi())) " + Fail + "\n"
@@ -790,7 +783,7 @@ void Emitter::emitTerm(const lir::TermL &TL, std::string &Body,
             ", F.Base + F.Lo + (size_t)L, (size_t)(H - L), BB) != 1) " +
             Fail + "\n"
             "      F.Kids.push_back(C.blackboxNode(" + BbRef +
-            ", " + idRef(G.symVal()) + ", BB, L, H));\n"
+            ", BB, L, H));\n"
             "      ipg_rt::updStartEnd(F, ipg_rt::IdStart, ipg_rt::IdEnd, "
             "L, L + BB.End, BB.End > 0);\n"
             "      F.rec(" + std::to_string(TI) + "u, L, L + BB.End);\n"
@@ -847,7 +840,8 @@ void Emitter::emitRule(RuleId Id) {
     for (const lir::TermL &T : Alt.Exec)
       emitTerm(T, Body);
     Body += "    return true;\n    }();\n"
-            "    if (Ok) { Out = C.freeze(F, " + idRef(RL.Name) + ");" +
+            "    if (Ok) { Out = C.freeze(F, " + idRef(RL.Name) + ", " + RId +
+            "u);" +
             (Memoize ? " C.memoStore(" + RId + "u, AbsLo, AbsHi, true, Out);"
                      : "") +
             " return true; }\n"
@@ -930,7 +924,8 @@ void Emitter::emitFlattenedRule(RuleId Id) {
             std::to_string(Alt.Exec.size()) + ");\n";
     for (const lir::TermL &T : Alt.Exec)
       emitTerm(T, Body, OnFail.c_str());
-    Body += "    Sub = C.freeze(F, " + idRef(RL.Name) + ");\n" +
+    Body += "    Sub = C.freeze(F, " + idRef(RL.Name) + ", " + RId +
+            "u);\n" +
             storeOk("    ") +
             "    goto flat_resolved;\n"
             "  }\n" +
@@ -989,7 +984,8 @@ void Emitter::emitFlattenedRule(RuleId Id) {
             std::to_string(Alt.Exec.size()) + ");\n";
     for (const lir::TermL &T : Alt.Exec)
       emitTerm(T, Body, OnFail.c_str());
-    Body += "    Sub = C.freeze(F, " + idRef(RL.Name) + ");\n" +
+    Body += "    Sub = C.freeze(F, " + idRef(RL.Name) + ", " + RId +
+            "u);\n" +
             storeOk("    ") +
             "    goto flat_resolved;\n"
             "  }\n" +
@@ -1053,7 +1049,8 @@ void Emitter::emitFlattenedRule(RuleId Id) {
     for (size_t Step = FI.SelfExecPos + 1; Step < SAlt.Exec.size(); ++Step)
       emitTerm(SAlt.Exec[Step], Body, OnFail);
   }
-  Body += "    Sub = C.freeze(F, " + idRef(RL.Name) + ");\n" +
+  Body += "    Sub = C.freeze(F, " + idRef(RL.Name) + ", " + RId +
+          "u);\n" +
           storeOk("    ") +
           "    continue;\n"
           "  flat_replay_failed: ;\n"
@@ -1099,7 +1096,8 @@ void Emitter::emitStepRule(RuleId Id) {
             std::to_string(Alt.Exec.size()) + ");\n";
     for (const lir::TermL &T : Alt.Exec)
       emitTerm(T, Body, OnFail.c_str());
-    Body += "  T.Out = C.freeze(F, " + idRef(RL.Name) + ");\n" +
+    Body += "  T.Out = C.freeze(F, " + idRef(RL.Name) + ", " + RId +
+            "u);\n" +
             (Memoize ? "  C.memoStore(" + RId +
                            "u, T.AbsLo, T.AbsHi, true, T.Out);\n"
                      : std::string()) +
@@ -1188,53 +1186,57 @@ Expected<std::string> Emitter::run() {
                        ? "    step_" + std::to_string(I) + ",\n"
                        : "    nullptr,\n";
     StepTable += "};\n\n";
-    StepTable += "/// Rule id -> name-table id, for the machine's failure\n"
+    StepTable += "/// Rule id -> rule name, for the machine's failure\n"
                  "/// diagnostics (Ctx::noteFail at the depth guards).\n"
-                 "static const unsigned RuleNameIds[] = {\n";
+                 "static const ipg_rt::Symbol RuleNames[] = {\n";
     for (size_t I = 0; I < M.Rules.size(); ++I)
-      StepTable += "    " + std::to_string(nameId(M.Rules[I].Name)) + "u,\n";
+      StepTable += "    " + idRef(M.Rules[I].Name) + ",\n";
     StepTable += "};\n\n";
   }
 
   // The lowered module's blackbox sites are the registration surface:
   // binding any other grammar symbol must fail loudly (return false),
   // not silently register a slot no term ever dispatches to.
-  std::string BbIds;
+  std::string BbNames;
   for (const lir::BbSite &B : M.BbSites)
-    BbIds += std::to_string(B.NameId) + "u /*" + B.NameStr + "*/, ";
+    BbNames += idRef(B.Name) + ", ";
 
-  std::string Table = "/// Interned names (the lowered module's dense "
-                      "name table); attribute/rule\n"
-                      "/// ids in the emitted code index this table.\n"
+  std::string Table = "/// The grammar's interned names, indexed by Symbol: "
+                      "tree nodes and the\n"
+                      "/// emitted code name rules and attributes by "
+                      "these ids.\n"
                       "static const char *const Names[] = {\n";
-  for (Symbol S : M.NameTable)
+  for (Symbol S = 0; S < G.interner().size(); ++S)
     Table += "    " + cstr(name(S)) + ",\n";
   Table += "};\n\n";
-  Table += "/// Name-table ids of the grammar's declared blackboxes (the\n"
-           "/// only names registerBlackbox accepts); ~0u terminates.\n"
-           "static const unsigned BlackboxIds[] = {\n    " + BbIds +
-           "~0u,\n};\n\n";
+  Table += "/// The grammar's declared blackboxes (the only names\n"
+           "/// registerBlackbox accepts); 0 terminates.\n"
+           "static const ipg_rt::Symbol BlackboxNames[] = {\n    " +
+           BbNames + "0u,\n};\n\n";
 
   RuleId Start = M.Start;
-  bool StartIsStep = M.Rules[Start].Shape == ExecShape::Step;
+  std::string StartCall =
+      M.Rules[Start].Shape == ExecShape::Step
+          ? "ipg_rt::runMachine(C, StepFns, RuleNames, " +
+                std::to_string(Start) + "u, 0, Len, Root)"
+          : "parseRule_" + std::to_string(Start) +
+                "(C, 0, Len, nullptr, 0, Root)";
   std::string Out;
   Out += "// Generated by the IPG parser generator; do not edit.\n";
   Out += GenRuntimeText;
   Out += "\nnamespace " + NS + " {\n\n";
-  Out += "using ipg_rt::Node;\n"
-         "using NodePtr = ipg_rt::Node *;\n\n";
+  Out += "/// A parse result: the root node, in the store it was built into.\n"
+         "using NodePtr = const ipg_rt::NodeTree *;\n\n";
   Out += Table + Decls + "\n" + StepTable + EvalFns + RuleFns;
-  Out += "/// A reusable generated parser. The node store (arena + object\n"
-         "/// index), the memo table, and the per-depth frame pool are\n"
-         "/// recycled across parse() calls, so steady-state parsing\n"
-         "/// performs no heap allocation. A returned tree is borrowed from\n"
-         "/// the parser: it stays valid until the next parse() call on\n"
-         "/// this instance (or its destruction), and leaves alias the\n"
-         "/// input buffer.\n"
+  Out += "/// A reusable generated parser. The memo table and the per-depth\n"
+         "/// frame pool are recycled across parse() calls, and so is the\n"
+         "/// store a tree is built into, so steady-state parsing performs\n"
+         "/// no heap allocation. Leaves alias the input buffer.\n"
          "class Parser {\n"
          "public:\n"
          "  Parser() {\n"
          "    C.setNames(Names, sizeof(Names) / sizeof(Names[0]));\n"
+         "    C.setBlackboxNames(BlackboxNames);\n"
          "    // EngineOptions::MaxDepth at emission time; adjust per\n"
          "    // instance with setDepthLimit.\n"
          "    C.setDepthLimit(" + std::to_string(Opts.Engine.MaxDepth) +
@@ -1244,26 +1246,29 @@ Expected<std::string> Emitter::run() {
          "  /// rule recursion (tripping it aborts the whole parse), the\n"
          "  /// same knob the interpreter honors.\n"
          "  void setDepthLimit(long long Limit) { C.setDepthLimit(Limit); }\n"
-         "  bool parse(const uint8_t *Data, size_t Len, NodePtr &Out) {\n"
-         "    C.beginParse(Data);\n"
-         "    unsigned Root = 0;\n" +
-         (StartIsStep
-              ? "    if (!ipg_rt::runMachine(C, StepFns, RuleNameIds, " +
-                    std::to_string(Start) + "u, 0, Len, Root)) {\n"
-                    "      C.noteFail(" + idRef(M.Rules[Start].Name) +
-                    ", 0);\n"
-                    "      return false;\n"
-                    "    }\n"
-              : std::string("    if (!parseRule_") + std::to_string(Start) +
-                    "(C, 0, Len, nullptr, 0, Root)) {\n"
-                    "      C.noteFail(" + idRef(M.Rules[Start].Name) +
-                    ", 0);\n"
-                    "      return false;\n"
-                    "    }\n" +
-                    (M.AnyStep ? "    (void)StepFns; (void)RuleNameIds;\n"
-                               : "")) +
-         "    Out = C.node(Root);\n"
+         "  /// Parses Data[0, Len) into \\p Store, which is reset first. The\n"
+         "  /// tree stays valid while Store is not reset and the input\n"
+         "  /// lives.\n"
+         "  bool parse(const uint8_t *Data, size_t Len,\n"
+         "             ipg_rt::NodeStore &Store, NodePtr &Out) {\n"
+         "    Store.reset();\n"
+         "    C.beginParse(Data, Store);\n"
+         "    unsigned Root = 0;\n"
+         "    if (!" + StartCall + ") {\n"
+         "      C.noteFail(" + idRef(M.Rules[Start].Name) + ", 0);\n"
+         "      return false;\n"
+         "    }\n" +
+         (M.AnyStep && M.Rules[Start].Shape != ExecShape::Step
+              ? "    (void)StepFns; (void)RuleNames;\n"
+              : "") +
+         "    Out = ipg_rt::asNode(Store.node(Root));\n"
          "    return true;\n"
+         "  }\n"
+         "  /// parse() into this parser's own store: the tree stays valid\n"
+         "  /// until the next parse() on this instance (or its\n"
+         "  /// destruction).\n"
+         "  bool parse(const uint8_t *Data, size_t Len, NodePtr &Out) {\n"
+         "    return parse(Data, Len, Own, Out);\n"
          "  }\n"
          "  /// Binds the blackbox parser named \\p Name (as spelled in\n"
          "  /// the grammar) for every later parse(). Returns false for\n"
@@ -1272,12 +1277,10 @@ Expected<std::string> Emitter::run() {
          "  /// the parse at run time, exactly as in the interpreter.\n"
          "  bool registerBlackbox(const char *Name, ipg_rt::BlackboxFn Fn,\n"
          "                        void *User = nullptr) {\n"
-         "    for (unsigned I = 0; BlackboxIds[I] != ~0u; ++I)\n"
-         "      if (!std::strcmp(Names[BlackboxIds[I]], Name)) {\n"
-         "        C.registerBlackbox(BlackboxIds[I], Fn, User);\n"
-         "        return true;\n"
-         "      }\n"
-         "    return false;\n"
+         "    ipg_rt::Symbol S = blackboxNamed(Name);\n"
+         "    if (S)\n"
+         "      C.registerBlackbox(S, Fn, User);\n"
+         "    return S != 0;\n"
          "  }\n"
          "  /// Binds the INVERSE of the blackbox named \\p Name — what\n"
          "  /// printTree re-encodes that blackbox's decoded output with.\n"
@@ -1286,16 +1289,21 @@ Expected<std::string> Emitter::run() {
          "  bool registerBlackboxInverse(const char *Name,\n"
          "                               ipg_rt::BlackboxInvFn Fn,\n"
          "                               void *User = nullptr) {\n"
-         "    for (unsigned I = 0; BlackboxIds[I] != ~0u; ++I)\n"
-         "      if (!std::strcmp(Names[BlackboxIds[I]], Name)) {\n"
-         "        C.registerBlackboxInverse(BlackboxIds[I], Fn, User);\n"
-         "        return true;\n"
-         "      }\n"
-         "    return false;\n"
+         "    ipg_rt::Symbol S = blackboxNamed(Name);\n"
+         "    if (S)\n"
+         "      C.registerBlackboxInverse(S, Fn, User);\n"
+         "    return S != 0;\n"
          "  }\n"
-         "  /// Tree objects built by the last parse (diagnostics). Counts\n"
-         "  /// every object: nodes, shifted views, arrays, leaves, and\n"
-         "  /// garbage from failed alternatives.\n"
+         "  /// Serializes a tree this parser built back into bytes (the\n"
+         "  /// roundtrip surface); false leaves a diagnostic in Out.Error.\n"
+         "  bool printTree(const ipg_rt::ParseTree *Root,\n"
+         "                 const ipg_rt::PrintOptions &Opts,\n"
+         "                 ipg_rt::PrintOut &Out) const {\n"
+         "    return ipg_rt::printTree(Root, Opts, Out, C);\n"
+         "  }\n"
+         "  /// Tree objects in the store of the last parse (diagnostics):\n"
+         "  /// nodes, shifted views, arrays, leaves, and garbage from\n"
+         "  /// failed alternatives.\n"
          "  size_t nodeCount() const { return C.nodeCount(); }\n"
          "  /// Nodes frozen by successful rule alternatives in the last\n"
          "  /// parse — comparable to the engine's\n"
@@ -1313,23 +1321,35 @@ Expected<std::string> Emitter::run() {
          "  long long peakDepth() const { return C.peakDepth(); }\n"
          "  /// First-failure diagnostics of the last parse — the\n"
          "  /// generated twins of EngineStats::FailRule/FailOffset.\n"
-         "  /// failNameId() indexes Names[] and is -1 when the parse\n"
-         "  /// succeeded (or recorded no location).\n"
-         "  long long failNameId() const { return C.failNameId(); }\n"
+         "  /// failSymbol() is 0 when the parse succeeded (or recorded\n"
+         "  /// no location).\n"
+         "  ipg_rt::Symbol failSymbol() const { return C.failSymbol(); }\n"
          "  long long failOff() const { return C.failOff(); }\n"
          "private:\n"
+         "  static ipg_rt::Symbol blackboxNamed(const char *Name) {\n"
+         "    for (const ipg_rt::Symbol *S = BlackboxNames; *S; ++S)\n"
+         "      if (!std::strcmp(Names[*S], Name))\n"
+         "        return *S;\n"
+         "    return 0;\n"
+         "  }\n"
          "  ipg_rt::Ctx C;\n"
+         "  ipg_rt::NodeStore Own;\n"
          "};\n\n"
+         "/// The Symbol spelled \\p Name (0 when the grammar has none), for\n"
+         "/// attribute and child lookups on a parsed tree.\n"
+         "inline ipg_rt::Symbol sym(const char *Name) {\n"
+         "  for (ipg_rt::Symbol S = 1; S < sizeof(Names) / sizeof(Names[0]); "
+         "++S)\n"
+         "    if (!std::strcmp(Names[S], Name))\n"
+         "      return S;\n"
+         "  return 0;\n"
+         "}\n\n"
          "/// Canonical multi-line rendering (the differential-test "
          "format).\n"
-         "inline std::string dumpTree(NodePtr Root) { "
-         "return ipg_rt::dumpTree(Root); }\n\n"
-         "/// Serializes a parsed tree back into bytes (the roundtrip-test\n"
-         "/// surface); false leaves a diagnostic in Out.Error.\n"
-         "inline bool printTree(NodePtr Root, const ipg_rt::PrintOptions "
-         "&Opts,\n"
-         "                      ipg_rt::PrintOut &Out) { "
-         "return ipg_rt::printTree(Root, Opts, Out); }\n\n"
+         "inline std::string dumpTree(const ipg_rt::ParseTree *Root) {\n"
+         "  return ipg_rt::dumpTree(Root, Names, sizeof(Names) / "
+         "sizeof(Names[0]));\n"
+         "}\n\n"
          "/// One-shot convenience over a process-lifetime Parser; the "
          "returned\n"
          "/// tree is valid until the next call.\n"

@@ -24,33 +24,33 @@
 ///    is one-per-thread; ParseService gives each worker its own GenEngine
 ///    over the one shared GenModule.
 ///
-/// Tree transfer: the module builds ipg_rt::Node trees inside its own
-/// arena, which is only valid until that Parser's next parse(). parse()
-/// therefore walks the module tree through ipg_rt::TreeVisitorC (a plain
-/// C callback table both sides compile from the same embedded
-/// GenRuntime.h text) and rebuilds it as a genuine ipg::TreeStore tree on
-/// the host side: ordinary leaves alias the caller's input bytes,
-/// blackbox-decoded leaves are copied (their backing arena dies with the
-/// next parse), and nonzero shifts become host lazy shifted views.
-/// Shared subtrees (memo hits) are rebuilt once per occurrence — tree
-/// SIZE can exceed the module's frozen-node count, but every read-level
-/// view (canonical dump, attribute queries) is identical. The rebuilt
-/// tree participates in the normal TreeStore recycling/FrozenTree
-/// protocol, so steady-state GenEngine parses stay allocation-free too.
+/// One tree: a module builds into the NodeStore the caller passes to
+/// ipg_mod_parse (support/GenRuntime.h defines the tree for every tier),
+/// so parse() hands the module its recycled TreeStore and returns a
+/// TreePtr over that very store — no walk, no second store, and a
+/// shared memo subtree stays one object however often it is re-anchored.
+/// Ordinary leaves alias the caller's input; blackbox-decoded leaves live
+/// in the store's arena, so they outlive the module's next parse like
+/// the rest of the tree. Nodes carry the grammar's Symbols and RuleIds,
+/// exactly as the host engines build them, which is why serialize's
+/// printTree and every other host tree reader work on these trees
+/// unchanged. The store follows the usual recycling/FrozenTree protocol,
+/// so steady-state GenEngine parses stay allocation-free too.
 ///
-/// Stats mapping: NodesCreated/MemoHits/MemoMisses/PeakDepth come from
-/// the module counters (same meaning as the interpreter's — PeakDepth is
-/// the deepest grammar recursion the parse reached, virtual levels of
-/// flattened rules included); TermsExecuted is counted by the host
-/// engines (interpreter and VM) only and stays 0; ArenaBytesUsed/
-/// StoreRecycled describe the host-side conversion store.
+/// Sharing the tree means sharing its layout with a separately compiled
+/// object, possibly built by a different compiler: the module exports
+/// ipg_rt::layoutHash() as ipg_mod_layout, and GenModule::compile refuses
+/// a module whose hash differs from the host's. GenEngine checks once,
+/// at construction, that the module's name table spells the grammar's
+/// symbols, and refuses to parse otherwise.
 ///
-/// Converted nodes carry the grammar's global RuleId when the node's
-/// name resolves to a global rule and InvalidRuleId otherwise (local
-/// rules); canonical dumps and attribute reads never consult the rule
-/// id, but Printer-based re-serialization of GenEngine trees is not
-/// supported — print through the interpreter or the module's own
-/// printTree.
+/// Stats mapping: NodesCreated/MemoHits/MemoMisses/PeakDepth and the
+/// failure diagnostics come from the module counters (same meaning as
+/// the interpreter's — PeakDepth is the deepest grammar recursion the
+/// parse reached, virtual levels of flattened rules included);
+/// TermsExecuted is counted by the host engines (interpreter and VM)
+/// only and stays 0; ArenaBytesUsed/StoreRecycled describe the store the
+/// module built into.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,7 +65,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 namespace ipg {
 
@@ -119,16 +118,14 @@ private:
   GenModule() = default;
   friend class GenEngine;
 
-  // `ipg_mod_` ABI, resolved at load. Root pointers are opaque
-  // (ipg_rt::Node inside the module); visitors are the host's
-  // ipg_rt::TreeVisitorC — identical layout because both sides compile
-  // the same GenRuntime.h text.
+  // `ipg_mod_` ABI, resolved at load. Stores and roots cross as void
+  // pointers to ipg_rt::NodeStore / ipg_rt::ParseTree, whose layout both
+  // sides share (compile() checks ipg_mod_layout against the host's).
   void *(*Create)() = nullptr;
   void (*Destroy)(void *) = nullptr;
   void (*SetDepthLimit)(void *, long long) = nullptr;
-  int (*Parse)(void *, const unsigned char *, unsigned long long,
+  int (*Parse)(void *, const unsigned char *, unsigned long long, void *,
                const void **) = nullptr;
-  void (*Visit)(const void *, const void *) = nullptr;
   void (*Stats)(void *, unsigned long long *) = nullptr;
   unsigned (*NumNames)() = nullptr;
   const char *(*NameOf)(unsigned) = nullptr;
@@ -140,10 +137,9 @@ private:
 };
 
 /// One thread's instance of a compiled module, behind the Engine
-/// interface. Holds a module Parser (recycled arena + memo inside the
-/// .so) plus a host-side TreeStore + recycler for the converted trees,
-/// so the FrozenTree/adoptStore protocol works exactly as with the
-/// interpreter.
+/// interface: a module Parser (recycled memo and frames inside the .so)
+/// plus the host store it builds into, so the FrozenTree/adoptStore
+/// protocol works exactly as with the interpreter.
 class GenEngine : public Engine {
 public:
   GenEngine(std::shared_ptr<GenModule> Module, const Grammar &G);
@@ -153,48 +149,17 @@ public:
   const EngineStats &stats() const override { return Stats; }
   const Grammar &grammar() const override { return G; }
   EngineKind kind() const override { return EngineKind::Generated; }
-  bool adoptStore(TreeStore *Store) override;
+  bool adoptStore(TreeStore *Store) override { return Stores.adopt(Store); }
 
 private:
-  struct Frame;
-
   std::shared_ptr<GenModule> Module;
   const Grammar &G;
   EngineStats Stats;
   void *Parser = nullptr; ///< module-side Parser instance (Create/Destroy)
-
-  /// Module NameId -> host Symbol, resolved once through the grammar's
-  /// interner (every emitted name originates from it, so lookups cannot
-  /// miss; a miss is a build bug and fails the constructor-following
-  /// first parse loudly).
-  std::vector<Symbol> IdToSym;
-
-  // Host-side conversion store with the same recycling discipline as
-  // InterpState: Cur is the store being built into, Pool the recycler
-  // dying TreePtrs park in.
-  TreeStore *Cur = nullptr;
-  TreeStore::Recycler *Pool = nullptr;
-  bool DestroyedStore = false;
-
-  /// Reused frame stack for the visitor rebuild (capacity persists
-  /// across parses — no steady-state allocation).
-  std::vector<Frame> Frames;
-  size_t Depth = 0;
-  uint32_t RootId = 0;
-  bool HaveRoot = false;
-  std::string ConvError;
-  ByteSpan Input;
-
-  // BeginNode is a lambda inside parse() (it needs the typed
-  // ipg_rt::AttrSlot pointer this header deliberately avoids naming).
-  static void cbEndNode(void *User);
-  static void cbBeginArray(void *User, unsigned ElemNameId, unsigned NumElems);
-  static void cbEndArray(void *User);
-  static void cbLeaf(void *User, const unsigned char *Data,
-                     unsigned long long Len, long long Off, int Opaque);
-
-  Frame &pushFrame();
-  void appendChild(uint32_t Id);
+  /// Whether the module's name table spells this grammar's symbols
+  /// (checked once at construction; parse() refuses otherwise).
+  bool NamesMatch = false;
+  StoreSlot Stores;
 };
 
 } // namespace ipg

@@ -24,6 +24,9 @@ Grammar::Grammar() {
   SymEnd = Names.intern("end");
   SymEoi = Names.intern("EOI");
   SymVal = Names.intern("val");
+  // Every tier's trees compare against these symbols as constants.
+  assert(SymStart == ipg_rt::IdStart && SymEnd == ipg_rt::IdEnd &&
+         SymVal == ipg_rt::IdVal && "ipg_rt's fixed symbols moved");
 }
 
 Rule &Grammar::createRule(Symbol Name, bool IsLocal) {

@@ -47,9 +47,10 @@
 
 namespace ipg {
 
-/// The id of a rule inside its Grammar's rule arena.
-using RuleId = uint32_t;
-inline constexpr RuleId InvalidRuleId = ~0u;
+/// The id of a rule inside its Grammar's rule arena (the ipg_rt::RuleId
+/// every tree node carries).
+using ipg_rt::InvalidRuleId;
+using ipg_rt::RuleId;
 
 /// An interval annotation on a term. `How` remembers the surface form for
 /// the implicit-interval statistics of Table 2; after auto-completion every

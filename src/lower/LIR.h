@@ -17,9 +17,6 @@
 ///    bytecode VM's dispatch loop;
 ///  - the recursion-shape classification (analysis/RecShape.h) and the
 ///    (rule, interval) memoization eligibility policy, computed once;
-///  - a dense name table (start = 0, end = 1 first, matching
-///    ipg_rt::IdStart/IdEnd) covering every symbol an emitter can
-///    reference;
 ///  - the deduplicated blackbox call-site table engines resolve against
 ///    their registry at construction time;
 ///  - a lir::RecordPlan for every fixed-layout record rule (literals,
@@ -173,8 +170,7 @@ struct ArmL {
 };
 
 /// One lowered term. TermIdx is the index into the SOURCE Alternative's
-/// Terms — the identity the tree (ChildTermIdx), the touch records
-/// (TermEnd), and the serializers key on.
+/// Terms — the identity the touch records (TermEnd) key on.
 struct TermL {
   TermOp Op = TermOp::Check;
   uint32_t TermIdx = 0;
@@ -306,7 +302,6 @@ struct RecordPlan {
 struct RuleL {
   const Rule *Src = nullptr;
   Symbol Name = InvalidSymbol;
-  uint32_t NameId = 0;    ///< dense Module::NameTable id
   bool IsLocal = false;
   /// The shared memoization eligibility policy (global rule that spawns
   /// subparsers), computed once here. Engines still AND it with their
@@ -324,7 +319,6 @@ struct RuleL {
 /// site reproduces the "not registered" hard error at call time.
 struct BbSite {
   Symbol Name = InvalidSymbol;
-  uint32_t NameId = 0;
   std::string NameStr;
 };
 
@@ -347,17 +341,8 @@ struct Module {
   std::vector<RecordPlan> Plans;     ///< indexed by PlanId
   std::vector<RecordStep> PlanSteps; ///< every plan's steps
   std::vector<PlanSlot> PlanEnv;     ///< static plans' env layouts
-  /// Dense name table: NameTable[0] is the grammar's `start` symbol and
-  /// NameTable[1] its `end` symbol (the ipg_rt::IdStart/IdEnd contract
-  /// generated parsers rely on), followed by every other symbol the
-  /// module references, in deterministic first-use order.
-  std::vector<Symbol> NameTable;
   RuleId Start = InvalidRuleId;      ///< resolved start rule
   bool AnyStep = false;              ///< any rule classified Step
-
-  /// Dense id of \p S. Asserts the symbol was collected during lowering —
-  /// a miss is a lowering bug, not a runtime condition.
-  uint32_t nameIdOf(Symbol S) const;
 
   /// Spelling helper for diagnostics.
   std::string_view nameOf(Symbol S) const { return G->interner().name(S); }
@@ -367,10 +352,6 @@ struct Module {
   /// through this so start resolution has one home (Module::Start is the
   /// precomputed result for the grammar's declared start symbol).
   RuleId globalRuleOf(Symbol S) const;
-
-  /// Lowering-internal reverse map (Symbol -> NameId + 1, 0 = absent);
-  /// consumers go through nameIdOf().
-  std::vector<uint32_t> SymToName;
 };
 
 /// Lowers \p G (normally completed + attribute-checked; see the file

@@ -20,12 +20,6 @@
 using namespace ipg;
 using namespace ipg::lir;
 
-uint32_t Module::nameIdOf(Symbol S) const {
-  assert(S < SymToName.size() && SymToName[S] != 0 &&
-         "symbol was not collected during lowering");
-  return SymToName[S] - 1;
-}
-
 RuleId Module::globalRuleOf(Symbol S) const { return G->findGlobal(S); }
 
 namespace {
@@ -327,12 +321,6 @@ class Lowering {
 public:
   explicit Lowering(const Grammar &G) : G(G) {
     M.G = &G;
-    M.SymToName.resize(G.interner().size(), 0);
-    // The ipg_rt::IdStart/IdEnd contract: ids 0 and 1 are start/end.
-    touchName(G.symStart());
-    touchName(G.symEnd());
-    if (!G.blackboxes().empty())
-      touchName(G.symVal()); // blackbox nodes carry the val attribute
   }
 
   Module run() {
@@ -344,7 +332,6 @@ public:
       RuleL &RL = M.Rules[Id];
       RL.Src = &R;
       RL.Name = R.Name;
-      RL.NameId = touchName(R.Name);
       RL.IsLocal = R.IsLocal;
       RL.Memoizable = !R.IsLocal && ruleSpawnsSubparsers(R);
       RL.Shape = Shapes.Shape[Id];
@@ -570,16 +557,6 @@ private:
     }
   }
 
-  uint32_t touchName(Symbol S) {
-    if (S >= M.SymToName.size())
-      M.SymToName.resize(S + 1, 0);
-    if (M.SymToName[S] == 0) {
-      M.NameTable.push_back(S);
-      M.SymToName[S] = static_cast<uint32_t>(M.NameTable.size());
-    }
-    return M.SymToName[S] - 1;
-  }
-
   uint32_t litId(const std::string &Bytes) {
     auto It = LitIds.find(Bytes);
     if (It != LitIds.end())
@@ -597,7 +574,6 @@ private:
     uint32_t Id = static_cast<uint32_t>(M.BbSites.size());
     BbSite S;
     S.Name = Name;
-    S.NameId = touchName(Name);
     S.NameStr = std::string(G.interner().name(Name));
     M.BbSites.push_back(std::move(S));
     BbIds.emplace(Name, Id);
@@ -737,17 +713,14 @@ private:
       const auto &R = *cast<RefExpr>(&E);
       switch (R.refKind()) {
       case RefKind::Attr:
-        emit(XInstr{XOp::LoadAttr, 0, touchSym(R.attrName()),
-                    InvalidSymbol, 0});
+        emit(XInstr{XOp::LoadAttr, 0, R.attrName(), InvalidSymbol, 0});
         return;
       case RefKind::NtAttr:
-        emit(XInstr{XOp::LoadNtAttr, 0, touchSym(R.nt()),
-                    touchSym(R.attrName()), 0});
+        emit(XInstr{XOp::LoadNtAttr, 0, R.nt(), R.attrName(), 0});
         return;
       case RefKind::NtElemAttr:
         emitExpr(*R.index());
-        emit(XInstr{XOp::LoadElemAttr, 0, touchSym(R.nt()),
-                    touchSym(R.attrName()), 0});
+        emit(XInstr{XOp::LoadElemAttr, 0, R.nt(), R.attrName(), 0});
         return;
       case RefKind::Eoi:
         emit(XOp::LoadEoi);
@@ -762,12 +735,10 @@ private:
     case Expr::Kind::Exists: {
       const auto &X = *cast<ExistsExpr>(&E);
       ExistsInfo Info;
-      Info.LoopVar = touchSym(X.loopVar());
+      Info.LoopVar = X.loopVar();
       // The scanned array is a pure function of the condition's shape —
       // resolve it here, once, instead of per evaluation.
       Info.ArrayNT = findScannedArray(*X.cond(), X.loopVar());
-      if (Info.ArrayNT != InvalidSymbol)
-        touchSym(Info.ArrayNT);
       Info.Cond = compile(*X.cond());
       Info.Then = compile(*X.thenExpr());
       Info.Else = compile(*X.elseExpr());
@@ -792,11 +763,6 @@ private:
       return;
     }
     }
-  }
-
-  Symbol touchSym(Symbol S) {
-    touchName(S);
-    return S;
   }
 
   //===--------------------------------------------------------------------===//
@@ -835,7 +801,7 @@ private:
       const auto &N = *cast<NTTerm>(&T);
       L.Op = TermOp::CallRule;
       L.Rule = N.Resolved;
-      L.Sym = touchSym(N.Name);
+      L.Sym = N.Name;
       L.Iv = lowerInterval(N.Iv);
       return L;
     }
@@ -850,7 +816,7 @@ private:
     case Term::Kind::AttrDef: {
       const auto &D = *cast<AttrDefTerm>(&T);
       L.Op = TermOp::SetAttr;
-      L.Sym = touchSym(D.Name);
+      L.Sym = D.Name;
       L.E0 = compile(*D.Value);
       return L;
     }
@@ -863,8 +829,8 @@ private:
       const auto &A = *cast<ArrayTerm>(&T);
       L.Op = TermOp::ForArray;
       L.Rule = A.Resolved;
-      L.Sym = touchSym(A.LoopVar);
-      L.Elem = touchSym(A.Elem);
+      L.Sym = A.LoopVar;
+      L.Elem = A.Elem;
       L.E0 = compile(*A.From);
       L.E1 = compile(*A.To);
       L.Iv = lowerInterval(A.Iv);
@@ -878,7 +844,6 @@ private:
         ArmL Arm;
         Arm.Src = &C;
         Arm.Rule = C.Resolved;
-        touchSym(C.NT);
         if (C.Cond)
           Arm.Cond = compile(*C.Cond);
         Arm.Iv = lowerInterval(C.Iv);
@@ -890,7 +855,7 @@ private:
     case Term::Kind::Blackbox: {
       const auto &B = *cast<BlackboxTerm>(&T);
       L.Op = TermOp::CallBlackbox;
-      L.Sym = touchSym(B.Name);
+      L.Sym = B.Name;
       L.Bb = bbSite(B.Name);
       L.Iv = lowerInterval(B.Iv);
       return L;
@@ -1062,13 +1027,6 @@ std::string ipg::lir::verify(const Module &M) {
 
   if (!M.G)
     return "module has no grammar";
-  if (M.NameTable.size() < 2 || M.NameTable[0] != M.G->symStart() ||
-      M.NameTable[1] != M.G->symEnd())
-    return "name table must begin with the start and end symbols";
-  for (size_t I = 0; I < M.NameTable.size(); ++I)
-    if (M.nameIdOf(M.NameTable[I]) != I)
-      return "name table and symbol map disagree at id " +
-             std::to_string(I);
   for (const RuleL &R : M.Rules) {
     for (const AltL &A : R.Alts) {
       if (A.Exec.size() != A.Src->Terms.size())

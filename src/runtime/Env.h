@@ -17,8 +17,8 @@
 /// Env is the *mutable* environment a frame builds while executing an
 /// alternative; the interpreter reuses Env storage across alternatives and
 /// parses (clear() keeps capacity). Finished nodes carry an immutable
-/// arena-frozen copy instead (EnvView in runtime/ParseTree.h), which is why
-/// the slot type lives here as a standalone trivially-copyable struct.
+/// arena-frozen copy instead (ipg_rt::EnvView), which is why the slot type
+/// is the tree's trivially-copyable ipg_rt::EnvSlot.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,11 +35,7 @@
 
 namespace ipg {
 
-/// One attribute binding. Structured bindings work: `for (auto [K, V] : E)`.
-struct EnvSlot {
-  Symbol Key;
-  int64_t Value;
-};
+using ipg_rt::EnvSlot;
 
 class Env {
 public:

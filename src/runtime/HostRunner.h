@@ -85,7 +85,7 @@ public:
          ParseScratch &St, Evaluator Ev, bool HasDeadline,
          std::chrono::steady_clock::time_point Deadline)
       : G(G), L(St.Lowered), Opts(Opts), Stats(Stats), St(St),
-        Store(*St.Cur), Ev(std::move(Ev)),
+        Store(St.Stores.current()), Ev(std::move(Ev)),
         Salvage(Opts.Recovery == RecoveryPolicy::Salvage),
         HasDeadline(HasDeadline), Deadline(Deadline) {}
 
@@ -117,12 +117,7 @@ public:
       Stats.HolesInTree = countHoles(*Node);
     Stats.ParseVerdict =
         Stats.HolesInTree ? Verdict::Salvage : Verdict::Accept;
-    // Move the store out to the result: the engine keeps no reference
-    // (zero refcount traffic on this path), and when the caller drops the
-    // TreePtr the store parks itself in St.Pool for the next parse.
-    TreeStore *Owned = St.Cur;
-    St.Cur = nullptr;
-    return Expected<TreePtr>(TreePtr(Owned, Node));
+    return Expected<TreePtr>(St.Stores.take(Node));
   }
 
 private:
@@ -208,10 +203,9 @@ private:
                        uint32_t Sub, ParseScratch::FlatKid *Bank = nullptr) {
     int64_t BStart, BEnd;
     childSpan(*cast<NodeTree>(Store.node(Sub)), Hi - Lo, BStart, BEnd);
-    uint32_t Adjusted = Store.makeShifted(Sub, Lo, G.symStart(), G.symEnd());
+    uint32_t Adjusted = Store.makeShifted(Sub, Lo);
     updStartEnd(F.E, Lo + BStart, Lo + BEnd, BEnd != 0);
     F.ChildIds.push_back(Adjusted);
-    F.ChildTermIdx.push_back(TermIdx);
     F.rec(TermIdx, Lo + BStart, Lo + BEnd);
     if (Bank)
       *Bank = ParseScratch::FlatKid{Adjusted, Lo + BStart, Lo + BEnd,
@@ -305,7 +299,6 @@ private:
           Store.makeLeaf(F.Input.data() + Lo,
                          static_cast<size_t>(Hi - Lo), Lo,
                          /*Opaque=*/true));
-      F.ChildTermIdx.push_back(T.TermIdx);
       F.rec(T.TermIdx, Lo, Hi);
       return true;
     }
@@ -320,7 +313,6 @@ private:
     F.ChildIds.push_back(Store.makeLeaf(F.Input.data() + Lo,
                                         static_cast<size_t>(Len), Lo,
                                         /*Opaque=*/false));
-    F.ChildTermIdx.push_back(T.TermIdx);
     F.rec(T.TermIdx, Lo, Lo + Len);
     return true;
   }
@@ -420,8 +412,7 @@ private:
       }
       int64_t BStart, BEnd;
       childSpan(*cast<NodeTree>(Store.node(Sub)), Hi - Lo, BStart, BEnd);
-      St.ElemScratch[Level].push_back(
-          Store.makeShifted(Sub, Lo, G.symStart(), G.symEnd()));
+      St.ElemScratch[Level].push_back(Store.makeShifted(Sub, Lo));
       updStartEnd(F.E, Lo + BStart, Lo + BEnd, BEnd != 0);
       if (BEnd != 0) {
         AnyTouched = true;
@@ -441,7 +432,6 @@ private:
     F.ChildIds.push_back(
         Store.makeArray(T.Elem, Elems.data(),
                         static_cast<uint32_t>(Elems.size())));
-    F.ChildTermIdx.push_back(T.TermIdx);
     if (AnyTouched)
       F.rec(T.TermIdx, 0, MaxEnd);
     return true;
@@ -496,7 +486,7 @@ private:
     uint32_t Pos[lir::MaxRecordTerms]; // dynamic: env position per slot
     uint32_t StartPos = ~0u;           // dynamic: env position of start
     int64_t LeafLo[lir::MaxRecordTerms], LeafLen[lir::MaxRecordTerms];
-    uint32_t Kids[lir::MaxRecordTerms], KidTerms[lir::MaxRecordTerms];
+    uint32_t Kids[lir::MaxRecordTerms];
     bool LeafRaw[lir::MaxRecordTerms];
     uint32_t NL = 0;
     if constexpr (Static) {
@@ -550,8 +540,7 @@ private:
         }
         LeafLo[NL] = Lo;
         LeafLen[NL] = Len;
-        LeafRaw[NL] = S.Op == lir::RecOp::Raw;
-        KidTerms[NL++] = S.TermIdx;
+        LeafRaw[NL++] = S.Op == lir::RecOp::Raw;
         break;
       }
       case lir::RecOp::Read: {
@@ -578,7 +567,7 @@ private:
       Kids[I] = Store.makeLeaf(In + LeafLo[I], static_cast<size_t>(LeafLen[I]),
                                LeafLo[I], LeafRaw[I]);
     const uint32_t Node = Store.makeNodeFromSlots(
-        L.Rules[Id].Name, Id, Env, NE, Kids, KidTerms, NL);
+        L.Rules[Id].Name, Id, Env, NE, Kids, NL);
     ++Stats.NodesCreated;
     Stats.TermsExecuted += NumSteps;
     return Node;
@@ -630,31 +619,14 @@ private:
       return false;
     }
 
-    EnvSlot Slots[3];
-    Slots[0] = {G.symVal(), Res.Value};
-    if (Res.End > 0) {
-      Slots[1] = {G.symStart(), Lo};
-      Slots[2] = {G.symEnd(), Lo + static_cast<int64_t>(Res.End)};
-    } else {
-      Slots[1] = {G.symStart(), Hi - Lo};
-      Slots[2] = {G.symEnd(), Lo};
-    }
-    uint32_t KidIds[1];
-    uint32_t KidTerms[1] = {0};
-    uint32_t NumKids = 0;
-    if (!Res.Output.empty()) {
-      // Decoded output is not a window into the input; copy it into the
-      // arena so the leaf's lifetime matches the tree's.
-      KidIds[0] =
-          Store.makeLeafCopy(Res.Output.data(), Res.Output.size(), 0);
-      NumKids = 1;
-    }
-    uint32_t Node = Store.makeNodeFromSlots(T.Sym, InvalidRuleId, Slots, 3,
-                                            KidIds, KidTerms, NumKids);
+    // Decoded output is not a window into the input: the builder copies
+    // it into the arena so the leaf's lifetime matches the tree's.
+    uint32_t Node = Store.makeBlackboxNode(
+        T.Sym, Res.Value, static_cast<int64_t>(Res.End), Res.Output.data(),
+        Res.Output.size(), Lo, Hi);
     ++Stats.NodesCreated;
     updStartEnd(F.E, Lo, Lo + static_cast<int64_t>(Res.End), Res.End > 0);
     F.ChildIds.push_back(Node);
-    F.ChildTermIdx.push_back(T.TermIdx);
     F.rec(T.TermIdx, Lo, Lo + static_cast<int64_t>(Res.End));
     return true;
   }
@@ -765,7 +737,6 @@ private:
     F.ChildIds.push_back(Store.makeHole(F.Input.data() + Lo,
                                         static_cast<size_t>(Hi - Lo), Lo,
                                         HoleSym));
-    F.ChildTermIdx.push_back(TI);
     F.rec(TI, Lo, Hi);
     ++Stats.HolesFilled;
   }
@@ -868,7 +839,7 @@ private:
         break;
       if (Ok) {
         Result = Store.makeNode(
-            R.Name, Id, F.E, F.ChildIds.data(), F.ChildTermIdx.data(),
+            R.Name, Id, F.E, F.ChildIds.data(),
             static_cast<uint32_t>(F.ChildIds.size()));
         ++Stats.NodesCreated;
         break;
@@ -970,7 +941,7 @@ private:
         goto flat_hard;
       if (Ok) {
         Sub = Store.makeNode(
-            R.Name, Id, F.E, F.ChildIds.data(), F.ChildTermIdx.data(),
+            R.Name, Id, F.E, F.ChildIds.data(),
             static_cast<uint32_t>(F.ChildIds.size()));
         ++Stats.NodesCreated;
         goto flat_level_ok;
@@ -1066,7 +1037,7 @@ private:
         goto flat_hard;
       if (Ok) {
         Sub = Store.makeNode(
-            R.Name, Id, F.E, F.ChildIds.data(), F.ChildTermIdx.data(),
+            R.Name, Id, F.E, F.ChildIds.data(),
             static_cast<uint32_t>(F.ChildIds.size()));
         ++Stats.NodesCreated;
         goto flat_level_ok;
@@ -1113,7 +1084,6 @@ private:
                           (St.FlatLevels.size() - LvBase) * PN + KidJ++];
           updStartEnd(F.E, K.Start, K.End, K.Touched);
           F.ChildIds.push_back(K.Node);
-          F.ChildTermIdx.push_back(T.TermIdx);
           F.rec(T.TermIdx, K.Start, K.End);
         } else if (T.Op == lir::TermOp::MatchBytes ||
                    T.Op == lir::TermOp::MatchRaw) {
@@ -1141,7 +1111,7 @@ private:
       if (!Ok)
         goto flat_post_alts;
       Sub = Store.makeNode(
-          R.Name, Id, F.E, F.ChildIds.data(), F.ChildTermIdx.data(),
+          R.Name, Id, F.E, F.ChildIds.data(),
           static_cast<uint32_t>(F.ChildIds.size()));
       ++Stats.NodesCreated;
       if (TrackReentry) {
@@ -1277,8 +1247,7 @@ private:
     int64_t Lo = A.PendLo, Hi = A.PendHi;
     int64_t BStart, BEnd;
     childSpan(*cast<NodeTree>(Store.node(Sub)), Hi - Lo, BStart, BEnd);
-    St.ElemScratch[A.ArrLevel].push_back(
-        Store.makeShifted(Sub, Lo, G.symStart(), G.symEnd()));
+    St.ElemScratch[A.ArrLevel].push_back(Store.makeShifted(Sub, Lo));
     updStartEnd(F.E, Lo + BStart, Lo + BEnd, BEnd != 0);
     if (BEnd != 0) {
       A.ArrTouched = true;
@@ -1301,7 +1270,6 @@ private:
         F.ChildIds.push_back(
             Store.makeArray(Ar.Elem, Elems.data(),
                             static_cast<uint32_t>(Elems.size())));
-        F.ChildTermIdx.push_back(A.PendTI);
         if (A.ArrTouched)
           F.rec(A.PendTI, 0, A.ArrMaxEnd);
         A.Arr = nullptr;
@@ -1515,7 +1483,7 @@ private:
       }
       if (!AltFailed) {
         uint32_t Result = Store.makeNode(
-            R.Name, A.Id, F.E, F.ChildIds.data(), F.ChildTermIdx.data(),
+            R.Name, A.Id, F.E, F.ChildIds.data(),
             static_cast<uint32_t>(F.ChildIds.size()));
         ++Stats.NodesCreated;
         finishAct(Result);
@@ -1587,7 +1555,8 @@ Expected<TreePtr> parse(const Grammar &G, const EngineOptions &Opts,
   // TreePtr parked its store in the recycler. Otherwise — first parse, or
   // every previous tree is still alive — this parse gets a fresh store.
   S.beginParse(Stats);
-  Runner<Evaluator> R(G, Opts, Stats, S, Evaluator(S, *S.Cur, Args...),
+  Runner<Evaluator> R(G, Opts, Stats, S,
+                      Evaluator(S, S.Stores.current(), Args...),
                       HasDeadline, Deadline);
   return R.run(Input, Start);
 }

@@ -161,4 +161,4 @@ Expected<TreePtr> Interp::parse(ByteSpan Input, Symbol StartNT) {
                               Input, StartNT);
 }
 
-bool Interp::adoptStore(TreeStore *Store) { return S->adopt(Store); }
+bool Interp::adoptStore(TreeStore *Store) { return S->Stores.adopt(Store); }

@@ -78,7 +78,6 @@ struct ParseScratch {
     ByteSpan Input;
     Env E;
     std::vector<uint32_t> ChildIds;
-    std::vector<uint32_t> ChildTermIdx;
 
     /// Per-term touch records, invalidated per alternative by generation
     /// stamp — a rule with many failing alternatives pays O(1) per
@@ -100,7 +99,6 @@ struct ParseScratch {
       Lexical = Lex;
       E.clear();
       ChildIds.clear();
-      ChildTermIdx.clear();
       if (Recs.size() < NumTerms)
         Recs.resize(NumTerms);
       if (++RecGen == 0) {
@@ -205,31 +203,10 @@ struct ParseScratch {
   };
   std::vector<Bind> Binds;
 
-  /// The store of the parse in flight (and, after a FAILED parse, of the
-  /// next one — failures recycle trivially since no result escaped). A
-  /// successful parse MOVES this into the returned TreePtr: the engine
-  /// keeps no reference, so the result path performs zero refcount
-  /// traffic, and a dropped result finds its way back through Pool.
-  TreeStore *Cur = nullptr;
-  /// Where dying TreePtrs park their store for reuse; heap-allocated so
-  /// it can outlive whichever of engine / last tree dies first.
-  TreeStore::Recycler *Pool = new TreeStore::Recycler();
-
-  ~ParseScratch() {
-    TreeStore::Recycler *P = Pool;
-    P->OwnerAlive = false;
-    TreeStore *Parked = P->Returned;
-    P->Returned = nullptr;
-    bool DestroyedAny = Cur || Parked;
-    if (Cur)
-      TreeStore::destroy(Cur); // may free P when it was the last store
-    if (Parked)
-      TreeStore::destroy(Parked);
-    // No store went through destroy() and none are loaned out: P is ours
-    // to free. (Outstanding TreePtrs free it through their last release.)
-    if (!DestroyedAny && P->LiveStores == 0)
-      delete P;
-  }
+  /// The store of the parse in flight and the recycler behind it. A
+  /// successful parse moves the store into the returned TreePtr; after a
+  /// failed one it serves the next parse (no result escaped).
+  StoreSlot Stores;
 
   Frame &frameAt(size_t Depth) {
     while (FramePool.size() <= Depth)
@@ -256,16 +233,7 @@ struct ParseScratch {
   /// every per-parse table (capacity retained). Sets
   /// \p Stats.StoreRecycled.
   void beginParse(EngineStats &Stats) {
-    if (!Cur && Pool->Returned) {
-      Cur = Pool->Returned;
-      Pool->Returned = nullptr;
-    }
-    if (Cur) {
-      Cur->reset();
-      Stats.StoreRecycled = true;
-    } else {
-      Cur = new TreeStore(Pool);
-    }
+    Stats.StoreRecycled = Stores.acquire();
     Memo.clear();
     InProgress.clear();
     ArrayNest = 0;
@@ -278,22 +246,6 @@ struct ParseScratch {
     VStack.clear();
     VTop = 0;
     Binds.clear();
-  }
-
-  /// Shared adoptStore(): park a store coming home from a FrozenTree
-  /// round trip, declining when a spare already waits.
-  bool adopt(TreeStore *Store) {
-    if (!Store)
-      return false;
-    // Engine-thread only: bindRecycler stamps this thread as the store's
-    // owner and the recycler counters are plain. Decline when a store is
-    // already parked (or in flight) — one spare is all a worker needs.
-    if (Cur || Pool->Returned)
-      return false;
-    Store->bindRecycler(Pool);
-    Store->reset();
-    Pool->Returned = Store;
-    return true;
   }
 };
 

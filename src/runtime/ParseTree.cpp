@@ -17,46 +17,44 @@
 
 using namespace ipg;
 
-const NodeTree *NodeTree::childNode(Symbol ChildName) const {
-  for (size_t I = NumChildren; I-- > 0;)
-    if (const auto *N = dyn_cast<NodeTree>(Owner->node(ChildIds[I])))
-      if (N->name() == ChildName)
-        return N;
-  return nullptr;
+StoreSlot::~StoreSlot() {
+  TreeStore::Recycler *P = Pool;
+  P->OwnerAlive = false;
+  TreeStore *Parked = P->Returned;
+  P->Returned = nullptr;
+  bool DestroyedAny = Cur || Parked;
+  if (Cur)
+    TreeStore::destroy(Cur); // may free P when it was the last store
+  if (Parked)
+    TreeStore::destroy(Parked);
+  // No store went through destroy() and none are loaned out: P is ours
+  // to free. (Outstanding TreePtrs free it through their last release.)
+  if (!DestroyedAny && P->LiveStores == 0)
+    delete P;
 }
 
-const ArrayTree *NodeTree::childArray(Symbol ElemName) const {
-  for (size_t I = NumChildren; I-- > 0;)
-    if (const auto *A = dyn_cast<ArrayTree>(Owner->node(ChildIds[I])))
-      if (A->elemName() == ElemName)
-        return A;
-  return nullptr;
+bool StoreSlot::acquire() {
+  if (!Cur && Pool->Returned) {
+    Cur = Pool->Returned;
+    Pool->Returned = nullptr;
+  }
+  if (!Cur) {
+    Cur = new TreeStore(Pool);
+    return false;
+  }
+  Cur->reset();
+  return true;
 }
 
-const NodeTree *ArrayTree::element(size_t I) const {
-  if (I >= NumElems)
-    return nullptr;
-  return dyn_cast<NodeTree>(Owner->node(ElemIds[I]));
-}
-
-uint32_t TreeStore::makeShifted(uint32_t BaseId, int64_t Delta,
-                                Symbol SymStart, Symbol SymEnd) {
-  // A zero delta needs no view: the base node is its own view (the
-  // common first-child-at-offset-0 edge costs nothing, matching the
-  // generated runtime's Ctx::shifted).
-  if (Delta == 0)
-    return BaseId;
-  // Record which symbols shifted views resolve against; they are fixed
-  // per grammar, so every call agrees.
-  ShiftStartSym = SymStart;
-  ShiftEndSym = SymEnd;
-  // The view shares the base node's frozen env and child arrays — nothing
-  // is copied. Deltas compose, so a view over a view stays correct; the
-  // resolution happens in EnvView (env()/attr() reads and iteration).
-  const auto &N = *cast<NodeTree>(node(BaseId));
-  NodeTree View(N);
-  View.Shift = N.Shift + Delta;
-  return addNode(Mem.make<NodeTree>(View));
+bool StoreSlot::adopt(TreeStore *Store) {
+  // bindRecycler stamps this thread as the store's owner and the
+  // recycler counters are plain, hence engine-thread only.
+  if (!Store || Cur || Pool->Returned)
+    return false;
+  Store->bindRecycler(Pool);
+  Store->reset();
+  Pool->Returned = Store;
+  return true;
 }
 
 // Both walks below use an explicit work stack: the engines parse

@@ -78,7 +78,7 @@ struct PrintOptions {
 /// (salvage parsing; see RecoveryPolicy) carry the rule they stand in
 /// for in Name.
 struct PrintSpan {
-  enum class Kind : uint8_t { Node, Blackbox, Leaf, Hole };
+  using Kind = ipg_rt::SpanKind;
   Kind K = Kind::Node;
   Symbol Name = InvalidSymbol; ///< rule / blackbox / hole name; InvalidSymbol
                                ///< for ordinary leaves

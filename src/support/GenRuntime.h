@@ -36,19 +36,26 @@
 ///    it directly (Ctx memoizes every non-local (rule, interval) result,
 ///    closing the paper's Fig.-12 gap on backtracking-heavy grammars).
 ///
-/// 3. The embedded runtime of generated parsers: a bump-arena node store
-///    with index-based children, flat attribute environments keyed by
-///    emitter-assigned ids (O(1) through SlotIndex), lazy shifted-node
-///    views (T-NTSucc shifts are recorded as a per-view delta and resolved
-///    at read time instead of copying environments), zero-copy leaves
-///    aliasing the input, per-depth frame pools, and the blackbox
-///    registration hook (Section 3.4) — the same design the interpreter's
-///    TreeStore uses (runtime/ParseTree.h), recycled across parses so
+/// 3. The parse tree, Tr ::= Node(A, E, Trs) | Array(Trs) | Leaf(s), and
+///    the NodeStore every tier builds it into: a bump arena holding the
+///    tree objects, their frozen attribute environments and their child-id
+///    arrays, lazy shifted views (T-NTSucc shifts are recorded as a per-
+///    view delta and resolved at read time instead of copying
+///    environments), and zero-copy leaves aliasing the input. The host
+///    engines build into it, and so does every generated parser — into
+///    the host's own store when the host runs it in process
+///    (codegen/GenEngine.h), so no tree is ever rebuilt. Trees name rules
+///    and attributes by grammar Symbol in every tier.
+///
+/// 4. The embedded runtime of generated parsers: the per-parse Ctx with
+///    its memo table and per-depth frame pools, the step machine, and the
+///    blackbox registration hook (Section 3.4), recycled across parses so
 ///    steady-state parsing performs no heap allocation.
 ///
-/// 4. The print coverage kernel (PrintCoverage): the run-based byte
-///    coverage behind both tree printers, serialize/Printer.cpp on host
-///    trees and TreePrinter here on generated ones.
+/// 5. The canonical dump, the print coverage kernel (PrintCoverage) and
+///    the one tree print walk (PrintWalk) behind both serialize::printTree
+///    and the printTree of generated parsers, and the layout hash that
+///    guards the tree types a host shares with a loaded module.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,7 +68,12 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <new>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace ipg_rt {
@@ -80,10 +92,18 @@ namespace ipg_rt {
 /// EngineOptions::MaxDepth value.
 inline constexpr int MaxDepth = 8192;
 
-/// Attribute ids of the special start/end attributes in generated
-/// environments. The emitter guarantees its name table begins with
-/// "start", "end" in exactly this order.
-enum : unsigned { IdStart = 0, IdEnd = 1 };
+/// An interned grammar name; ipg::Symbol (support/Interner.h) is this
+/// type, and generated parsers use the grammar's own numbering.
+using Symbol = uint32_t;
+inline constexpr Symbol InvalidSymbol = 0;
+using RuleId = uint32_t;
+inline constexpr RuleId InvalidRuleId = ~0u;
+
+/// The symbols of the special start/end attributes and of the blackbox
+/// value attribute: Grammar::Grammar() interns "start", "end", "EOI" and
+/// "val" first, in that order, so every tier can compare against them as
+/// constants.
+enum : Symbol { IdStart = 1, IdEnd = 2, IdVal = 4 };
 
 /// The interval guard of every positional term: [Lo, Hi) must be a
 /// sub-window of the local input [0, Eoi).
@@ -495,7 +515,7 @@ private:
 //===----------------------------------------------------------------------===//
 
 /// A generation-stamped direct map from small integer keys (interned
-/// symbols / emitter-assigned attribute ids) to slot positions in a flat
+/// symbols) to slot positions in a flat
 /// environment. Replaces the linear scans attribute-heavy rules used to
 /// pay on every get/set: lookup and record are O(1), and clear() is O(1)
 /// too — it bumps a generation instead of sweeping, so per-alternative
@@ -558,49 +578,79 @@ inline bool memoUnpack(unsigned Value, unsigned &NodeId) {
 }
 
 //===----------------------------------------------------------------------===//
-// The embedded runtime of generated parsers. The interpreter does not use
-// the types below (it has its own arena store in runtime/ParseTree.h with
-// the same design); they compile as part of ipg_core only so the embedded
-// text can never rot unbuilt.
+// Parse trees: Tr ::= Node(A, E, Trs) | Array(Trs) | Leaf(s), the one tree
+// of the semantics. The host engines (runtime/HostRunner.h) and every
+// generated parser build these objects into a NodeStore; a host running a
+// generated parser hands its own store across the module boundary and
+// reads the result in place (codegen/GenEngine.h). Both sides compile this
+// text, and layoutHash() at the end of this file turns any layout
+// mismatch between two compilers into a refusal at load time. Ownership
+// (refcounts, recycling, cross-thread handoff) is the host's business and
+// lives outside these types, in runtime/ParseTree.h.
 //===----------------------------------------------------------------------===//
 
-/// One attribute binding; Id indexes the generated parser's name table.
-struct AttrSlot {
-  unsigned Id;
-  long long V;
+/// One attribute binding. Structured bindings work: `for (auto [K, V] : E)`.
+struct EnvSlot {
+  Symbol Key;
+  int64_t Value;
 };
 
-/// Bump allocator mirroring support/Arena.h: geometrically growing blocks,
-/// reset() keeps the blocks so a recycled arena reaches an allocation-free
-/// steady state. Only trivially-destructible data lives here.
+/// The bump allocator behind every tree (and the Nail-style baseline
+/// parsers). Nail's generated parsers use arena-based memory management
+/// "to avoid performance impact from calling malloc" (Section 7); Figure
+/// 13e/f note that IPG matched it only after adopting the same mechanism,
+/// which is why every tree node, child-id array and frozen attribute
+/// environment comes from here instead of the heap.
+///
+/// Allocation bumps a cursor through geometrically growing blocks (the
+/// bump is inline; only a block change calls refill()); reset() drops
+/// every allocation at once but keeps the blocks, so a reused arena
+/// reaches an allocation-free steady state. Individual objects are never
+/// destroyed, so only trivially destructible types may live here, and
+/// pointers returned by allocate() stay valid across later growth (new
+/// blocks are added; existing blocks never move).
 class Arena {
 public:
-  void *allocate(size_t Bytes, size_t Align) {
-    for (; Cur < Blocks.size(); ++Cur) {
-      Block &B = Blocks[Cur];
-      size_t At = (B.Used + Align - 1) & ~(Align - 1);
-      if (At + Bytes <= B.Cap) {
-        B.Used = At + Bytes;
-        return B.Mem.get() + At;
-      }
+  explicit Arena(size_t FirstBlock = 4096) : NextBlockSize(FirstBlock) {}
+  // The cursor points into the blocks, so a copied or moved-from arena
+  // would bump into memory it no longer owns.
+  Arena(const Arena &) = delete;
+  Arena &operator=(const Arena &) = delete;
+
+  /// Bump-pointer fast path: align the cursor and advance it when the
+  /// current block still has room. A zero-byte request may return null.
+  void *allocate(size_t Bytes, size_t Align = alignof(std::max_align_t)) {
+    TotalAllocated += Bytes;
+    // Align the actual address, not a block offset: operator new[] only
+    // guarantees 16-byte alignment, so over-aligned requests need the
+    // base pointer folded in.
+    const uintptr_t P = (reinterpret_cast<uintptr_t>(Cur) + Align - 1) &
+                        ~static_cast<uintptr_t>(Align - 1);
+    if (P + Bytes <= reinterpret_cast<uintptr_t>(End)) {
+      Cur = reinterpret_cast<uint8_t *>(P + Bytes);
+      return reinterpret_cast<void *>(P);
     }
-    // Block bases come from operator new[] and are aligned to at least
-    // __STDCPP_DEFAULT_NEW_ALIGNMENT__, so offset-aligning Used (above)
-    // suffices for every type this runtime stores (align <= 16).
-    while (NextSize < Bytes)
-      NextSize *= 2;
-    Blocks.push_back(Block{std::unique_ptr<unsigned char[]>(
-                               new unsigned char[NextSize]),
-                           NextSize, Bytes});
-    NextSize *= 2;
-    return Blocks.back().Mem.get();
+    return refill(Bytes, Align);
   }
 
-  template <class T> T *makeArray(size_t N) {
-    return static_cast<T *>(allocate(sizeof(T) * (N ? N : 1), alignof(T)));
+  template <typename T, typename... Args> T *make(Args &&...As) {
+    static_assert(std::is_trivially_destructible<T>::value,
+                  "arena never runs destructors");
+    return new (allocate(sizeof(T), alignof(T)))
+        T(std::forward<Args>(As)...);
   }
 
-  template <class T> const T *copyArray(const T *Src, size_t N) {
+  /// Allocates an uninitialized array of N T's.
+  template <typename T> T *makeArray(size_t N) {
+    static_assert(std::is_trivially_destructible<T>::value,
+                  "arena never runs destructors");
+    return static_cast<T *>(allocate(sizeof(T) * N, alignof(T)));
+  }
+
+  /// Copies \p N elements of \p Src into the arena (null when N == 0).
+  template <typename T> const T *copyArray(const T *Src, size_t N) {
+    static_assert(std::is_trivially_copyable<T>::value,
+                  "copyArray memcpys its elements");
     if (N == 0)
       return nullptr;
     T *Dst = makeArray<T>(N);
@@ -608,111 +658,530 @@ public:
     return Dst;
   }
 
+  /// Copies a raw byte range into the arena (null when N == 0).
+  const uint8_t *copyBytes(const void *Src, size_t N) {
+    return copyArray(static_cast<const uint8_t *>(Src), N);
+  }
+
+  /// Drops every allocation but keeps the blocks for reuse.
   void reset() {
-    for (Block &B : Blocks)
-      B.Used = 0;
-    Cur = 0;
+    Current = 0;
+    TotalAllocated = 0;
+    if (Blocks.empty())
+      return;
+    Cur = Blocks[0].Memory.get();
+    End = Cur + Blocks[0].Size;
+  }
+
+  /// Bytes handed out since construction or the last reset().
+  size_t bytesAllocated() const { return TotalAllocated; }
+
+  /// Bytes of block capacity currently held (survives reset()).
+  size_t bytesReserved() const {
+    size_t N = 0;
+    for (const Block &B : Blocks)
+      N += B.Size;
+    return N;
   }
 
 private:
+  friend struct Layout;
+
+  /// The slow path of allocate(): the cursor's block cannot hold the
+  /// request, so bump from the next kept block that can, or add a block.
+  /// TotalAllocated is already counted.
+#if defined(__GNUC__) || defined(__clang__)
+  __attribute__((noinline))
+#endif
+  void *
+  refill(size_t Bytes, size_t Align) {
+    auto BumpIn = [&](size_t I) -> void * {
+      Block &B = Blocks[I];
+      const uintptr_t Base = reinterpret_cast<uintptr_t>(B.Memory.get());
+      const uintptr_t P =
+          (Base + Align - 1) & ~static_cast<uintptr_t>(Align - 1);
+      if (P + Bytes > Base + B.Size)
+        return nullptr;
+      Current = I;
+      Cur = reinterpret_cast<uint8_t *>(P + Bytes);
+      End = B.Memory.get() + B.Size;
+      return reinterpret_cast<void *>(P);
+    };
+    // Blocks kept by reset() are revisited in order, as the cursor left
+    // them; a block the request does not fit is skipped for good.
+    for (size_t I = Cur ? Current + 1 : 0; I < Blocks.size(); ++I)
+      if (void *P = BumpIn(I))
+        return P;
+    size_t Size = NextBlockSize;
+    while (Size < Bytes + Align)
+      Size *= 2;
+    NextBlockSize = Size * 2;
+    Block B;
+    B.Memory.reset(new uint8_t[Size]);
+    B.Size = Size;
+    Blocks.push_back(std::move(B));
+    return BumpIn(Blocks.size() - 1);
+  }
+
   struct Block {
-    std::unique_ptr<unsigned char[]> Mem;
-    size_t Cap = 0;
-    size_t Used = 0;
+    /// Never value-initialised: the arena writes every byte it hands out
+    /// before anything reads it.
+    std::unique_ptr<uint8_t[]> Memory;
+    size_t Size = 0;
   };
   std::vector<Block> Blocks;
-  size_t Cur = 0;
-  size_t NextSize = 4096;
+  size_t Current = 0;     ///< index of the cursor's block
+  uint8_t *Cur = nullptr; ///< bump cursor (null before the first block)
+  uint8_t *End = nullptr; ///< end of the cursor's block
+  size_t NextBlockSize;
+  size_t TotalAllocated = 0;
 };
 
-class Ctx;
-struct Node;
+class NodeStore;
+class NodeTree;
+class ArrayTree;
+class LeafTree;
 
-/// A borrowed child handle (the accessor surface generated-parser drivers
-/// use: `Root->Children[0].get()`).
-struct NodeRef {
-  Node *P = nullptr;
-  Node *get() const { return P; }
-  Node *operator->() const { return P; }
+/// The common head of the three tree forms. Dispatch on kind(), or
+/// through isa/cast/dyn_cast (every form has a classof).
+class ParseTree {
+public:
+  enum class Kind : uint8_t { Node, Array, Leaf };
+
+  Kind kind() const { return K; }
+
+protected:
+  explicit ParseTree(Kind K) : K(K) {}
+  ~ParseTree() = default; // never deleted through the base; arena-owned
+
+private:
+  friend struct Layout;
+  Kind K;
+};
+
+/// A borrowed pointer to a tree object (get/*/->). Owns nothing: the
+/// NodeStore keeps the object alive.
+class TreeRef {
+public:
+  TreeRef() = default;
+  /*implicit*/ TreeRef(const ParseTree *P) : P(P) {}
+
+  const ParseTree *get() const { return P; }
+  const ParseTree &operator*() const { return *P; }
+  const ParseTree *operator->() const { return P; }
   explicit operator bool() const { return P != nullptr; }
+
+private:
+  const ParseTree *P = nullptr;
 };
 
-/// A filtered view over a node's unified child list exposing only child
-/// *nodes* (terminal leaves and arrays are reachable through kidCount()/
-/// kid() and the canonical dump). Resolves ids against the owning Ctx at
-/// access time, so it stays valid while the store grows.
-struct ChildView {
-  Ctx *C = nullptr;
-  const unsigned *Ids = nullptr;
-  unsigned N = 0;
+/// An immutable, arena-frozen attribute environment. A view may carry the
+/// lazy T-NTSucc delta of a shifted node: the underlying slots are shared
+/// with the unshifted base node, and the shift is applied to start/end at
+/// read time (get and iteration both resolve it, so no reader can observe
+/// unshifted coordinates).
+class EnvView {
+public:
+  EnvView() = default;
+  EnvView(const EnvSlot *Slots, uint32_t NumSlots, int64_t Shift = 0)
+      : Slots(Slots), NumSlots(NumSlots), Shift(Shift) {}
 
-  inline size_t size() const;
-  bool empty() const { return size() == 0; }
-  inline NodeRef operator[](size_t I) const;
+  /// Slot \p I with the view's lazy shift resolved.
+  EnvSlot slot(uint32_t I) const {
+    EnvSlot S = Slots[I];
+    if (Shift != 0 && (S.Key == IdStart || S.Key == IdEnd))
+      S.Value += Shift;
+    return S;
+  }
+
+  std::optional<int64_t> get(Symbol S) const {
+    for (uint32_t I = 0; I < NumSlots; ++I)
+      if (Slots[I].Key == S)
+        return slot(I).Value;
+    return std::nullopt;
+  }
+
+  /// get() for generated code, which holds values as long long.
+  bool get(Symbol S, long long &Out) const {
+    std::optional<int64_t> V = get(S);
+    if (V)
+      Out = *V;
+    return V.has_value();
+  }
+
+  size_t size() const { return NumSlots; }
+
+  /// Iteration yields resolved EnvSlots by value (the storage itself is
+  /// shared with the base node and must not leak unshifted).
+  class iterator {
+  public:
+    iterator(const EnvView *V, uint32_t I) : V(V), I(I) {}
+    EnvSlot operator*() const { return V->slot(I); }
+    iterator &operator++() {
+      ++I;
+      return *this;
+    }
+    bool operator!=(const iterator &O) const { return I != O.I; }
+
+  private:
+    const EnvView *V;
+    uint32_t I;
+  };
+  iterator begin() const { return iterator(this, 0); }
+  iterator end() const { return iterator(this, NumSlots); }
+
+private:
+  const EnvSlot *Slots = nullptr;
+  uint32_t NumSlots = 0;
+  int64_t Shift = 0;
 };
 
-/// One tree object. A single tagged struct covers the three tree forms of
-/// the semantics (Node(A, E, Trs) / Array(Trs) / Leaf(s)); objects live in
-/// the store's object vector, and their env/child arrays in its arena.
+/// A view over a node's children: 32-bit ids resolved lazily against the
+/// owning NodeStore. Indexing yields TreeRef (`children()[0].get()`).
+class ChildList {
+public:
+  ChildList() = default;
+  ChildList(const NodeStore *Store, const uint32_t *Ids, uint32_t Count)
+      : Store(Store), Ids(Ids), Count(Count) {}
+
+  size_t size() const { return Count; }
+  bool empty() const { return Count == 0; }
+  inline TreeRef operator[](size_t I) const;
+
+  class iterator {
+  public:
+    iterator(const ChildList *L, size_t I) : L(L), I(I) {}
+    TreeRef operator*() const { return (*L)[I]; }
+    iterator &operator++() {
+      ++I;
+      return *this;
+    }
+    bool operator!=(const iterator &O) const { return I != O.I; }
+
+  private:
+    const ChildList *L;
+    size_t I;
+  };
+  iterator begin() const { return iterator(this, 0); }
+  iterator end() const { return iterator(this, Count); }
+
+private:
+  const NodeStore *Store = nullptr;
+  const uint32_t *Ids = nullptr;
+  uint32_t Count = 0;
+};
+
+/// Node(A, E, Trs): a successful parse of one nonterminal (or blackbox).
+/// Nodes carry the rule's attribute environment, start/end included and
+/// already shifted into the parent's coordinates by rule T-NTSucc, and
+/// their children in execution order.
+class NodeTree : public ParseTree {
+public:
+  NodeTree(const NodeStore *Owner, Symbol Name, RuleId Rule,
+           const EnvSlot *Slots, uint32_t NumSlots, const uint32_t *ChildIds,
+           uint32_t NumChildren)
+      : ParseTree(Kind::Node), Owner(Owner), Name(Name), Rule(Rule),
+        Slots(Slots), NumSlots(NumSlots), ChildIds(ChildIds),
+        NumChildren(NumChildren) {}
+  static bool classof(const ParseTree *T) { return T->kind() == Kind::Node; }
+
+  Symbol name() const { return Name; }
+  /// The rule that built the node; InvalidRuleId for blackbox nodes.
+  RuleId rule() const { return Rule; }
+  EnvView env() const { return EnvView(Slots, NumSlots, Shift); }
+  ChildList children() const {
+    return ChildList(Owner, ChildIds, NumChildren);
+  }
+
+  std::optional<int64_t> attr(Symbol S) const { return env().get(S); }
+
+  /// The lazy T-NTSucc delta of this view: the offset of the node's own
+  /// local coordinate frame within its parent's (0 for directly built
+  /// nodes). Child ids and leaf offsets under this node are stored in the
+  /// node's local frame, so a serializer walking the tree accumulates
+  /// exactly this delta per edge to recover absolute positions.
+  int64_t shift() const { return Shift; }
+
+  /// The most recent child node named \p ChildName (null if none).
+  inline const NodeTree *childNode(Symbol ChildName) const;
+  /// The most recent child array whose elements are named \p ElemName.
+  inline const ArrayTree *childArray(Symbol ElemName) const;
+
+private:
+  friend class NodeStore; // makeShifted shares the env/child arrays
+  friend struct Layout;
+
+  const NodeStore *Owner;
+  Symbol Name;
+  RuleId Rule;
+  const EnvSlot *Slots;
+  uint32_t NumSlots;
+  const uint32_t *ChildIds;
+  uint32_t NumChildren;
+  /// Lazy T-NTSucc delta of a shifted view (0 for directly built nodes).
+  /// Applied to the start/end attributes by env(); everything else in the
+  /// node (slots, children) is shared with the unshifted base.
+  int64_t Shift = 0;
+};
+
+/// Array(Trs): the result of a for-term; elements are NodeTrees.
+class ArrayTree : public ParseTree {
+public:
+  ArrayTree(const NodeStore *Owner, Symbol Elem, const uint32_t *ElemIds,
+            uint32_t NumElems)
+      : ParseTree(Kind::Array), Owner(Owner), Elem(Elem), ElemIds(ElemIds),
+        NumElems(NumElems) {}
+  static bool classof(const ParseTree *T) {
+    return T->kind() == Kind::Array;
+  }
+
+  Symbol elemName() const { return Elem; }
+  ChildList elements() const { return ChildList(Owner, ElemIds, NumElems); }
+  size_t size() const { return NumElems; }
+  inline const NodeTree *element(size_t I) const;
+
+private:
+  friend struct Layout;
+
+  const NodeStore *Owner;
+  Symbol Elem;
+  const uint32_t *ElemIds;
+  uint32_t NumElems;
+};
+
+/// Leaf(s): a matched terminal (or blackbox output bytes). Offset is
+/// relative to the enclosing node's local input. Leaves are zero-copy:
+/// terminal and wildcard (`raw`) leaves alias the input buffer (the
+/// behaviour Section 7 credits for the ZIP result) and blackbox output
+/// leaves alias an arena copy of the decoded bytes. An opaque leaf is a
+/// wildcard match whose bytes were never inspected.
 ///
-/// T-NTSucc's coordinate shift is LAZY: a shifted view of a finished
-/// subtree shares the frozen env and child arrays of its base node and
-/// records only the delta in Shift; every attribute read resolves the
-/// shift on the fly (start/end only — other attributes are coordinate-
-/// free). Views compose: a view of a view accumulates deltas.
-struct Node {
-  enum : unsigned char { KNode, KArray, KLeaf };
+/// A HOLE is an opaque leaf with a rule name attached: under salvage
+/// parsing it stands in for a subparse that failed over an already-
+/// resolved interval, aliasing the damaged bytes exactly as a `raw`
+/// match would. Hole-ness changes nothing about how the leaf prints or
+/// walks; only isHole()/holeRule() and the verdict machinery observe it.
+class LeafTree : public ParseTree {
+public:
+  LeafTree(const uint8_t *Data, size_t Length, int64_t Offset, bool Opaque,
+           Symbol Hole = InvalidSymbol)
+      : ParseTree(Kind::Leaf), Data(Data), Length(Length), Offset(Offset),
+        Opaque(Opaque), Hole(Hole) {}
+  static bool classof(const ParseTree *T) { return T->kind() == Kind::Leaf; }
 
-  unsigned char Kind = KNode;
-  unsigned NameId = 0;     ///< node rule name / array element name
-  const char *Name = nullptr;
-  const AttrSlot *Slots = nullptr;
-  unsigned NumSlots = 0;
-  const unsigned *KidIds = nullptr; ///< unified children / array elements
-  unsigned NumKids = 0;
-  Ctx *C = nullptr;
-  long long Shift = 0; ///< lazy start/end delta of a shifted view
-  // Leaf payload: zero-copy window into the input.
-  const unsigned char *Data = nullptr;
-  size_t Len = 0;
-  long long Off = 0;
-  bool Opaque = false;
-  /// True for nodes built by blackboxNode: their one leaf child carries
-  /// DECODED bytes, so the serializer (printTree) must re-encode through
-  /// the inverse hook instead of copying children. Copied along by
-  /// shifted() like every other field.
-  bool Bb = false;
-
-  /// Child-node view over this node's unified child list (the accessor
-  /// surface generated-parser drivers use: `Root->children()[0].get()`).
-  /// Derived from KidIds/NumKids on demand so the two can never
-  /// desynchronize.
-  ChildView children() const { return ChildView{C, KidIds, NumKids}; }
-
-  /// Slot \p I's value with the lazy shift resolved — the ONE place the
-  /// view delta is applied (every reader, the canonical dump included,
-  /// goes through it, so no path can observe unshifted coordinates).
-  long long slotValue(unsigned I) const {
-    long long V = Slots[I].V;
-    if (Shift != 0 && (Slots[I].Id == IdStart || Slots[I].Id == IdEnd))
-      V += Shift;
-    return V;
+  std::string_view bytes() const {
+    return std::string_view(reinterpret_cast<const char *>(Data), Length);
   }
+  int64_t offset() const { return Offset; }
+  size_t length() const { return Length; }
+  bool isOpaque() const { return Opaque; }
+  bool isHole() const { return Hole != InvalidSymbol; }
+  /// The rule whose failed subparse this hole fences; InvalidSymbol for
+  /// ordinary leaves.
+  Symbol holeRule() const { return Hole; }
 
-  /// \p Id's value with the lazy shift applied to start/end.
-  bool getById(unsigned Id, long long &Out) const {
-    for (unsigned I = 0; I < NumSlots; ++I)
-      if (Slots[I].Id == Id) {
-        Out = slotValue(I);
-        return true;
-      }
-    return false;
-  }
-  inline bool get(const char *K, long long &Out) const;
+private:
+  friend struct Layout;
 
-  size_t kidCount() const { return NumKids; }
-  inline Node *kid(size_t I) const;
+  const uint8_t *Data;
+  size_t Length;
+  int64_t Offset;
+  bool Opaque;
+  Symbol Hole;
 };
+
+/// Checked downcasts for code that cannot use ipg's dyn_cast (this file
+/// includes no project header).
+inline const NodeTree *asNode(const ParseTree *T) {
+  return T && T->kind() == ParseTree::Kind::Node
+             ? static_cast<const NodeTree *>(T)
+             : nullptr;
+}
+inline const ArrayTree *asArray(const ParseTree *T) {
+  return T && T->kind() == ParseTree::Kind::Array
+             ? static_cast<const ArrayTree *>(T)
+             : nullptr;
+}
+inline const LeafTree *asLeaf(const ParseTree *T) {
+  return T && T->kind() == ParseTree::Kind::Leaf
+             ? static_cast<const LeafTree *>(T)
+             : nullptr;
+}
+
+/// Owns every tree object of one parse: a bump arena for the objects
+/// plus the id -> object index that children are stored against.
+/// Children are 32-bit ids into this store, attribute environments are
+/// frozen arena arrays, and T-NTSucc's coordinate shift is lazy:
+/// makeShifted creates a view that shares the base node's frozen env and
+/// child arrays and records only the delta, which EnvView resolves on
+/// start/end reads, so no environment is ever copied per child edge.
+/// Create through the builders only; objects never move once created,
+/// and reset() invalidates everything built so far and starts over with
+/// the same memory.
+class NodeStore {
+public:
+  NodeStore() = default;
+  NodeStore(const NodeStore &) = delete;
+  NodeStore &operator=(const NodeStore &) = delete;
+
+  const ParseTree *node(uint32_t Id) const {
+    assert(Id < Nodes.size() && "node id out of range");
+    return Nodes[Id];
+  }
+  size_t nodeCount() const { return Nodes.size(); }
+  size_t arenaBytesUsed() const { return Mem.bytesAllocated(); }
+  size_t arenaBytesReserved() const { return Mem.bytesReserved(); }
+
+  /// makeNodeFromSlots over an environment container with data()/size()
+  /// (the host's Env, a generated frame's slot vector).
+  template <class EnvT>
+  uint32_t makeNode(Symbol Name, RuleId Rule, const EnvT &E,
+                    const uint32_t *ChildIds, uint32_t NumChildren) {
+    return makeNodeFromSlots(Name, Rule, E.data(),
+                             static_cast<uint32_t>(E.size()), ChildIds,
+                             NumChildren);
+  }
+
+  /// Freezes \p Slots and \p ChildIds (which may point at reusable
+  /// scratch) into one arena bump holding the node, its env and its
+  /// child ids.
+  uint32_t makeNodeFromSlots(Symbol Name, RuleId Rule, const EnvSlot *Slots,
+                             uint32_t NumSlots, const uint32_t *ChildIds,
+                             uint32_t NumChildren) {
+    static_assert(sizeof(NodeTree) % alignof(EnvSlot) == 0 &&
+                      alignof(NodeTree) >= alignof(EnvSlot) &&
+                      sizeof(EnvSlot) % alignof(uint32_t) == 0,
+                  "node block layout: node, env slots, child ids");
+    const size_t EnvBytes = sizeof(EnvSlot) * NumSlots;
+    const size_t KidBytes = sizeof(uint32_t) * NumChildren;
+    auto *Block = static_cast<uint8_t *>(
+        Mem.allocate(sizeof(NodeTree) + EnvBytes + KidBytes,
+                     alignof(NodeTree)));
+    EnvSlot *Frozen = nullptr;
+    uint32_t *Ids = nullptr;
+    if (NumSlots) {
+      Frozen = reinterpret_cast<EnvSlot *>(Block + sizeof(NodeTree));
+      std::memcpy(Frozen, Slots, EnvBytes);
+    }
+    if (NumChildren) {
+      Ids = reinterpret_cast<uint32_t *>(Block + sizeof(NodeTree) + EnvBytes);
+      std::memcpy(Ids, ChildIds, KidBytes);
+    }
+    return addNode(new (Block) NodeTree(this, Name, Rule, Frozen, NumSlots,
+                                        Ids, NumChildren));
+  }
+
+  /// Lazy shifted view of node \p BaseId (T-NTSucc): shares the frozen
+  /// env and child arrays of the base node and records \p Delta for
+  /// read-time resolution. A zero delta needs no view at all (the base
+  /// id is returned), and shifting an existing view composes the deltas,
+  /// so memoized subtrees can be re-anchored under any number of parents
+  /// without ever copying an environment. \p BaseId must name a NodeTree.
+  uint32_t makeShifted(uint32_t BaseId, int64_t Delta) {
+    if (Delta == 0)
+      return BaseId;
+    NodeTree View(*asNode(node(BaseId)));
+    View.Shift += Delta;
+    return addNode(Mem.make<NodeTree>(View));
+  }
+
+  uint32_t makeArray(Symbol Elem, const uint32_t *ElemIds,
+                     uint32_t NumElems) {
+    const uint32_t *Ids = Mem.copyArray(ElemIds, NumElems);
+    return addNode(Mem.make<ArrayTree>(this, Elem, Ids, NumElems));
+  }
+
+  /// Zero-copy leaf aliasing \p Data (input bytes; the caller guarantees
+  /// they outlive the tree).
+  uint32_t makeLeaf(const uint8_t *Data, size_t Length, int64_t Offset,
+                    bool Opaque) {
+    return addNode(Mem.make<LeafTree>(Data, Length, Offset, Opaque));
+  }
+
+  /// Hole leaf: a zero-copy opaque window over bytes a failed subparse of
+  /// \p Rule should have covered (salvage parsing).
+  uint32_t makeHole(const uint8_t *Data, size_t Length, int64_t Offset,
+                    Symbol Rule) {
+    return addNode(
+        Mem.make<LeafTree>(Data, Length, Offset, /*Opaque=*/true, Rule));
+  }
+
+  /// Leaf over an arena-owned copy of \p Data (blackbox output).
+  uint32_t makeLeafCopy(const void *Data, size_t Length, int64_t Offset) {
+    return addNode(Mem.make<LeafTree>(Mem.copyBytes(Data, Length), Length,
+                                      Offset, /*Opaque=*/false));
+  }
+
+  /// The node a successful blackbox term named \p Name contributes over
+  /// [Lo, Hi) (Section 3.4): attributes val/start/end, where an empty
+  /// consumption (\p End == 0) reads as the untouched span [sub-EOI, 0) in
+  /// the parent's coordinates, plus one leaf child copying any decoded
+  /// output.
+  uint32_t makeBlackboxNode(Symbol Name, int64_t Value, int64_t End,
+                            const void *Output, size_t OutputLen, int64_t Lo,
+                            int64_t Hi) {
+    const EnvSlot Slots[3] = {{IdVal, Value},
+                              {IdStart, End > 0 ? Lo : Hi - Lo},
+                              {IdEnd, End > 0 ? Lo + End : Lo}};
+    uint32_t Kid = 0;
+    uint32_t NumKids = 0;
+    if (OutputLen) {
+      Kid = makeLeafCopy(Output, OutputLen, 0);
+      NumKids = 1;
+    }
+    return makeNodeFromSlots(Name, InvalidRuleId, Slots, 3, &Kid, NumKids);
+  }
+
+  /// Invalidates every node built so far; keeps arena blocks and index
+  /// capacity so a reused store reaches an allocation-free steady state.
+  void reset() {
+    Mem.reset();
+    Nodes.clear();
+  }
+
+private:
+  friend struct Layout;
+
+  uint32_t addNode(const ParseTree *T) {
+    Nodes.push_back(T);
+    return static_cast<uint32_t>(Nodes.size() - 1);
+  }
+
+  Arena Mem;
+  std::vector<const ParseTree *> Nodes;
+};
+
+inline TreeRef ChildList::operator[](size_t I) const {
+  assert(I < Count && "child index out of range");
+  return TreeRef(Store->node(Ids[I]));
+}
+
+inline const NodeTree *NodeTree::childNode(Symbol ChildName) const {
+  for (uint32_t I = NumChildren; I-- > 0;)
+    if (const NodeTree *N = asNode(Owner->node(ChildIds[I])))
+      if (N->name() == ChildName)
+        return N;
+  return nullptr;
+}
+
+inline const ArrayTree *NodeTree::childArray(Symbol ElemName) const {
+  for (uint32_t I = NumChildren; I-- > 0;)
+    if (const ArrayTree *A = asArray(Owner->node(ChildIds[I])))
+      if (A->elemName() == ElemName)
+        return A;
+  return nullptr;
+}
+
+inline const NodeTree *ArrayTree::element(size_t I) const {
+  return I < NumElems ? asNode(Owner->node(ElemIds[I])) : nullptr;
+}
+
+//===----------------------------------------------------------------------===//
+// The embedded runtime of generated parsers: the per-parse context and
+// frames their rule functions run on. The host engines run the same
+// semantics on their own scratch (runtime/ParseScratch.h); these types
+// compile as part of ipg_core so the embedded text can never rot unbuilt.
+//===----------------------------------------------------------------------===//
 
 /// What a registered blackbox parser (Section 3.4) reports back: success
 /// or failure, an integer value (surfaced as attribute `val`), how many
@@ -792,9 +1261,10 @@ class Ctx;
 using StepFn = int (*)(Ctx &, Task &);
 enum : int { StepFail = 0, StepDone = 1, StepCall = 2 };
 
-/// The recycled store + scratch state behind one generated parser: arena,
-/// object index, per-depth frame pool and per-nesting array scratch — the
-/// generated twin of the interpreter's InterpState. beginParse() recycles
+/// The recycled scratch state behind one generated parser: the memo
+/// table, per-depth frame pool and per-nesting array scratch (the
+/// generated twin of the host's ParseScratch), plus the NodeStore of the
+/// parse in flight, which the caller owns. beginParse() recycles
 /// everything without releasing capacity.
 class Ctx {
 public:
@@ -802,18 +1272,26 @@ public:
     NamesTab = Table;
     NumNames = Count;
   }
-  const char *name(unsigned Id) const {
-    return Id < NumNames ? NamesTab[Id] : "?";
+  const char *name(Symbol S) const { return S < NumNames ? NamesTab[S] : "?"; }
+
+  /// The grammar's declared blackboxes, InvalidSymbol-terminated: the
+  /// nodes printTree re-encodes through the inverse hook.
+  void setBlackboxNames(const Symbol *List) { BbNames = List; }
+  bool isBlackbox(Symbol S) const {
+    for (const Symbol *P = BbNames; P && *P != InvalidSymbol; ++P)
+      if (*P == S)
+        return true;
+    return false;
   }
 
-  void beginParse(const unsigned char *Data) {
+  /// Starts a parse of \p Data building into \p Into.
+  void beginParse(const unsigned char *Data, NodeStore &Into) {
     Base = Data;
-    A.reset();
-    Objs.clear();
+    S = &Into;
     Memo.clear(); // O(1) generational clear; capacity is kept
     ArrayNest = 0;
     Hard = false;
-    FailName = -1;
+    FailName = InvalidSymbol;
     FailOff = -1;
     Frozen = 0;
     Hits = 0;
@@ -834,15 +1312,15 @@ public:
   /// First-failure diagnostics, the generated twin of
   /// EngineStats::FailRule/FailOffset: the first noteFail() of a parse
   /// wins (deeper failures fire first on the way out, exactly as the
-  /// interpreter records them). \p NameId indexes the module name table;
-  /// \p Off is the absolute input offset of the failing window.
-  void noteFail(unsigned NameId, long long Off) {
-    if (FailName >= 0)
+  /// interpreter records them). \p Off is the absolute input offset of
+  /// the failing window.
+  void noteFail(Symbol Name, long long Off) {
+    if (FailName != InvalidSymbol)
       return;
-    FailName = static_cast<long long>(NameId);
+    FailName = Name;
     FailOff = Off;
   }
-  long long failNameId() const { return FailName; } ///< -1 when none
+  Symbol failSymbol() const { return FailName; } ///< InvalidSymbol if none
   long long failOff() const { return FailOff; }
 
   /// The effective recursion limit (emitted rule functions compare their
@@ -896,33 +1374,32 @@ public:
     Memo.insert(IntervalKey::pack(Rule, AbsLo, AbsHi), memoPack(Id, Ok));
   }
 
-  /// Binds (or rebinds) the blackbox named by \p NameId. Generated
-  /// parsers expose this by name through Parser::registerBlackbox.
-  void registerBlackbox(unsigned NameId, BlackboxFn Fn, void *User) {
-    slotFor(NameId).Fn = Fn;
-    slotFor(NameId).User = User;
+  /// Binds (or rebinds) the blackbox named \p Name. Generated parsers
+  /// expose this by spelling through Parser::registerBlackbox.
+  void registerBlackbox(Symbol Name, BlackboxFn Fn, void *User) {
+    slotFor(Name).Fn = Fn;
+    slotFor(Name).User = User;
   }
 
-  /// Binds (or rebinds) the INVERSE of the blackbox named by \p NameId
+  /// Binds (or rebinds) the INVERSE of the blackbox named \p Name
   /// (Parser::registerBlackboxInverse). Only printTree consults it.
-  void registerBlackboxInverse(unsigned NameId, BlackboxInvFn Fn,
-                               void *User) {
-    slotFor(NameId).InvFn = Fn;
-    slotFor(NameId).InvUser = User;
+  void registerBlackboxInverse(Symbol Name, BlackboxInvFn Fn, void *User) {
+    slotFor(Name).InvFn = Fn;
+    slotFor(Name).InvUser = User;
   }
 
   /// Runs the registered inverse over Decoded[0, DecodedLen). Returns
   /// false when no inverse is registered or the inverse rejects; printing
   /// reports either as a print error (there is no parse to hard-fail).
-  bool callBlackboxInverse(unsigned NameId, const unsigned char *Decoded,
+  bool callBlackboxInverse(Symbol Name, const unsigned char *Decoded,
                            size_t DecodedLen, long long Value,
                            BlackboxEncOut &Out) const {
-    for (const BlackboxSlot &S : Blackboxes)
-      if (S.NameId == NameId) {
-        if (!S.InvFn)
+    for (const BlackboxSlot &B : Blackboxes)
+      if (B.Name == Name) {
+        if (!B.InvFn)
           return false;
         Out = BlackboxEncOut();
-        return S.InvFn(S.InvUser, Decoded, DecodedLen, Value, Out);
+        return B.InvFn(B.InvUser, Decoded, DecodedLen, Value, Out);
       }
     return false;
   }
@@ -932,32 +1409,32 @@ public:
   /// to have consumed past its slice are HARD failures (they abort the
   /// whole parse, as in the interpreter), a decoder rejection is a soft
   /// one (the enclosing term fails).
-  int callBlackbox(unsigned NameId, const unsigned char *Data, size_t Len,
+  int callBlackbox(Symbol Name, const unsigned char *Data, size_t Len,
                    BlackboxOut &Out) {
-    for (const BlackboxSlot &S : Blackboxes)
-      if (S.NameId == NameId) {
-        if (!S.Fn)
+    for (const BlackboxSlot &B : Blackboxes)
+      if (B.Name == Name) {
+        if (!B.Fn)
           break; // inverse-only slot: the forward direction is unbound
         Out = BlackboxOut();
-        if (!S.Fn(S.User, Data, Len, Out))
+        if (!B.Fn(B.User, Data, Len, Out))
           return 0;
         if (Out.End < 0 ||
             static_cast<unsigned long long>(Out.End) > Len) {
-          noteFail(NameId, static_cast<long long>(Data - Base));
+          noteFail(Name, static_cast<long long>(Data - Base));
           hardFail();
           return 0;
         }
         return 1;
       }
-    noteFail(NameId, static_cast<long long>(Data - Base));
+    noteFail(Name, static_cast<long long>(Data - Base));
     hardFail();
     return 0;
   }
 
   const unsigned char *base() const { return Base; }
-  Node *node(unsigned Id) { return &Objs[Id]; }
-  const Node *node(unsigned Id) const { return &Objs[Id]; }
-  size_t nodeCount() const { return Objs.size(); }
+  const ParseTree *node(uint32_t Id) const { return S->node(Id); }
+  /// Tree objects in the store of the current parse.
+  size_t nodeCount() const { return S ? S->nodeCount() : 0; }
 
   inline struct Frame &frameAt(size_t Depth);
 
@@ -984,124 +1461,63 @@ public:
   /// The step machine's pooled task stack (runMachine).
   std::vector<Task> &stepTasks() { return Steps; }
 
-  /// Freezes a frame's scratch env + child ids into the arena as a node.
-  inline unsigned freeze(struct Frame &F, unsigned NameId);
+  /// Freezes a frame's scratch env + child ids into the store as a node
+  /// of rule \p Rule.
+  inline uint32_t freeze(struct Frame &F, Symbol Name, RuleId Rule);
 
-  unsigned leaf(const unsigned char *Data, size_t Len, long long Off,
+  uint32_t leaf(const unsigned char *Data, size_t Len, long long Off,
                 bool Opaque) {
-    Node N;
-    N.Kind = Node::KLeaf;
-    N.C = this;
-    N.Data = Data;
-    N.Len = Len;
-    N.Off = Off;
-    N.Opaque = Opaque;
-    return add(N);
+    return S->makeLeaf(Data, Len, Off, Opaque);
   }
 
-  unsigned array(unsigned ElemNameId, const std::vector<unsigned> &Ids) {
-    Node N;
-    N.Kind = Node::KArray;
-    N.C = this;
-    N.NameId = ElemNameId;
-    N.Name = name(ElemNameId);
-    N.KidIds = A.copyArray(Ids.data(), Ids.size());
-    N.NumKids = static_cast<unsigned>(Ids.size());
-    return add(N);
+  uint32_t array(Symbol Elem, const std::vector<unsigned> &Ids) {
+    return S->makeArray(Elem, Ids.data(), static_cast<uint32_t>(Ids.size()));
   }
 
-  /// Lazy shifted view of a finished subtree (T-NTSucc): the frozen env
-  /// and child arrays are SHARED with the base node and only the delta is
-  /// recorded; start/end resolve shifted at read time (Node::getById).
-  /// A zero delta needs no view at all — the base node is its own view —
-  /// and shifting an existing view composes the deltas, so memoized
-  /// subtrees can be re-anchored under any number of parents without ever
-  /// copying an environment.
-  unsigned shifted(unsigned SubId, long long Delta) {
-    if (Delta == 0)
-      return SubId;
-    Node N = Objs[SubId]; // copy first: add() may grow the vector
-    N.Shift += Delta;
-    return add(N);
+  /// Lazy shifted view of a finished subtree (NodeStore::makeShifted).
+  uint32_t shifted(uint32_t SubId, long long Delta) {
+    return S->makeShifted(SubId, Delta);
   }
 
   /// The parent-side view of a finished subtree (childSpan defaults).
-  void childSpanOf(unsigned SubId, long long SubEoi, long long &BStart,
+  void childSpanOf(uint32_t SubId, long long SubEoi, long long &BStart,
                    long long &BEnd) const {
-    const Node &N = Objs[SubId];
-    long long S = 0, E = 0;
-    bool HasS = N.getById(IdStart, S);
-    bool HasE = N.getById(IdEnd, E);
-    childSpan(HasS, S, HasE, E, SubEoi, BStart, BEnd);
+    EnvView E = asNode(S->node(SubId))->env();
+    long long St = 0, En = 0;
+    bool HasS = E.get(IdStart, St);
+    bool HasE = E.get(IdEnd, En);
+    childSpan(HasS, St, HasE, En, SubEoi, BStart, BEnd);
   }
 
-  /// Leaf over an arena-owned copy of \p Data (blackbox output bytes,
-  /// whose lifetime ends with the callback's next invocation).
-  unsigned leafCopy(const unsigned char *Data, size_t Len, long long Off) {
-    return leaf(A.copyArray(Data, Len), Len, Off, /*Opaque=*/false);
-  }
-
-  /// The tree a successful blackbox term contributes, mirroring the
-  /// interpreter's execBlackbox byte for byte: attributes val/start/end
-  /// (an empty consumption reads as the untouched span [sub-EOI, 0) in
-  /// the parent's coordinates), plus one Leaf child copying any decoded
-  /// output. Counts as a frozen node, as in InterpStats::NodesCreated.
-  unsigned blackboxNode(unsigned NameId, unsigned ValId,
-                        const BlackboxOut &BB, long long Lo, long long Hi) {
-    AttrSlot S[3];
-    S[0] = AttrSlot{ValId, BB.Value};
-    if (BB.End > 0) {
-      S[1] = AttrSlot{IdStart, Lo};
-      S[2] = AttrSlot{IdEnd, Lo + BB.End};
-    } else {
-      S[1] = AttrSlot{IdStart, Hi - Lo};
-      S[2] = AttrSlot{IdEnd, Lo};
-    }
-    unsigned Kids[1] = {0};
-    unsigned NumKids = 0;
-    if (BB.OutputLen) {
-      Kids[0] = leafCopy(BB.Output, BB.OutputLen, 0);
-      NumKids = 1;
-    }
-    Node N;
-    N.Kind = Node::KNode;
-    N.C = this;
-    N.NameId = NameId;
-    N.Name = name(NameId);
-    N.Slots = A.copyArray(S, 3);
-    N.NumSlots = 3;
-    N.KidIds = A.copyArray(Kids, NumKids);
-    N.NumKids = NumKids;
-    N.Bb = true; // printTree re-encodes this node through the inverse hook
+  /// The tree a successful blackbox term contributes
+  /// (NodeStore::makeBlackboxNode, the host's builder too). Counts as a
+  /// frozen node, as in InterpStats::NodesCreated.
+  uint32_t blackboxNode(Symbol Name, const BlackboxOut &BB, long long Lo,
+                        long long Hi) {
     ++Frozen;
-    return add(N);
+    return S->makeBlackboxNode(Name, BB.Value, BB.End, BB.Output,
+                               BB.OutputLen, Lo, Hi);
   }
 
 private:
-  unsigned add(const Node &N) {
-    Objs.push_back(N);
-    return static_cast<unsigned>(Objs.size() - 1);
-  }
-
   struct BlackboxSlot {
-    unsigned NameId = 0;
+    Symbol Name = InvalidSymbol;
     BlackboxFn Fn = nullptr;
     void *User = nullptr;
     BlackboxInvFn InvFn = nullptr;
     void *InvUser = nullptr;
   };
 
-  BlackboxSlot &slotFor(unsigned NameId) {
-    for (BlackboxSlot &S : Blackboxes)
-      if (S.NameId == NameId)
-        return S;
+  BlackboxSlot &slotFor(Symbol Name) {
+    for (BlackboxSlot &B : Blackboxes)
+      if (B.Name == Name)
+        return B;
     Blackboxes.push_back(BlackboxSlot());
-    Blackboxes.back().NameId = NameId;
+    Blackboxes.back().Name = Name;
     return Blackboxes.back();
   }
 
-  Arena A;
-  std::vector<Node> Objs;
+  NodeStore *S = nullptr; ///< the caller's store of the parse in flight
   FlatIntervalMap<unsigned> Memo; ///< memoPack'd outcomes
 
   std::vector<BlackboxSlot> Blackboxes;
@@ -1112,7 +1528,7 @@ private:
   std::vector<Task> Steps;
   size_t ArrayNest = 0;
   bool Hard = false;
-  long long FailName = -1;
+  Symbol FailName = InvalidSymbol;
   long long FailOff = -1;
   size_t Frozen = 0;
   size_t Hits = 0;
@@ -1122,19 +1538,20 @@ private:
   const unsigned char *Base = nullptr;
   const char *const *NamesTab = nullptr;
   size_t NumNames = 0;
+  const Symbol *BbNames = nullptr;
 };
 
 /// Per-alternative execution state: the scratch environment E, the ids of
 /// already-built children, and per-term touch records — the generated twin
-/// of the interpreter's InterpState::Frame. Frames are pooled per
-/// recursion depth and reused across alternatives and parses.
+/// of the host's ParseScratch::Frame. Frames are pooled per recursion
+/// depth and reused across alternatives and parses.
 struct Frame {
   const unsigned char *Base = nullptr;
   size_t Lo = 0, Hi = 0; ///< local input = Base[Lo, Hi)
   Ctx *C = nullptr;
   Frame *Lexical = nullptr; ///< enclosing frame for where-clause rules
-  std::vector<AttrSlot> E;
-  SlotIndex EIx; ///< O(1) id -> E position, regenerated per alternative
+  std::vector<EnvSlot> E;
+  SlotIndex EIx; ///< O(1) symbol -> E position, regenerated per alternative
   /// start/end live in dedicated fields, not E slots: updStartEnd touches
   /// them on every byte-touching term, so the hottest two keys skip the
   /// index entirely. freeze() folds them back into the frozen env.
@@ -1175,12 +1592,11 @@ struct Frame {
 
   long long eoi() const { return static_cast<long long>(Hi - Lo); }
 
-  // Own-frame environment (updStartEnd's EnvT surface). Attribute ids are
-  // dense name-table indices, so a SlotIndex makes every get/set O(1)
-  // where attribute-heavy rules used to pay a linear scan per access;
-  // the two hottest ids (start/end) bypass even that through fields.
-  bool getAttr(unsigned Id, long long &Out) const {
-    if (Id <= IdEnd) {
+  // Own-frame environment (updStartEnd's EnvT surface). Attributes are
+  // grammar symbols, so a SlotIndex makes every get/set O(1); the two
+  // hottest symbols (start/end) bypass even that through fields.
+  bool getAttr(Symbol Id, long long &Out) const {
+    if (Id == IdStart || Id == IdEnd) {
       if (Id == IdStart ? !HasStart : !HasEnd)
         return false;
       Out = Id == IdStart ? StartV : EndV;
@@ -1189,25 +1605,25 @@ struct Frame {
     uint32_t I = 0;
     if (!EIx.lookup(Id, I))
       return false;
-    Out = E[I].V;
+    Out = E[I].Value;
     return true;
   }
-  void setAttr(unsigned Id, long long V) {
-    if (Id <= IdEnd) {
+  void setAttr(Symbol Id, long long V) {
+    if (Id == IdStart || Id == IdEnd) {
       (Id == IdStart ? HasStart : HasEnd) = true;
       (Id == IdStart ? StartV : EndV) = V;
       return;
     }
     uint32_t I = 0;
     if (EIx.lookup(Id, I)) {
-      E[I].V = V;
+      E[I].Value = V;
       return;
     }
     EIx.record(Id, static_cast<uint32_t>(E.size()));
-    E.push_back(AttrSlot{Id, V});
+    E.push_back(EnvSlot{Id, V});
   }
-  void eraseAttr(unsigned Id) {
-    if (Id <= IdEnd) {
+  void eraseAttr(Symbol Id) {
+    if (Id == IdStart || Id == IdEnd) {
       (Id == IdStart ? HasStart : HasEnd) = false;
       return;
     }
@@ -1217,37 +1633,52 @@ struct Frame {
     E.erase(E.begin() + static_cast<long>(I));
     EIx.forget(Id);
     for (uint32_t J = I; J < E.size(); ++J)
-      EIx.record(E[J].Id, J); // reseat the slots the erase slid down
+      EIx.record(E[J].Key, J); // reseat the slots the erase slid down
   }
 
   /// Lexical-chain attribute lookup (sigma of Figure 8).
-  bool attr(unsigned Id, long long &Out) const {
+  bool attr(Symbol Id, long long &Out) const {
     for (const Frame *F = this; F; F = F->Lexical)
       if (F->getAttr(Id, Out))
         return true;
     return false;
   }
 
-  /// Most recent child node named \p NameId along the lexical chain.
-  Node *findNode(unsigned NameId) const {
+  /// Most recent child node named \p Name along the lexical chain.
+  const NodeTree *findNode(Symbol Name) const {
     for (const Frame *F = this; F; F = F->Lexical)
-      for (size_t I = F->Kids.size(); I-- > 0;) {
-        Node *N = C->node(F->Kids[I]);
-        if (N->Kind == Node::KNode && N->NameId == NameId)
-          return N;
-      }
+      for (size_t I = F->Kids.size(); I-- > 0;)
+        if (const NodeTree *N = asNode(C->node(F->Kids[I])))
+          if (N->name() == Name)
+            return N;
     return nullptr;
   }
 
-  /// Most recent child array with elements named \p NameId.
-  Node *findArray(unsigned NameId) const {
+  /// Most recent child array with elements named \p Elem.
+  const ArrayTree *findArray(Symbol Elem) const {
     for (const Frame *F = this; F; F = F->Lexical)
-      for (size_t I = F->Kids.size(); I-- > 0;) {
-        Node *N = C->node(F->Kids[I]);
-        if (N->Kind == Node::KArray && N->NameId == NameId)
-          return N;
-      }
+      for (size_t I = F->Kids.size(); I-- > 0;)
+        if (const ArrayTree *A = asArray(C->node(F->Kids[I])))
+          if (A->elemName() == Elem)
+            return A;
     return nullptr;
+  }
+
+  /// `Nt.Attr`: the attribute of the most recent child node Nt.
+  bool ntAttr(Symbol Nt, Symbol Attr, long long &Out) const {
+    const NodeTree *N = findNode(Nt);
+    return N && N->env().get(Attr, Out);
+  }
+
+  /// `Nt(Index).Attr`: the attribute of element \p Index of the most
+  /// recent array of Nt.
+  bool elemAttr(Symbol Nt, long long Index, Symbol Attr,
+                long long &Out) const {
+    const ArrayTree *A = findArray(Nt);
+    if (!A || Index < 0 || static_cast<unsigned long long>(Index) >= A->size())
+      return false;
+    const NodeTree *N = A->element(static_cast<size_t>(Index));
+    return N && N->env().get(Attr, Out);
   }
 
   void rec(unsigned TermIdx, long long Start, long long End) {
@@ -1269,62 +1700,21 @@ inline Frame &Ctx::frameAt(size_t Depth) {
   return F;
 }
 
-inline unsigned Ctx::freeze(Frame &F, unsigned NameId) {
-  // Fold the frame's start/end fields back into the frozen env (the
-  // canonical dump sorts attributes, so their position is immaterial).
-  size_t Extra = (F.HasStart ? 1u : 0u) + (F.HasEnd ? 1u : 0u);
-  size_t Num = F.E.size() + Extra;
-  AttrSlot *Slots = nullptr;
-  if (Num) {
-    Slots = A.makeArray<AttrSlot>(Num);
-    if (!F.E.empty())
-      std::memcpy(Slots, F.E.data(), sizeof(AttrSlot) * F.E.size());
-    size_t At = F.E.size();
-    if (F.HasStart)
-      Slots[At++] = AttrSlot{IdStart, F.StartV};
-    if (F.HasEnd)
-      Slots[At++] = AttrSlot{IdEnd, F.EndV};
-  }
-  Node N;
-  N.Kind = Node::KNode;
-  N.C = this;
-  N.NameId = NameId;
-  N.Name = name(NameId);
-  N.Slots = Slots;
-  N.NumSlots = static_cast<unsigned>(Num);
-  N.KidIds = A.copyArray(F.Kids.data(), F.Kids.size());
-  N.NumKids = static_cast<unsigned>(F.Kids.size());
+inline uint32_t Ctx::freeze(Frame &F, Symbol Name, RuleId Rule) {
+  // Fold the frame's start/end fields into the frozen env for the copy
+  // (the canonical dump sorts attributes, so their position is
+  // immaterial), then drop them again: E's index never saw them.
+  const size_t Own = F.E.size();
+  if (F.HasStart)
+    F.E.push_back(EnvSlot{IdStart, F.StartV});
+  if (F.HasEnd)
+    F.E.push_back(EnvSlot{IdEnd, F.EndV});
+  uint32_t Id = S->makeNode(Name, Rule, F.E, F.Kids.data(),
+                            static_cast<uint32_t>(F.Kids.size()));
+  F.E.resize(Own);
   ++Frozen;
-  return add(N);
+  return Id;
 }
-
-inline size_t ChildView::size() const {
-  size_t Count = 0;
-  for (unsigned I = 0; I < N; ++I)
-    if (C->node(Ids[I])->Kind == Node::KNode)
-      ++Count;
-  return Count;
-}
-
-inline NodeRef ChildView::operator[](size_t I) const {
-  for (unsigned K = 0; K < N; ++K) {
-    Node *Kid = C->node(Ids[K]);
-    if (Kid->Kind == Node::KNode && I-- == 0)
-      return NodeRef{Kid};
-  }
-  return NodeRef{};
-}
-
-inline bool Node::get(const char *K, long long &Out) const {
-  for (unsigned I = 0; I < NumSlots; ++I)
-    if (C && !std::strcmp(C->name(Slots[I].Id), K)) {
-      Out = slotValue(I);
-      return true;
-    }
-  return false;
-}
-
-inline Node *Node::kid(size_t I) const { return C->node(KidIds[I]); }
 
 //===----------------------------------------------------------------------===//
 // The step machine: an explicit work-stack trampoline over resumable rule
@@ -1337,17 +1727,18 @@ inline Node *Node::kid(size_t I) const { return C->node(KidIds[I]); }
 
 /// Runs \p StartRule over [AbsLo, AbsHi) to completion. \p Fns is indexed
 /// by rule id (null for rules the machine never runs — the classifier
-/// guarantees step rules are entered only from here). Depth accounting
-/// matches the interpreter exactly: a push is refused (hard failure) once
-/// the stack already holds depthLimit() tasks, and the peak is noted
-/// after each push.
-inline bool runMachine(Ctx &C, const StepFn *Fns, const unsigned *NameIds,
+/// guarantees step rules are entered only from here) and \p RuleNames
+/// maps rule ids to their names for the failure diagnostics. Depth
+/// accounting matches the interpreter exactly: a push is refused (hard
+/// failure) once the stack already holds depthLimit() tasks, and the peak
+/// is noted after each push.
+inline bool runMachine(Ctx &C, const StepFn *Fns, const Symbol *RuleNames,
                        unsigned StartRule, size_t AbsLo, size_t AbsHi,
                        unsigned &Out) {
   std::vector<Task> &S = C.stepTasks();
   S.clear();
   if (static_cast<long long>(S.size()) >= C.depthLimit()) {
-    C.noteFail(NameIds[StartRule], static_cast<long long>(AbsLo));
+    C.noteFail(RuleNames[StartRule], static_cast<long long>(AbsLo));
     C.hardFail();
     return false;
   }
@@ -1365,7 +1756,7 @@ inline bool runMachine(Ctx &C, const StepFn *Fns, const unsigned *NameIds,
     }
     if (R == StepCall) {
       if (static_cast<long long>(S.size()) >= C.depthLimit()) {
-        C.noteFail(NameIds[T.CallRule], static_cast<long long>(T.CallLo));
+        C.noteFail(RuleNames[T.CallRule], static_cast<long long>(T.CallLo));
         C.hardFail();
         S.clear();
         return false;
@@ -1394,37 +1785,42 @@ inline bool runMachine(Ctx &C, const StepFn *Fns, const unsigned *NameIds,
 }
 
 //===----------------------------------------------------------------------===//
-// Canonical tree dump — the differential-testing contract. The interpreter
-// side (tests/differential_test.cpp) renders its ParseTree in exactly this
-// format; any byte difference is a semantic divergence.
+// Canonical tree dump — the differential-testing contract. The host side
+// (tests/TreeCanonical.h) renders trees in exactly this format through an
+// independent walk; any byte difference is a semantic divergence.
 //===----------------------------------------------------------------------===//
 
 /// Iterative preorder: tree depth equals grammar recursion depth, so a
-/// megabyte-deep linear spine must not recurse on the C stack here either.
-inline void dumpTreeInto(const Node *Root, int Indent, std::string &Out) {
-  std::vector<std::pair<const Node *, int>> Stack;
+/// megabyte-deep linear spine must not recurse on the C stack here
+/// either. \p Names spells symbols (Names[Symbol]).
+inline void dumpTreeInto(const ParseTree *Root, const char *const *Names,
+                         size_t NumNames, int Indent, std::string &Out) {
+  auto Name = [&](Symbol S) { return S < NumNames ? Names[S] : "?"; };
+  std::vector<std::pair<const ParseTree *, int>> Stack;
   Stack.emplace_back(Root, Indent);
   std::vector<std::pair<std::string, long long>> Attrs;
   while (!Stack.empty()) {
-    const Node *N = Stack.back().first;
+    const ParseTree *T = Stack.back().first;
     int Ind = Stack.back().second;
     Stack.pop_back();
     Out.append(static_cast<size_t>(Ind) * 2, ' ');
-    switch (N->Kind) {
-    case Node::KLeaf:
-      Out += "Leaf off=" + std::to_string(N->Off) +
-             " len=" + std::to_string(N->Len) +
-             " opaque=" + (N->Opaque ? "1" : "0") + "\n";
+    ChildList Kids;
+    if (const LeafTree *L = asLeaf(T)) {
+      Out += "Leaf off=" + std::to_string(L->offset()) +
+             " len=" + std::to_string(L->length()) +
+             " opaque=" + (L->isOpaque() ? "1" : "0") + "\n";
       continue;
-    case Node::KArray:
-      Out += "Array " + std::string(N->Name) + " x" +
-             std::to_string(N->NumKids) + "\n";
-      break;
-    case Node::KNode: {
-      Out += "Node " + std::string(N->Name) + " {";
+    }
+    if (const ArrayTree *A = asArray(T)) {
+      Out += "Array " + std::string(Name(A->elemName())) + " x" +
+             std::to_string(A->size()) + "\n";
+      Kids = A->elements();
+    } else {
+      const NodeTree *N = asNode(T);
+      Out += "Node " + std::string(Name(N->name())) + " {";
       Attrs.clear();
-      for (unsigned I = 0; I < N->NumSlots; ++I)
-        Attrs.emplace_back(N->C->name(N->Slots[I].Id), N->slotValue(I));
+      for (EnvSlot Slot : N->env())
+        Attrs.emplace_back(Name(Slot.Key), Slot.Value);
       std::sort(Attrs.begin(), Attrs.end());
       for (size_t I = 0; I < Attrs.size(); ++I) {
         if (I)
@@ -1432,100 +1828,25 @@ inline void dumpTreeInto(const Node *Root, int Indent, std::string &Out) {
         Out += Attrs[I].first + "=" + std::to_string(Attrs[I].second);
       }
       Out += "}\n";
-      break;
+      Kids = N->children();
     }
-    }
-    for (unsigned I = N->NumKids; I-- > 0;)
-      Stack.emplace_back(N->kid(I), Ind + 1);
+    for (size_t I = Kids.size(); I-- > 0;)
+      Stack.emplace_back(Kids[I].get(), Ind + 1);
   }
 }
 
-inline std::string dumpTree(const Node *Root) {
+inline std::string dumpTree(const ParseTree *Root, const char *const *Names,
+                            size_t NumNames) {
   std::string Out;
   if (Root)
-    dumpTreeInto(Root, 0, Out);
+    dumpTreeInto(Root, Names, NumNames, 0, Out);
   return Out;
 }
 
 //===----------------------------------------------------------------------===//
-// Cross-module tree extraction. GenEngine (codegen/GenEngine.cpp) compiles
-// a generated parser into a shared object and dlopens it; the parsed tree
-// must then cross the .so boundary WITHOUT the host dereferencing the
-// module's Node structures (two separately compiled translation units
-// should share as little layout as possible). The walk therefore runs
-// INSIDE the emitting module — visitTree below is embedded with the rest
-// of this header — and streams the tree through the C-style callback
-// table TreeVisitorC, whose layout (plain function pointers + AttrSlot,
-// both standard-layout) is the entire cross-module contract.
-//===----------------------------------------------------------------------===//
-
-/// Callback table for visitTree. Attribute slots arrive RAW (base-local
-/// coordinates); the node's lazy T-NTSucc delta is delivered separately
-/// as \p Shift, so a host rebuilding the tree can reproduce the shared-
-/// base-plus-view structure (or eagerly apply the shift — its choice).
-/// \p IsBlackbox mirrors Node::Bb: such a node's leaf child carries
-/// DECODED bytes living in the module's arena, which the host must copy
-/// (ordinary leaves alias the parsed input buffer, which the host owns).
-struct TreeVisitorC {
-  void *User = nullptr;
-  void (*BeginNode)(void *User, unsigned NameId, long long Shift,
-                    int IsBlackbox, const AttrSlot *Slots,
-                    unsigned NumSlots) = nullptr;
-  void (*EndNode)(void *User) = nullptr;
-  void (*BeginArray)(void *User, unsigned ElemNameId,
-                     unsigned NumElems) = nullptr;
-  void (*EndArray)(void *User) = nullptr;
-  void (*Leaf)(void *User, const unsigned char *Data,
-               unsigned long long Len, long long Off, int Opaque) = nullptr;
-};
-
-/// Streams \p N depth-first through \p V (children between Begin/End).
-/// Shared subtrees (memoized nodes re-anchored under several parents as
-/// lazy views) are visited once per occurrence — the stream is the tree
-/// AS OBSERVED, exactly what the canonical dump renders.
-inline void visitTree(const Node *Root, const TreeVisitorC &V) {
-  // Iterative with an explicit cursor per level (Begin/End events bracket
-  // the children): tree depth equals grammar recursion depth, which may
-  // be far beyond what the C stack holds.
-  struct Item {
-    const Node *N;
-    unsigned NextKid;
-  };
-  std::vector<Item> Stack;
-  Stack.push_back(Item{Root, 0});
-  while (!Stack.empty()) {
-    Item &It = Stack.back();
-    const Node *N = It.N;
-    if (It.NextKid == 0) {
-      if (N->Kind == Node::KLeaf) {
-        V.Leaf(V.User, N->Data, N->Len, N->Off, N->Opaque ? 1 : 0);
-        Stack.pop_back();
-        continue;
-      }
-      if (N->Kind == Node::KArray)
-        V.BeginArray(V.User, N->NameId, N->NumKids);
-      else
-        V.BeginNode(V.User, N->NameId, N->Shift, N->Bb ? 1 : 0, N->Slots,
-                    N->NumSlots);
-    }
-    if (It.NextKid < N->NumKids) {
-      unsigned K = It.NextKid++;
-      Stack.push_back(Item{N->kid(K), 0}); // invalidates It
-      continue;
-    }
-    if (N->Kind == Node::KArray)
-      V.EndArray(V.User);
-    else
-      V.EndNode(V.User);
-    Stack.pop_back();
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Print coverage kernel — the byte bookkeeping of BOTH tree printers
-// (serialize/Printer.cpp on host trees, TreePrinter below on generated
-// ones), so the two cannot drift on what a gap, an overlap or a
-// disagreement is.
+// Print coverage kernel — the byte bookkeeping of the tree print walk
+// below, which both serialize::printTree and generated parsers' printTree
+// run.
 //===----------------------------------------------------------------------===//
 
 /// The output buffer of one print plus which of its bytes a leaf has
@@ -1700,19 +2021,200 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// Tree serializer — the generated twin of serialize/Printer.cpp, embedded
-// into every generated parser so both execution modes can prove
-// parse(print(tree)) round-trips. The walk runs T-NTSucc's coordinate
-// model backwards: each child edge contributes its lazy Shift delta, the
-// accumulated origin places every leaf absolutely, leaves copy their
-// zero-copy windows, and blackbox nodes (Node::Bb) re-emit their consumed
-// window through the inverse hook (Ctx::callBlackboxInverse). Overlapping
+// Tree print walk — the inverse of parsing, shared by serialize::printTree
+// (host-held trees) and the printTree every generated parser exports. The
+// walk runs T-NTSucc's coordinate model backwards: each child edge
+// contributes its lazy shift delta, the accumulated origin places every
+// leaf absolutely, leaves copy their zero-copy windows, and blackbox nodes
+// re-emit their consumed window through an inverse hook. Overlapping
 // writes (memoized subtrees re-anchored under several parents) must agree
-// byte-for-byte; uncovered bytes are gaps — fatal in strict mode, filled
-// from a caller-supplied background otherwise. Both checks live in the
-// shared PrintCoverage kernel above.
+// byte for byte; uncovered bytes are gaps. Both checks live in
+// PrintCoverage above.
 //===----------------------------------------------------------------------===//
 
+/// What a print span covers (serialize::PrintSpan::Kind is this type).
+enum class SpanKind : uint8_t { Node, Blackbox, Leaf, Hole };
+
+/// The print walk over one tree. \p Hooks supplies what differs between
+/// the two printers:
+///
+///   bool isBlackbox(Symbol Name) const;  which nodes re-encode
+///   std::string name(Symbol S) const;    spelling for diagnostics
+///   bool encode(Symbol Name, const uint8_t *Decoded, size_t Len,
+///               int64_t Value, const uint8_t *&Out, size_t &OutLen,
+///               std::string &Err);       the blackbox inverse
+///   bool spans() const;                  whether span() wants calls
+///   void span(SpanKind K, Symbol Name, int64_t Lo, int64_t Hi,
+///             uint32_t Depth);           one placed tree object
+///
+/// run() writes every leaf into the coverage; the caller closes the
+/// print with PrintCoverage::finish. The walk is iterative, so printing a
+/// tree from a loop-flattened or machine-executed deep parse never
+/// consumes C stack proportional to its depth.
+template <class Hooks> class PrintWalk {
+public:
+  PrintWalk(Hooks &H, PrintCoverage &Cov) : H(H), Cov(Cov) {}
+
+  size_t BlackboxBytes = 0; ///< bytes the blackbox inverses produced
+
+  /// The diagnostic of a failed run().
+  const std::string &error() const { return Err; }
+
+  bool run(const ParseTree &Root) {
+    if (const NodeTree *N = asNode(&Root))
+      // The root's base frame is the whole input; a root handed over as
+      // a shifted view would re-anchor it elsewhere, which no engine
+      // produces (a parse returns the unshifted rule result).
+      return walk(*N, /*RootOrigin=*/N->shift());
+    if (const LeafTree *L = asLeaf(&Root))
+      return writeLeaf(*L, 0, 0);
+    return fail("cannot print a bare array root");
+  }
+
+  bool fail(std::string Msg) {
+    Err = std::move(Msg);
+    return false;
+  }
+
+private:
+  Hooks &H;
+  PrintCoverage &Cov;
+  std::string Err;
+
+  /// One pending visit: a leaf to write or a node to expand. For nodes
+  /// BaseOrigin is the absolute position of the node's base-local frame
+  /// origin (parent origin + that edge's shift delta); for leaves it is
+  /// the enclosing node's origin, which leaf offsets are relative to.
+  struct Item {
+    const ParseTree *T;
+    int64_t BaseOrigin;
+    uint32_t Depth;
+  };
+  std::vector<Item> Work;
+
+  /// The node-local value of attribute \p S: env() resolves the view
+  /// shift on top of the frozen base-local slots, so subtracting the
+  /// shift recovers the frame leaf offsets and child shifts are relative
+  /// to.
+  static std::optional<int64_t> localAttr(const NodeTree &N, Symbol S,
+                                          int64_t Shift) {
+    std::optional<int64_t> V = N.attr(S);
+    if (!V)
+      return std::nullopt;
+    return *V - Shift;
+  }
+
+  bool writeBytes(int64_t Abs, const uint8_t *Data, size_t Len) {
+    return Cov.write(Abs, Data, Len) || fail(Cov.error());
+  }
+
+  bool writeLeaf(const LeafTree &L, int64_t BaseOrigin, uint32_t Depth) {
+    int64_t Abs = BaseOrigin + L.offset();
+    if (H.spans() && L.length() > 0)
+      H.span(L.isHole() ? SpanKind::Hole : SpanKind::Leaf, L.holeRule(), Abs,
+             Abs + static_cast<int64_t>(L.length()), Depth);
+    return writeBytes(Abs,
+                      reinterpret_cast<const uint8_t *>(L.bytes().data()),
+                      L.length());
+  }
+
+  /// A blackbox node re-emits its consumed window [start, end) through
+  /// the inverse instead of copying children: its only child is the
+  /// DECODED output leaf, whose bytes never appeared in the input.
+  bool writeBlackbox(const NodeTree &N, int64_t BaseOrigin) {
+    int64_t Shift = N.shift();
+    std::optional<int64_t> S = localAttr(N, IdStart, Shift);
+    std::optional<int64_t> E = localAttr(N, IdEnd, Shift);
+    std::optional<int64_t> V = N.attr(IdVal); // val is coordinate-free
+    if (!S || !E || !V)
+      return fail("blackbox node '" + H.name(N.name()) +
+                  "' lacks val/start/end attributes");
+
+    const uint8_t *Decoded = nullptr;
+    size_t DecodedLen = 0;
+    for (TreeRef C : N.children())
+      if (const LeafTree *L = asLeaf(C.get())) {
+        Decoded = reinterpret_cast<const uint8_t *>(L->bytes().data());
+        DecodedLen = L->length();
+      }
+
+    if (*E <= *S) {
+      // The untouched encoding ([sub-EOI, 0)): the blackbox consumed no
+      // bytes, so there is nothing to re-emit — unless it also claims
+      // decoded output, which zero input bytes cannot carry.
+      if (DecodedLen)
+        return fail("blackbox node '" + H.name(N.name()) +
+                    "' consumed no bytes but has decoded output");
+      return true;
+    }
+
+    const uint8_t *Enc = nullptr;
+    size_t EncLen = 0;
+    if (!H.encode(N.name(), Decoded, DecodedLen, *V, Enc, EncLen, Err))
+      return false;
+    if (static_cast<int64_t>(EncLen) != *E - *S)
+      return fail("blackbox inverse '" + H.name(N.name()) + "' produced " +
+                  std::to_string(EncLen) + " bytes for a window of " +
+                  std::to_string(*E - *S));
+    BlackboxBytes += EncLen;
+    return writeBytes(BaseOrigin + *S, Enc, EncLen);
+  }
+
+  /// Pre-order DFS with an explicit stack: the visit order (and span
+  /// order and depths) of the natural recursion, but depth-free.
+  bool walk(const NodeTree &Root, int64_t RootOrigin) {
+    Work.clear();
+    Work.push_back(Item{&Root, RootOrigin, 0});
+    while (!Work.empty()) {
+      Item It = Work.back();
+      Work.pop_back();
+      if (const LeafTree *L = asLeaf(It.T)) {
+        if (!writeLeaf(*L, It.BaseOrigin, It.Depth))
+          return false;
+        continue;
+      }
+      const NodeTree &N = *asNode(It.T);
+      bool IsBlackbox = H.isBlackbox(N.name());
+      if (H.spans()) {
+        std::optional<int64_t> S = localAttr(N, IdStart, N.shift());
+        std::optional<int64_t> E = localAttr(N, IdEnd, N.shift());
+        if (S && E && *E > *S)
+          H.span(IsBlackbox ? SpanKind::Blackbox : SpanKind::Node, N.name(),
+                 It.BaseOrigin + *S, It.BaseOrigin + *E, It.Depth);
+      }
+      if (IsBlackbox) {
+        if (!writeBlackbox(N, It.BaseOrigin))
+          return false;
+        continue;
+      }
+      // Queue the children, then reverse that slice so the LIFO pop
+      // visits them in source order.
+      size_t Mark = Work.size();
+      for (TreeRef C : N.children()) {
+        if (const NodeTree *Sub = asNode(C.get())) {
+          Work.push_back(
+              Item{Sub, It.BaseOrigin + Sub->shift(), It.Depth + 1});
+        } else if (const ArrayTree *A = asArray(C.get())) {
+          // Array objects carry no shift of their own: element views are
+          // shifted relative to the frame that executed the for-term —
+          // this node's base frame.
+          for (TreeRef El : A->elements()) {
+            const NodeTree *Elem = asNode(El.get());
+            Work.push_back(
+                Item{Elem, It.BaseOrigin + Elem->shift(), It.Depth + 1});
+          }
+        } else {
+          Work.push_back(Item{C.get(), It.BaseOrigin, It.Depth + 1});
+        }
+      }
+      std::reverse(Work.begin() + static_cast<std::ptrdiff_t>(Mark),
+                   Work.end());
+    }
+    return true;
+  }
+};
+
+/// The print surface of generated parsers (Parser::printTree).
 struct PrintOptions {
   /// Fail on any uncovered byte. When false, gaps fill from Background
   /// (whose length fixes the output size).
@@ -1730,161 +2232,102 @@ struct PrintOut {
   std::string Error; ///< set when printTree returns false
 };
 
-class TreePrinter {
-public:
-  TreePrinter(const PrintOptions &O, PrintOut &R)
-      : O(O), R(R), Cov(R.Bytes, O.Strict ? 0 : O.BackgroundLen) {}
+/// PrintWalk hooks of generated parsers: the blackbox names and the
+/// inverses registered on the Ctx that parsed the tree.
+struct CtxPrintHooks {
+  const Ctx &C;
 
-  /// Prints \p Root; the counters land in R whether or not it succeeds.
-  bool run(const Node *Root) {
-    bool Ok = walkRoot(Root);
-    R.CoveredBytes = Cov.CoveredBytes;
-    R.OverlapBytes = Cov.OverlapBytes;
-    R.GapBytes = Cov.GapBytes;
-    return Ok;
-  }
-
-private:
-  const PrintOptions &O;
-  PrintOut &R;
-  PrintCoverage Cov;
-
-  bool fail(const std::string &Msg) {
-    R.Error = Msg;
-    return false;
-  }
-
-  bool walkRoot(const Node *Root) {
-    if (!Root)
-      return fail("cannot print a null tree");
-    if (Root->Kind == Node::KArray)
-      return fail("cannot print a bare array root");
-    if (Root->Kind == Node::KLeaf)
-      return writeBytes(Root->Off, Root->Data, Root->Len);
-    if (!walkNode(Root, Root->Shift))
-      return false;
-    if (!Cov.finish(O.Strict, O.Background, O.BackgroundLen, ""))
-      return fail(Cov.error());
-    return true;
-  }
-
-  bool writeBytes(long long Abs, const unsigned char *Data, size_t Len) {
-    return Cov.write(Abs, Data, Len) || fail(Cov.error());
-  }
-
-  /// Raw (base-local) start/end of \p N: the frozen slots hold base
-  /// coordinates; Shift maps them into the parent frame, which is not
-  /// the frame leaf offsets under N live in.
-  static bool localSpan(const Node *N, long long &S, long long &E) {
-    bool HasS = false, HasE = false;
-    for (unsigned I = 0; I < N->NumSlots; ++I) {
-      if (N->Slots[I].Id == IdStart) {
-        S = N->Slots[I].V;
-        HasS = true;
-      } else if (N->Slots[I].Id == IdEnd) {
-        E = N->Slots[I].V;
-        HasE = true;
-      }
-    }
-    return HasS && HasE;
-  }
-
-  bool writeBlackbox(const Node *N, long long BaseOrigin) {
-    long long S = 0, E = 0, Val = 0;
-    bool HasVal = false;
-    for (unsigned I = 0; I < N->NumSlots; ++I)
-      if (N->Slots[I].Id != IdStart && N->Slots[I].Id != IdEnd) {
-        Val = N->Slots[I].V;
-        HasVal = true;
-      }
-    std::string Name(N->Name ? N->Name : "?");
-    if (!localSpan(N, S, E) || !HasVal)
-      return fail("blackbox node '" + Name +
-                  "' lacks val/start/end attributes");
-
-    const unsigned char *Decoded = nullptr;
-    size_t DecodedLen = 0;
-    for (unsigned I = 0; I < N->NumKids; ++I) {
-      const Node *K = N->kid(I);
-      if (K->Kind == Node::KLeaf) {
-        Decoded = K->Data;
-        DecodedLen = K->Len;
-      }
-    }
-
-    if (E <= S) {
-      // Untouched encoding ([sub-EOI, 0)): nothing was consumed.
-      if (DecodedLen)
-        return fail("blackbox node '" + Name +
-                    "' consumed no bytes but has decoded output");
-      return true;
-    }
-
+  bool isBlackbox(Symbol S) const { return C.isBlackbox(S); }
+  std::string name(Symbol S) const { return C.name(S); }
+  bool encode(Symbol S, const uint8_t *Decoded, size_t Len, int64_t Value,
+              const uint8_t *&Out, size_t &OutLen, std::string &Err) const {
     BlackboxEncOut Enc;
-    if (!N->C->callBlackboxInverse(N->NameId, Decoded, DecodedLen, Val,
-                                   Enc))
-      return fail("blackbox inverse '" + Name +
-                  "' is not registered or failed");
-    if (static_cast<long long>(Enc.Len) != E - S)
-      return fail("blackbox inverse '" + Name + "' produced " +
-                  std::to_string(Enc.Len) + " bytes for a window of " +
-                  std::to_string(E - S));
-    R.BlackboxBytes += Enc.Len;
-    return writeBytes(BaseOrigin + S, Enc.Data, Enc.Len);
-  }
-
-  /// \p BaseOrigin: absolute position of N's base-local frame origin
-  /// (parent origin + this edge's Shift). Iterative preorder (children
-  /// pushed reversed to keep the left-to-right write order): tree depth
-  /// equals grammar recursion depth, which may be far beyond what the C
-  /// stack holds.
-  bool walkNode(const Node *Root, long long RootOrigin) {
-    std::vector<std::pair<const Node *, long long>> Stack;
-    Stack.emplace_back(Root, RootOrigin);
-    while (!Stack.empty()) {
-      const Node *N = Stack.back().first;
-      long long BaseOrigin = Stack.back().second;
-      Stack.pop_back();
-      if (N->Bb) {
-        if (!writeBlackbox(N, BaseOrigin))
-          return false;
-        continue;
-      }
-      if (N->Kind == Node::KLeaf) {
-        if (!writeBytes(BaseOrigin + N->Off, N->Data, N->Len))
-          return false;
-        continue;
-      }
-      for (unsigned I = N->NumKids; I-- > 0;) {
-        const Node *K = N->kid(I);
-        switch (K->Kind) {
-        case Node::KLeaf:
-          // Deferred like the node children so writes stay in DFS order.
-          Stack.emplace_back(K, BaseOrigin);
-          break;
-        case Node::KNode:
-          Stack.emplace_back(K, BaseOrigin + K->Shift);
-          break;
-        case Node::KArray:
-          // Arrays carry no shift of their own; element views are shifted
-          // relative to this node's base frame.
-          for (unsigned J = K->NumKids; J-- > 0;)
-            Stack.emplace_back(K->kid(J), BaseOrigin + K->kid(J)->Shift);
-          break;
-        }
-      }
+    if (!C.callBlackboxInverse(S, Decoded, Len, Value, Enc)) {
+      Err = "blackbox inverse '" + name(S) + "' is not registered or failed";
+      return false;
     }
+    Out = Enc.Data;
+    OutLen = Enc.Len;
     return true;
   }
+  bool spans() const { return false; }
+  void span(SpanKind, Symbol, int64_t, int64_t, uint32_t) {}
 };
 
 /// Serializes \p Root back into bytes; false leaves the diagnostic in
-/// \p R.Error. Blackbox formats must have registered inverses
-/// (Parser::registerBlackboxInverse) for every blackbox the tree reached.
-inline bool printTree(const Node *Root, const PrintOptions &O,
-                      PrintOut &R) {
-  return TreePrinter(O, R).run(Root);
+/// \p R.Error (the counters land in \p R either way). Blackbox trees need
+/// an inverse registered on \p C for every blackbox the tree reached.
+inline bool printTree(const ParseTree *Root, const PrintOptions &O,
+                      PrintOut &R, const Ctx &C) {
+  PrintCoverage Cov(R.Bytes, O.Strict ? 0 : O.BackgroundLen);
+  CtxPrintHooks H{C};
+  PrintWalk<CtxPrintHooks> W(H, Cov);
+  bool Ok = Root ? W.run(*Root) : W.fail("cannot print a null tree");
+  Ok = Ok && (Cov.finish(O.Strict, O.Background, O.BackgroundLen, "") ||
+              W.fail(Cov.error()));
+  R.CoveredBytes = Cov.CoveredBytes;
+  R.OverlapBytes = Cov.OverlapBytes;
+  R.GapBytes = Cov.GapBytes;
+  R.BlackboxBytes = W.BlackboxBytes;
+  if (!Ok)
+    R.Error = W.error();
+  return Ok;
 }
+
+//===----------------------------------------------------------------------===//
+// Layout guard. A host that runs a generated parser hands the module its
+// NodeStore and reads the tree the module built in place, so both sides
+// must agree on the layout of every type above that crosses the boundary
+// — and they may be built by different compilers. Each side hashes the
+// sizeof/offsetof values of those types; the module exports its hash
+// (ipg_mod_layout) and the host refuses a module whose hash differs.
+//===----------------------------------------------------------------------===//
+
+#if defined(__GNUC__) || defined(__clang__)
+#pragma GCC diagnostic push
+// The tree forms derive from ParseTree, so they are not standard-layout;
+// both GCC and Clang compute offsetof for them all the same.
+#pragma GCC diagnostic ignored "-Winvalid-offsetof"
+#endif
+
+struct Layout {
+  static constexpr uint64_t hash() {
+    const uint64_t Values[] = {
+        sizeof(EnvSlot), offsetof(EnvSlot, Key), offsetof(EnvSlot, Value),
+        sizeof(Arena), offsetof(Arena, Blocks), offsetof(Arena, Current),
+        offsetof(Arena, Cur), offsetof(Arena, End),
+        offsetof(Arena, NextBlockSize), offsetof(Arena, TotalAllocated),
+        sizeof(Arena::Block), offsetof(Arena::Block, Memory),
+        offsetof(Arena::Block, Size), sizeof(std::vector<Arena::Block>),
+        sizeof(ParseTree), offsetof(ParseTree, K),
+        sizeof(NodeTree), alignof(NodeTree), offsetof(NodeTree, Owner),
+        offsetof(NodeTree, Name), offsetof(NodeTree, Rule),
+        offsetof(NodeTree, Slots), offsetof(NodeTree, NumSlots),
+        offsetof(NodeTree, ChildIds), offsetof(NodeTree, NumChildren),
+        offsetof(NodeTree, Shift),
+        sizeof(ArrayTree), offsetof(ArrayTree, Owner),
+        offsetof(ArrayTree, Elem), offsetof(ArrayTree, ElemIds),
+        offsetof(ArrayTree, NumElems),
+        sizeof(LeafTree), offsetof(LeafTree, Data),
+        offsetof(LeafTree, Length), offsetof(LeafTree, Offset),
+        offsetof(LeafTree, Opaque), offsetof(LeafTree, Hole),
+        sizeof(NodeStore), offsetof(NodeStore, Mem),
+        offsetof(NodeStore, Nodes), sizeof(std::vector<const ParseTree *>),
+        sizeof(std::max_align_t)};
+    uint64_t H = 0xcbf29ce484222325ull; // FNV-1a over the values
+    for (uint64_t V : Values)
+      H = (H ^ V) * 0x100000001b3ull;
+    return H;
+  }
+};
+
+#if defined(__GNUC__) || defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+/// The layout hash of the shared tree types as this compiler lays them
+/// out.
+inline constexpr uint64_t layoutHash() { return Layout::hash(); }
 
 } // namespace ipg_rt
 

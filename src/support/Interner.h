@@ -14,6 +14,8 @@
 #ifndef IPG_SUPPORT_INTERNER_H
 #define IPG_SUPPORT_INTERNER_H
 
+#include "support/GenRuntime.h"
+
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -23,9 +25,10 @@
 
 namespace ipg {
 
-/// An interned identifier. Symbol 0 is reserved as the invalid symbol.
-using Symbol = uint32_t;
-inline constexpr Symbol InvalidSymbol = 0;
+/// An interned identifier (the ipg_rt::Symbol every tree carries). Symbol
+/// 0 is reserved as the invalid symbol.
+using ipg_rt::InvalidSymbol;
+using ipg_rt::Symbol;
 
 /// Bidirectional name <-> Symbol table. Owned by a Grammar; all Symbols in
 /// one grammar refer to its interner.

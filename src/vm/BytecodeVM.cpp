@@ -960,4 +960,4 @@ Expected<TreePtr> BytecodeVM::parse(ByteSpan Input, Symbol StartNT) {
                              Input, StartNT, Quick, QuickDigits);
 }
 
-bool BytecodeVM::adoptStore(TreeStore *Store) { return S->adopt(Store); }
+bool BytecodeVM::adoptStore(TreeStore *Store) { return S->Stores.adopt(Store); }

@@ -7,18 +7,20 @@
 ///
 /// \file
 /// Lifetime and reuse rules of the runtime's memory layer: Arena pointer
-/// stability across block growth and reset/reuse semantics, TreeStore node
-/// stability and recycling through Interp, zero-copy leaf aliasing, and
+/// stability across block growth and reset/reuse semantics, tree store
+/// node stability, lazy shifted views and recycling through Interp,
+/// zero-copy leaf aliasing, and
 /// the FlatIntervalMap's collision and tombstone behavior under adversarial
 /// interval patterns.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/AttributeCheck.h"
+#include "runtime/Env.h"
 #include "runtime/Interp.h"
-#include "support/Arena.h"
 #include "support/Casting.h"
 #include "support/FlatHash.h"
+#include "support/GenRuntime.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -31,6 +33,7 @@
 #include <vector>
 
 using namespace ipg;
+using ipg_rt::Arena;
 
 //===----------------------------------------------------------------------===//
 // Arena
@@ -108,8 +111,7 @@ TEST(TreeStoreTest, NodesStableAcrossGrowth) {
   E.set(/*Symbol=*/1, 42);
   std::vector<const ParseTree *> Made;
   for (int I = 0; I < 2000; ++I) {
-    uint32_t Id = Store.makeNode(/*Name=*/7, /*Rule=*/0, E, nullptr,
-                                 nullptr, 0);
+    uint32_t Id = Store.makeNode(/*Name=*/7, /*Rule=*/0, E, nullptr, 0);
     EXPECT_EQ(Id, static_cast<uint32_t>(I));
     Made.push_back(Store.node(Id));
   }
@@ -127,28 +129,28 @@ TEST(TreeStoreTest, ResetReusesMemory) {
   Env E;
   E.set(1, 5);
   for (int I = 0; I < 500; ++I)
-    Store.makeNode(3, 0, E, nullptr, nullptr, 0);
+    Store.makeNode(3, 0, E, nullptr, 0);
   size_t Reserved = Store.arenaBytesReserved();
   Store.reset();
   EXPECT_EQ(Store.nodeCount(), 0u);
   for (int I = 0; I < 500; ++I)
-    Store.makeNode(3, 0, E, nullptr, nullptr, 0);
+    Store.makeNode(3, 0, E, nullptr, 0);
   EXPECT_EQ(Store.arenaBytesReserved(), Reserved);
 }
 
 TEST(TreeStoreTest, ShiftedNodeSharesChildrenAndShiftsOnlyStartEnd) {
   TreeStore Store;
-  const Symbol SymStart = 100, SymEnd = 101, SymOther = 102;
+  const Symbol SymStart = ipg_rt::IdStart, SymEnd = ipg_rt::IdEnd,
+               SymOther = 102;
   uint32_t Leaf = Store.makeLeafCopy("ab", 2, 0);
   uint32_t Kids[1] = {Leaf};
-  uint32_t Terms[1] = {0};
   Env E;
   E.set(SymStart, 1);
   E.set(SymEnd, 3);
   E.set(SymOther, 9);
-  uint32_t Base = Store.makeNode(5, 0, E, Kids, Terms, 1);
+  uint32_t Base = Store.makeNode(5, 0, E, Kids, 1);
   const auto *N = cast<NodeTree>(Store.node(Base));
-  uint32_t Shifted = Store.makeShifted(Base, 10, SymStart, SymEnd);
+  uint32_t Shifted = Store.makeShifted(Base, 10);
   ASSERT_NE(Shifted, Base);
   const auto *S = cast<NodeTree>(Store.node(Shifted));
   EXPECT_EQ(S->attr(SymStart), 11);
@@ -172,22 +174,22 @@ TEST(TreeStoreTest, ShiftedNodeSharesChildrenAndShiftsOnlyStartEnd) {
 
 TEST(TreeStoreTest, ShiftedViewsNestAndAliasWithoutCopying) {
   TreeStore Store;
-  const Symbol SymStart = 100, SymEnd = 101;
+  const Symbol SymStart = ipg_rt::IdStart, SymEnd = ipg_rt::IdEnd;
   Env E;
   E.set(SymStart, 1);
   E.set(SymEnd, 3);
-  uint32_t Base = Store.makeNode(5, 0, E, nullptr, nullptr, 0);
+  uint32_t Base = Store.makeNode(5, 0, E, nullptr, 0);
   const auto *N = cast<NodeTree>(Store.node(Base));
 
   // A zero delta needs no view object at all: the base is its own view.
-  EXPECT_EQ(Store.makeShifted(Base, 0, SymStart, SymEnd), Base);
+  EXPECT_EQ(Store.makeShifted(Base, 0), Base);
 
   // Aliasing: many parents re-anchor one memoized node at different
   // offsets; each view resolves independently, the base never changes.
-  uint32_t AtFiveId = Store.makeShifted(Base, 5, SymStart, SymEnd);
+  uint32_t AtFiveId = Store.makeShifted(Base, 5);
   const auto *AtFive = cast<NodeTree>(Store.node(AtFiveId));
   const auto *AtNine = cast<NodeTree>(
-      Store.node(Store.makeShifted(Base, 9, SymStart, SymEnd)));
+      Store.node(Store.makeShifted(Base, 9)));
   EXPECT_EQ(AtFive->attr(SymStart), 6);
   EXPECT_EQ(AtNine->attr(SymStart), 10);
   EXPECT_EQ(N->attr(SymStart), 1);
@@ -195,7 +197,7 @@ TEST(TreeStoreTest, ShiftedViewsNestAndAliasWithoutCopying) {
   // Deep nesting: a view whose base is itself a shifted view composes
   // the deltas (lazily — no env is ever copied).
   const auto *Nested = cast<NodeTree>(
-      Store.node(Store.makeShifted(AtFiveId, 100, SymStart, SymEnd)));
+      Store.node(Store.makeShifted(AtFiveId, 100)));
   EXPECT_EQ(Nested->attr(SymStart), 106);
   EXPECT_EQ(Nested->attr(SymEnd), 108);
 
@@ -212,20 +214,21 @@ TEST(TreeStoreTest, ShiftedViewsNestAndAliasWithoutCopying) {
 
 TEST(TreeStoreTest, ComposedShiftChainsResolveAtDepthThreePlus) {
   TreeStore Store;
-  const Symbol SymStart = 100, SymEnd = 101, SymOther = 102;
+  const Symbol SymStart = ipg_rt::IdStart, SymEnd = ipg_rt::IdEnd,
+               SymOther = 102;
   Env E;
   E.set(SymStart, 4);
   E.set(SymEnd, 7);
   E.set(SymOther, -2);
-  uint32_t Base = Store.makeNode(5, 0, E, nullptr, nullptr, 0);
+  uint32_t Base = Store.makeNode(5, 0, E, nullptr, 0);
 
   // A four-level chain with mixed-sign deltas: each level is a view of
   // the PREVIOUS VIEW (not of the base), and every read resolves the
   // whole composition lazily — no env is copied at any level.
-  uint32_t V1 = Store.makeShifted(Base, 10, SymStart, SymEnd);
-  uint32_t V2 = Store.makeShifted(V1, -3, SymStart, SymEnd);
-  uint32_t V3 = Store.makeShifted(V2, 100, SymStart, SymEnd);
-  uint32_t V4 = Store.makeShifted(V3, 1, SymStart, SymEnd);
+  uint32_t V1 = Store.makeShifted(Base, 10);
+  uint32_t V2 = Store.makeShifted(V1, -3);
+  uint32_t V3 = Store.makeShifted(V2, 100);
+  uint32_t V4 = Store.makeShifted(V3, 1);
   const auto *N4 = cast<NodeTree>(Store.node(V4));
   EXPECT_EQ(N4->attr(SymStart), 4 + 10 - 3 + 100 + 1);
   EXPECT_EQ(N4->attr(SymEnd), 7 + 10 - 3 + 100 + 1);
@@ -238,7 +241,7 @@ TEST(TreeStoreTest, ComposedShiftChainsResolveAtDepthThreePlus) {
   EXPECT_EQ(cast<NodeTree>(Store.node(Base))->attr(SymStart), 4);
 
   // A zero-delta link collapses instead of deepening the chain.
-  EXPECT_EQ(Store.makeShifted(V3, 0, SymStart, SymEnd), V3);
+  EXPECT_EQ(Store.makeShifted(V3, 0), V3);
 
   // env() iteration — the canonical-dump and serializer read path —
   // composes identically to attr().

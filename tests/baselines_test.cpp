@@ -13,7 +13,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "support/Arena.h"
 #include "baselines/Handwritten.h"
 #include "baselines/KaitaiParsers.h"
 #include "baselines/NailParsers.h"

@@ -154,8 +154,7 @@ TEST(CodegenTest, BlackboxGrammarsCompileAndUseTheRegistrationHook) {
       "  if (P.registerBlackbox(\"v\", testBb)) return 5;\n"
       "  gen::NodePtr Root = nullptr;\n"
       "  if (!P.parse(Bytes.data(), Bytes.size(), Root)) return 1;\n"
-      "  long long V = 0;\n"
-      "  if (!Root->get(\"v\", V) || V != 7) return 6;\n"
+      "  if (Root->attr(gen::sym(\"v\")) != 7) return 6;\n"
       "  std::string D = gen::dumpTree(Root);\n"
       "  if (D.find(\"Node bb\") == std::string::npos) return 7;\n"
       "  if (D.find(\"Leaf off=0 len=3\") == std::string::npos) return 8;\n"
@@ -203,8 +202,8 @@ TEST(CodegenTest, CompiledParserComputesAttributes) {
   auto Code = emitCppParser(G, "gen");
   ASSERT_TRUE(Code) << Code.message();
   // The driver checks Int.val == 45 for input "101101".
-  std::string Check = "  long long V = 0;\n"
-                      "  if (!Root->get(\"val\", V) || V != 45) return 2;\n";
+  std::string Check =
+      "  if (Root->attr(gen::sym(\"val\")) != 45) return 2;\n";
   std::string In = "101101";
   EXPECT_EQ(compileAndRun(*Code, std::vector<uint8_t>(In.begin(), In.end()),
                           Check, "binint"),
@@ -229,11 +228,11 @@ TEST(CodegenTest, CompiledElfParserAgreesWithEngine) {
   Interp I(R->G);
   ASSERT_TRUE(I.parse(ByteSpan::of(Bytes)));
   std::string Check =
-      "  gen::Node *H = Root->children().empty() ? nullptr : "
-      "Root->children()[0].get();\n"
+      "  const ipg_rt::NodeTree *H = nullptr;\n"
+      "  for (ipg_rt::TreeRef K : Root->children())\n"
+      "    if (!H) H = ipg_rt::asNode(K.get());\n"
       "  if (!H) return 2;\n"
-      "  long long Num = 0;\n"
-      "  if (!H->get(\"num\", Num) || Num != " +
+      "  if (H->attr(gen::sym(\"num\")) != " +
       std::to_string(Model.ShNum) + ") return 2;\n";
   EXPECT_EQ(compileAndRun(*Code, Bytes, Check, "elf_good"), 0);
 

@@ -202,9 +202,10 @@ TEST(DifferentialTest, AllFormatCorporaAgree) {
     bool InterpAccepts = static_cast<bool>(I.parse(ByteSpan::of(Bad)));
     // The stats contract holds inside the harness too: after a rejected
     // parse, stats() describes the rejection, not the accepted run.
-    if (!InterpAccepts)
+    if (!InterpAccepts) {
       EXPECT_LT(I.stats().NodesCreated, AcceptedNodes)
           << FI.Name << ": stats() still shows the previous parse";
+    }
     GenRun GenBad = runGenerated(Exe, FI.Name, Bad);
     ASSERT_GE(GenBad.ExitCode, 0);
     ASSERT_LE(GenBad.ExitCode, 1);
@@ -324,10 +325,11 @@ TEST(DifferentialTest, VmMatchesInterpreterOnCorruptAtOffsetSweep) {
       EXPECT_EQ(SI.PeakDepth, SV.PeakDepth);
       ASSERT_EQ(SI.FailRule == ~0u, SV.FailRule == ~0u)
           << "only one engine recorded a failure location";
-      if (SI.FailRule != ~0u)
+      if (SI.FailRule != ~0u) {
         EXPECT_EQ(IE->Load->G.interner().name(SI.FailRule),
                   VE->Load->G.interner().name(SV.FailRule))
             << "failing-rule diagnostics diverge";
+      }
       EXPECT_EQ(SI.FailOffset, SV.FailOffset)
           << "failure-offset diagnostics diverge";
       ++Checked;
@@ -493,9 +495,10 @@ TEST(DifferentialTest, MegabyteCorpusAgreeInProcess) {
     EXPECT_EQ(SI.MemoMisses, SV.MemoMisses) << Name;
     EXPECT_EQ(SI.PeakDepth, SV.PeakDepth) << Name;
     EXPECT_GT(SI.PeakDepth, 0u) << Name;
-    if (std::string(Name) == "pdf")
+    if (std::string(Name) == "pdf") {
       EXPECT_GT(SI.PeakDepth, size_t{1} << 20)
           << "the megabyte PDF should recurse past a million levels";
+    }
   }
 }
 

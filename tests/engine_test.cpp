@@ -12,7 +12,10 @@
 /// drives), the two must produce byte-identical canonical trees, honor
 /// the SAME EngineOptions (depth limit, memoization), and both must obey
 /// the stats contract: stats() describes the most recent parse() call,
-/// even one that failed before reaching the grammar.
+/// even one that failed before reaching the grammar. GenModule's own
+/// guards are covered too: the tree-layout and name-table checks that
+/// let a module build into the host's store, and its work directory's
+/// handling of paths the shell would split.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +27,12 @@
 
 #include "TreeCanonical.h"
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <gtest/gtest.h>
+#include <string>
+#include <unistd.h>
 
 using namespace ipg;
 using testutil::renderCanonical;
@@ -214,4 +222,110 @@ TEST(EngineOptionsParity, GeneratedEngineRejectsDetectReentryUpFront) {
                              "EngineOptions::DetectReentry"),
             std::string::npos)
       << E.message();
+}
+
+//===----------------------------------------------------------------------===//
+// GenModule / GenEngine: one store, guarded layout and names, work dirs
+//===----------------------------------------------------------------------===//
+
+// GenEngine hands the module its recycled store and returns the tree the
+// module built there: the result's store comes back for the next parse,
+// and a store adopted after a FrozenTree round trip is the one the next
+// parse builds into.
+TEST(GenEngineStore, ParsesBuildIntoTheEnginesRecycledStore) {
+  if (!haveGen())
+    GTEST_SKIP() << "no host C++ compiler";
+  auto GE = formats::makeFormatEngine("dns", EngineKind::Generated);
+  ASSERT_TRUE(GE) << GE.message();
+  std::vector<uint8_t> In = formats::sampleInput("dns", 1);
+  const TreeStore *First = nullptr;
+  {
+    auto T = (*GE)->parse(ByteSpan::of(In));
+    ASSERT_TRUE(T) << T.message();
+    First = T->store();
+    EXPECT_EQ((*GE)->stats().ArenaBytesUsed, First->arenaBytesUsed());
+  }
+  auto T2 = (*GE)->parse(ByteSpan::of(In));
+  ASSERT_TRUE(T2) << T2.message();
+  EXPECT_TRUE((*GE)->stats().StoreRecycled);
+  EXPECT_EQ(T2->store(), First);
+
+  TreeStore *Home = T2->detach().releaseStore();
+  ASSERT_TRUE((*GE)->adoptStore(Home));
+  auto T3 = (*GE)->parse(ByteSpan::of(In));
+  ASSERT_TRUE(T3) << T3.message();
+  EXPECT_TRUE((*GE)->stats().StoreRecycled);
+  EXPECT_EQ(T3->store(), Home);
+}
+
+// A module compiled with another layout for the shared tree types (here
+// forced by packing every struct) must be refused at load: the host would
+// otherwise read its trees with the wrong offsets.
+TEST(GenModuleGuards, RefusesAModuleWithAnotherTreeLayout) {
+  if (!haveGen())
+    GTEST_SKIP() << "no host C++ compiler";
+  Grammar G = load(R"(S -> "ab"[0, 2] {v = 7} ;)");
+  GenModuleConfig Config;
+  Config.ExtraCompileArgs = "-fpack-struct=4";
+  auto M = GenModule::compile(G, {}, Config);
+  ASSERT_FALSE(M);
+  EXPECT_NE(M.message().find("layout differs"), std::string::npos)
+      << M.message();
+  // The same grammar without the flag loads.
+  EXPECT_TRUE(GenModule::compile(G)) << "the control module was refused";
+}
+
+// Trees carry Symbols, so a module may only run against the grammar whose
+// interner numbered its name table; any other grammar is refused.
+TEST(GenModuleGuards, GenEngineRefusesAGrammarWithOtherSymbols) {
+  if (!haveGen())
+    GTEST_SKIP() << "no host C++ compiler";
+  Grammar G = load(R"(S -> "ab"[0, 2] {v = 7} ;)");
+  Grammar Other = load(R"(T -> "ab"[0, 2] {w = 7} ;)");
+  auto M = GenModule::compile(G);
+  ASSERT_TRUE(M) << M.message();
+  std::vector<uint8_t> In = {'a', 'b'};
+  GenEngine Right(*M, G);
+  EXPECT_TRUE(Right.parse(ByteSpan::of(In)));
+  GenEngine Wrong(*M, Other);
+  auto T = Wrong.parse(ByteSpan::of(In));
+  ASSERT_FALSE(T);
+  EXPECT_NE(T.message().find("name table"), std::string::npos)
+      << T.message();
+}
+
+// TMPDIR is a path, not shell text: with a space in it the module must
+// still compile, and removing its work dir must not touch the sibling the
+// unquoted first word names.
+TEST(GenModuleGuards, WorkDirUnderATmpdirWithASpaceIsCompiledAndRemoved) {
+  if (!haveGen())
+    GTEST_SKIP() << "no host C++ compiler";
+  namespace fs = std::filesystem;
+  fs::path Base = fs::path(::testing::TempDir()) /
+                  ("ipg_tmpdir_" + std::to_string(::getpid()));
+  fs::path Spaced = Base / "x y", Sentinel = Base / "x";
+  fs::create_directories(Spaced);
+  fs::create_directories(Sentinel);
+  std::ofstream(Sentinel / "keep") << "sentinel";
+
+  const char *Old = std::getenv("TMPDIR");
+  std::string Saved = Old ? Old : "";
+  ::setenv("TMPDIR", Spaced.c_str(), 1);
+  fs::path WorkDir;
+  {
+    Grammar G = load(R"(S -> "ab"[0, 2] ;)");
+    auto M = GenModule::compile(G);
+    if (Old)
+      ::setenv("TMPDIR", Saved.c_str(), 1);
+    else
+      ::unsetenv("TMPDIR");
+    ASSERT_TRUE(M) << M.message();
+    WorkDir = fs::path((*M)->path()).parent_path();
+    EXPECT_EQ(WorkDir.parent_path(), Spaced);
+    EXPECT_TRUE(fs::exists(WorkDir));
+  } // the module dies here and removes its work dir
+  EXPECT_FALSE(fs::exists(WorkDir));
+  EXPECT_TRUE(fs::exists(Sentinel / "keep"));
+  EXPECT_TRUE(fs::exists(Spaced));
+  fs::remove_all(Base);
 }

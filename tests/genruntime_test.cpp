@@ -10,10 +10,11 @@
 /// that generated parsers embed: the (rule, interval) memo table under the
 /// adversarial collision/tombstone/generational-clear patterns mirrored
 /// from tests/arena_test.cpp (which exercises the same code through the
-/// ipg aliases), lazy shifted-node views including deep nesting (a view
-/// whose base is itself a view) and aliasing (many views over one base),
-/// the O(1) SlotIndex behind environments, and the blackbox hook's node
-/// construction. Runs under the ASan+UBSan CI job like every suite.
+/// ipg aliases), lazy shifted-node views built through a Ctx including
+/// deep nesting (a view whose base is itself a view) and aliasing (many
+/// views over one base), the O(1) SlotIndex behind environments, and the
+/// blackbox hook's node construction. Runs under the ASan+UBSan CI job
+/// like every suite.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,10 +31,23 @@ using namespace ipg_rt;
 
 namespace {
 
-/// A tiny name table: ids 0/1 are fixed to start/end by the runtime
-/// contract; the rest are free.
-const char *const Names[] = {"start", "end", "A", "x", "bb", "val"};
-constexpr unsigned IdA = 2, IdX = 3, IdBb = 4, IdVal = 5;
+/// A tiny name table indexed by Symbol: 1..4 are the symbols every
+/// grammar interns first (start/end/EOI/val); the rest are free.
+const char *const Names[] = {"<invalid>", "start", "end", "EOI",
+                             "val",       "A",     "x",   "bb"};
+constexpr size_t NumNames = sizeof(Names) / sizeof(Names[0]);
+constexpr Symbol IdA = 5, IdX = 6, IdBb = 7;
+
+/// A Ctx mid-parse, building into its own store.
+struct Parsing {
+  Ctx C;
+  NodeStore S;
+  Parsing() {
+    C.setNames(Names, NumNames);
+    C.beginParse(nullptr, S);
+  }
+  const NodeTree &node(uint32_t Id) const { return *asNode(C.node(Id)); }
+};
 
 /// Builds a frozen node with the given start/end/x attributes through the
 /// same Frame path generated code uses.
@@ -43,7 +57,7 @@ unsigned freezeNode(Ctx &C, long long Start, long long End, long long X) {
   F.setAttr(IdStart, Start);
   F.setAttr(IdEnd, End);
   F.setAttr(IdX, X);
-  return C.freeze(F, IdA);
+  return C.freeze(F, IdA, /*Rule=*/0);
 }
 
 } // namespace
@@ -158,7 +172,7 @@ TEST(GenRuntimeSlotIndex, RecordLookupForgetAndGenerationalClear) {
 
 TEST(GenRuntimeSlotIndex, FrameEnvironmentUsesTheIndexConsistently) {
   Ctx C;
-  C.setNames(Names, sizeof(Names) / sizeof(Names[0]));
+  C.setNames(Names, NumNames);
   Frame &F = C.frameAt(0);
   F.beginAlt(nullptr, 0, 8, nullptr, 0);
 
@@ -195,70 +209,61 @@ TEST(GenRuntimeSlotIndex, FrameEnvironmentUsesTheIndexConsistently) {
 //===----------------------------------------------------------------------===//
 
 TEST(GenRuntimeShiftedViews, ViewsShareSlotsAndResolveAtReadTime) {
-  Ctx C;
-  C.setNames(Names, sizeof(Names) / sizeof(Names[0]));
-  C.beginParse(nullptr);
-  unsigned Base = freezeNode(C, 1, 3, 9);
-  unsigned View = C.shifted(Base, 10);
+  Parsing P;
+  unsigned Base = freezeNode(P.C, 1, 3, 9);
+  size_t Before = P.S.arenaBytesUsed();
+  unsigned View = P.C.shifted(Base, 10);
   ASSERT_NE(View, Base);
 
-  // The view shares the base's slot array — nothing was copied.
-  EXPECT_EQ(C.node(View)->Slots, C.node(Base)->Slots);
+  // The view shares the base's slot and child arrays — the only arena
+  // bytes it takes are its own NodeTree.
+  EXPECT_EQ(P.S.arenaBytesUsed() - Before, sizeof(NodeTree));
 
-  long long V = 0;
-  ASSERT_TRUE(C.node(View)->getById(IdStart, V));
-  EXPECT_EQ(V, 11);
-  ASSERT_TRUE(C.node(View)->getById(IdEnd, V));
-  EXPECT_EQ(V, 13);
-  ASSERT_TRUE(C.node(View)->getById(IdX, V));
-  EXPECT_EQ(V, 9); // coordinate-free attributes are untouched
-  ASSERT_TRUE(C.node(View)->get("start", V));
-  EXPECT_EQ(V, 11); // the by-name reader resolves the shift too
+  EXPECT_EQ(P.node(View).attr(IdStart), 11);
+  EXPECT_EQ(P.node(View).attr(IdEnd), 13);
+  // Coordinate-free attributes are untouched.
+  EXPECT_EQ(P.node(View).attr(IdX), 9);
+  bool SawStart = false;
+  for (EnvSlot Slot : P.node(View).env())
+    if (Slot.Key == IdStart) {
+      SawStart = true;
+      EXPECT_EQ(Slot.Value, 11); // iteration resolves the shift too
+    }
+  EXPECT_TRUE(SawStart);
 
   // The base is unchanged (memoized nodes are shared across parents).
-  ASSERT_TRUE(C.node(Base)->getById(IdStart, V));
-  EXPECT_EQ(V, 1);
+  EXPECT_EQ(P.node(Base).attr(IdStart), 1);
 
   // A zero delta needs no view object at all.
-  EXPECT_EQ(C.shifted(Base, 0), Base);
+  EXPECT_EQ(P.C.shifted(Base, 0), Base);
 }
 
 TEST(GenRuntimeShiftedViews, DeepNestingComposesDeltas) {
-  Ctx C;
-  C.setNames(Names, sizeof(Names) / sizeof(Names[0]));
-  C.beginParse(nullptr);
-  unsigned Base = freezeNode(C, 1, 3, 9);
+  Parsing P;
+  unsigned Base = freezeNode(P.C, 1, 3, 9);
   // A view whose base is itself a view: deltas accumulate, and every
   // level still aliases the one frozen slot array.
-  unsigned V1 = C.shifted(Base, 10);
-  unsigned V2 = C.shifted(V1, 100);
-  unsigned V3 = C.shifted(V2, 1000);
-  EXPECT_EQ(C.node(V3)->Slots, C.node(Base)->Slots);
-  long long V = 0;
-  ASSERT_TRUE(C.node(V3)->getById(IdStart, V));
-  EXPECT_EQ(V, 1111);
-  ASSERT_TRUE(C.node(V3)->getById(IdEnd, V));
-  EXPECT_EQ(V, 1113);
+  size_t Before = P.S.arenaBytesUsed();
+  unsigned V1 = P.C.shifted(Base, 10);
+  unsigned V2 = P.C.shifted(V1, 100);
+  unsigned V3 = P.C.shifted(V2, 1000);
+  EXPECT_EQ(P.S.arenaBytesUsed() - Before, 3 * sizeof(NodeTree));
+  EXPECT_EQ(P.node(V3).attr(IdStart), 1111);
+  EXPECT_EQ(P.node(V3).attr(IdEnd), 1113);
   // Intermediate views are independent readers of the shared slots.
-  ASSERT_TRUE(C.node(V1)->getById(IdStart, V));
-  EXPECT_EQ(V, 11);
-  ASSERT_TRUE(C.node(V2)->getById(IdStart, V));
-  EXPECT_EQ(V, 111);
+  EXPECT_EQ(P.node(V1).attr(IdStart), 11);
+  EXPECT_EQ(P.node(V2).attr(IdStart), 111);
 }
 
 TEST(GenRuntimeShiftedViews, AliasedViewsAndSpansAndDumps) {
-  Ctx C;
-  C.setNames(Names, sizeof(Names) / sizeof(Names[0]));
-  C.beginParse(nullptr);
+  Parsing P;
+  Ctx &C = P.C;
   unsigned Base = freezeNode(C, 1, 3, 9);
   // Many parents re-anchor one memoized subtree at different offsets.
   unsigned AtFive = C.shifted(Base, 5);
   unsigned AtSeven = C.shifted(Base, 7);
-  long long S1 = 0, S2 = 0;
-  ASSERT_TRUE(C.node(AtFive)->getById(IdStart, S1));
-  ASSERT_TRUE(C.node(AtSeven)->getById(IdStart, S2));
-  EXPECT_EQ(S1, 6);
-  EXPECT_EQ(S2, 8);
+  EXPECT_EQ(P.node(AtFive).attr(IdStart), 6);
+  EXPECT_EQ(P.node(AtSeven).attr(IdStart), 8);
 
   // childSpanOf (the T-NTSucc parent view) resolves shifts too.
   long long BS = 0, BE = 0;
@@ -270,23 +275,22 @@ TEST(GenRuntimeShiftedViews, AliasedViewsAndSpansAndDumps) {
   Frame &F = C.frameAt(0);
   F.beginAlt(nullptr, 0, 16, nullptr, 0);
   F.setAttr(IdX, 1);
-  unsigned Untouched = C.freeze(F, IdA);
+  unsigned Untouched = C.freeze(F, IdA, /*Rule=*/0);
   C.childSpanOf(Untouched, 16, BS, BE);
   EXPECT_EQ(BS, 16);
   EXPECT_EQ(BE, 0);
 
   // The canonical dump (the differential-test contract) prints resolved
   // coordinates.
-  std::string D = dumpTree(C.node(AtSeven));
+  std::string D = dumpTree(C.node(AtSeven), Names, NumNames);
   EXPECT_NE(D.find("start=8"), std::string::npos) << D;
   EXPECT_NE(D.find("end=10"), std::string::npos) << D;
   EXPECT_NE(D.find("x=9"), std::string::npos) << D;
 }
 
 TEST(GenRuntimeShiftedViews, PrinterComposesShiftDeltasAcrossThreeLevels) {
-  Ctx C;
-  C.setNames(Names, sizeof(Names) / sizeof(Names[0]));
-  C.beginParse(nullptr);
+  Parsing P;
+  Ctx &C = P.C;
   static const unsigned char Ab[] = {'a', 'b'}, Cd[] = {'c', 'd'},
                              Ef[] = {'e', 'f'};
 
@@ -296,7 +300,7 @@ TEST(GenRuntimeShiftedViews, PrinterComposesShiftDeltasAcrossThreeLevels) {
   FG.setAttr(IdStart, 0);
   FG.setAttr(IdEnd, 2);
   FG.Kids.push_back(C.leaf(Ef, 2, 0, false));
-  unsigned GcBase = C.freeze(FG, IdA);
+  unsigned GcBase = C.freeze(FG, IdA, /*Rule=*/0);
 
   // Middle node: its own leaf, plus the innermost subtree re-anchored
   // two bytes in (the T-NTSucc shape).
@@ -306,7 +310,7 @@ TEST(GenRuntimeShiftedViews, PrinterComposesShiftDeltasAcrossThreeLevels) {
   FM.setAttr(IdEnd, 4);
   FM.Kids.push_back(C.leaf(Cd, 2, 0, false));
   FM.Kids.push_back(C.shifted(GcBase, 2));
-  unsigned MidBase = C.freeze(FM, IdA);
+  unsigned MidBase = C.freeze(FM, IdA, /*Rule=*/0);
 
   // Root: a leaf plus the middle subtree, itself re-anchored.
   Frame &FR = C.frameAt(0);
@@ -315,14 +319,14 @@ TEST(GenRuntimeShiftedViews, PrinterComposesShiftDeltasAcrossThreeLevels) {
   FR.setAttr(IdEnd, 6);
   FR.Kids.push_back(C.leaf(Ab, 2, 0, false));
   FR.Kids.push_back(C.shifted(MidBase, 2));
-  unsigned Root = C.freeze(FR, IdA);
+  unsigned Root = C.freeze(FR, IdA, /*Rule=*/0);
 
   // Every stored leaf offset is 0; only the accumulated view deltas can
   // place the bytes. The printer's origin walk must compose them across
   // three node levels: innermost leaf at 0 (root) + 2 (mid) + 2 (gc).
   PrintOptions O;
   PrintOut R;
-  ASSERT_TRUE(printTree(C.node(Root), O, R)) << R.Error;
+  ASSERT_TRUE(printTree(C.node(Root), O, R, C)) << R.Error;
   EXPECT_EQ(std::string(R.Bytes.begin(), R.Bytes.end()), "abcdef");
   EXPECT_EQ(R.CoveredBytes, 6u);
   EXPECT_EQ(R.GapBytes, 0u);
@@ -334,7 +338,7 @@ TEST(GenRuntimeShiftedViews, PrinterComposesShiftDeltasAcrossThreeLevels) {
   // by no leaf — while background fill reconstructs around it.
   unsigned MidTwice = C.shifted(C.shifted(MidBase, 1), 2);
   PrintOut R2;
-  EXPECT_FALSE(printTree(C.node(MidTwice), O, R2));
+  EXPECT_FALSE(printTree(C.node(MidTwice), O, R2, C));
   EXPECT_NE(R2.Error.find("no leaf covers"), std::string::npos) << R2.Error;
   PrintOptions Fill;
   Fill.Strict = false;
@@ -342,7 +346,7 @@ TEST(GenRuntimeShiftedViews, PrinterComposesShiftDeltasAcrossThreeLevels) {
   Fill.Background = Bg;
   Fill.BackgroundLen = sizeof(Bg);
   PrintOut R3;
-  ASSERT_TRUE(printTree(C.node(MidTwice), Fill, R3)) << R3.Error;
+  ASSERT_TRUE(printTree(C.node(MidTwice), Fill, R3, C)) << R3.Error;
   EXPECT_EQ(std::string(R3.Bytes.begin(), R3.Bytes.end()), "___cdef");
   EXPECT_EQ(R3.GapBytes, 3u);
 }
@@ -352,9 +356,8 @@ TEST(GenRuntimeShiftedViews, PrinterComposesShiftDeltasAcrossThreeLevels) {
 //===----------------------------------------------------------------------===//
 
 TEST(GenRuntimeMemo, StoresSuccessesAndFailuresAndCounts) {
-  Ctx C;
-  C.setNames(Names, sizeof(Names) / sizeof(Names[0]));
-  C.beginParse(nullptr);
+  Parsing P;
+  Ctx &C = P.C;
   unsigned Node = freezeNode(C, 0, 2, 5);
 
   bool Ok = false;
@@ -376,7 +379,7 @@ TEST(GenRuntimeMemo, StoresSuccessesAndFailuresAndCounts) {
   EXPECT_EQ(C.memoMisses(), 2u);
 
   // beginParse invalidates the table (generational) and the counters.
-  C.beginParse(nullptr);
+  C.beginParse(nullptr, P.S);
   EXPECT_FALSE(C.memoFind(4, 0, 16, Ok, Id));
   EXPECT_EQ(C.memoHits(), 0u);
   EXPECT_EQ(C.memoMisses(), 1u);
@@ -415,9 +418,8 @@ bool overrunBb(void *, const unsigned char *, size_t Len,
 } // namespace
 
 TEST(GenRuntimeBlackbox, UnregisteredIsAHardFailure) {
-  Ctx C;
-  C.setNames(Names, sizeof(Names) / sizeof(Names[0]));
-  C.beginParse(nullptr);
+  Parsing P;
+  Ctx &C = P.C;
   BlackboxOut BB;
   unsigned char Buf[4] = {0};
   EXPECT_EQ(C.callBlackbox(IdBb, Buf, 4, BB), 0);
@@ -425,9 +427,8 @@ TEST(GenRuntimeBlackbox, UnregisteredIsAHardFailure) {
 }
 
 TEST(GenRuntimeBlackbox, OverrunIsAHardFailureRejectionIsSoft) {
-  Ctx C;
-  C.setNames(Names, sizeof(Names) / sizeof(Names[0]));
-  C.beginParse(nullptr);
+  Parsing P;
+  Ctx &C = P.C;
   C.registerBlackbox(IdBb, consumingBb, nullptr);
   unsigned char Buf[4] = {0};
   BlackboxOut BB;
@@ -441,46 +442,43 @@ TEST(GenRuntimeBlackbox, OverrunIsAHardFailureRejectionIsSoft) {
 }
 
 TEST(GenRuntimeBlackbox, NodeLayoutMatchesTheInterpreter) {
-  Ctx C;
-  C.setNames(Names, sizeof(Names) / sizeof(Names[0]));
-  C.beginParse(nullptr);
+  Parsing P;
+  Ctx &C = P.C;
   C.registerBlackbox(IdBb, consumingBb, nullptr);
 
   unsigned char Buf[8] = {0};
   BlackboxOut BB;
   ASSERT_EQ(C.callBlackbox(IdBb, Buf, 8, BB), 1);
   size_t FrozenBefore = C.frozenNodeCount();
-  unsigned Id = C.blackboxNode(IdBb, IdVal, BB, /*Lo=*/3, /*Hi=*/8);
+  unsigned Id = C.blackboxNode(IdBb, BB, /*Lo=*/3, /*Hi=*/8);
   EXPECT_EQ(C.frozenNodeCount(), FrozenBefore + 1);
 
-  const Node *N = C.node(Id);
-  long long V = 0;
-  ASSERT_TRUE(N->getById(IdVal, V));
-  EXPECT_EQ(V, 42);
-  ASSERT_TRUE(N->getById(IdStart, V));
-  EXPECT_EQ(V, 3); // Lo
-  ASSERT_TRUE(N->getById(IdEnd, V));
-  EXPECT_EQ(V, 5); // Lo + End
+  const NodeTree &N = P.node(Id);
+  EXPECT_EQ(N.name(), IdBb);
+  EXPECT_EQ(N.rule(), InvalidRuleId);
+  EXPECT_EQ(N.attr(IdVal), 42);
+  EXPECT_EQ(N.attr(IdStart), 3); // Lo
+  EXPECT_EQ(N.attr(IdEnd), 5); // Lo + End
   // The decoded output became a leaf child COPYING the bytes (the
   // callback's buffer dies on its next invocation).
-  ASSERT_EQ(N->kidCount(), 1u);
-  const Node *Leaf = N->kid(0);
-  EXPECT_EQ(Leaf->Kind, Node::KLeaf);
-  EXPECT_NE(Leaf->Data, BB.Output); // arena copy, not the callback buffer
-  EXPECT_EQ(Leaf->Len, 4u);
-  EXPECT_EQ(Leaf->Data[0], 1);
-  EXPECT_EQ(Leaf->Data[3], 4);
-  EXPECT_FALSE(Leaf->Opaque);
+  ASSERT_EQ(N.children().size(), 1u);
+  const LeafTree *Leaf = asLeaf(N.children()[0].get());
+  ASSERT_NE(Leaf, nullptr);
+  // An arena copy, not the callback buffer.
+  EXPECT_NE(static_cast<const void *>(Leaf->bytes().data()),
+            static_cast<const void *>(BB.Output));
+  EXPECT_EQ(Leaf->length(), 4u);
+  EXPECT_EQ(Leaf->bytes()[0], 1);
+  EXPECT_EQ(Leaf->bytes()[3], 4);
+  EXPECT_FALSE(Leaf->isOpaque());
 
   // An empty consumption mirrors the interpreter's untouched-span slots:
   // start = sub-EOI, end = Lo.
   C.registerBlackbox(IdBb, emptyBb, nullptr);
   ASSERT_EQ(C.callBlackbox(IdBb, Buf, 8, BB), 1);
-  unsigned Empty = C.blackboxNode(IdBb, IdVal, BB, /*Lo=*/3, /*Hi=*/8);
-  const Node *E = C.node(Empty);
-  ASSERT_TRUE(E->getById(IdStart, V));
-  EXPECT_EQ(V, 5); // Hi - Lo
-  ASSERT_TRUE(E->getById(IdEnd, V));
-  EXPECT_EQ(V, 3); // Lo
-  EXPECT_EQ(E->kidCount(), 0u);
+  unsigned Empty = C.blackboxNode(IdBb, BB, /*Lo=*/3, /*Hi=*/8);
+  const NodeTree &E = P.node(Empty);
+  EXPECT_EQ(E.attr(IdStart), 5); // Hi - Lo
+  EXPECT_EQ(E.attr(IdEnd), 3); // Lo
+  EXPECT_EQ(E.children().size(), 0u);
 }

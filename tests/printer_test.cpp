@@ -6,17 +6,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Both tree printers (serialize::printTree on host trees and
-/// ipg_rt::printTree on generated ones) keep byte coverage in the shared
-/// run-based kernel ipg_rt::PrintCoverage. This suite holds them to the
-/// per-byte coverage loop the kernel replaced, kept here as the reference
-/// model: fixed-seed write sequences become hand-built trees (one root
-/// node whose leaves sit at arbitrary offsets, so the printers write them
-/// in child order), and the printed bytes, all four counters and the
-/// error text must equal the model's. The sequences cover in-order and
-/// out-of-order writes (descending, few, and enough to splice and merge
-/// many runs), agreeing and disagreeing overlaps, zero-length leaves past
-/// the end under Strict, and writes past the background.
+/// Both tree print entry points (serialize::printTree for the host and
+/// ipg_rt::printTree, which generated parsers export) run the one print
+/// walk, ipg_rt::PrintWalk, over the run-based coverage kernel
+/// ipg_rt::PrintCoverage, each with its own hooks and error tails. This
+/// suite holds both to the per-byte coverage loop the kernel replaced,
+/// kept here as the reference model: fixed-seed write sequences become
+/// hand-built trees (one root node whose leaves sit at arbitrary offsets,
+/// so the printers write them in child order), and the printed bytes,
+/// all four counters and the error text must equal the model's. The
+/// sequences cover in-order and out-of-order writes (descending, few, and
+/// enough to splice and merge many runs), agreeing and disagreeing
+/// overlaps, zero-length leaves past the end under Strict, and writes past
+/// the background.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -122,15 +124,13 @@ Outcome referencePrint(const Case &C, const char *NotExactHint) {
 Outcome hostPrint(const Case &C, const Grammar &G, Symbol RootName,
                   TreeStore &Store) {
   Store.reset();
-  std::vector<uint32_t> Kids, Terms;
-  for (const Write &W : C.Writes) {
+  std::vector<uint32_t> Kids;
+  for (const Write &W : C.Writes)
     Kids.push_back(Store.makeLeaf(W.Data.data(), W.Data.size(), W.At,
                                   /*Opaque=*/false));
-    Terms.push_back(static_cast<uint32_t>(Terms.size()));
-  }
-  uint32_t Root = Store.makeNodeFromSlots(
-      RootName, /*Rule=*/0, nullptr, 0, Kids.data(), Terms.data(),
-      static_cast<uint32_t>(Kids.size()));
+  uint32_t Root = Store.makeNodeFromSlots(RootName, /*Rule=*/0, nullptr, 0,
+                                          Kids.data(),
+                                          static_cast<uint32_t>(Kids.size()));
   serialize::PrintOptions Opts;
   if (!C.Strict) {
     Opts.Gaps = serialize::GapPolicy::FillFromBackground;
@@ -151,18 +151,20 @@ Outcome hostPrint(const Case &C, const Grammar &G, Symbol RootName,
   return R;
 }
 
-/// The generated-side printer over an ipg_rt root built the way
-/// generated code freezes frames; \p Ctx is recycled like a parser's.
-Outcome genPrint(const Case &C, ipg_rt::Ctx &Ctx) {
-  static const char *const Names[] = {"start", "end", "Root"};
-  Ctx.setNames(Names, 3);
-  Ctx.beginParse(nullptr);
+/// The generated-side printer over a root built the way generated code
+/// freezes frames; \p Ctx and \p Store are recycled like a parser's.
+Outcome genPrint(const Case &C, ipg_rt::Ctx &Ctx, ipg_rt::NodeStore &Store) {
+  static const char *const Names[] = {"<invalid>", "start", "end",
+                                      "EOI",       "val",   "Root"};
+  Ctx.setNames(Names, 6);
+  Store.reset();
+  Ctx.beginParse(nullptr, Store);
   ipg_rt::Frame &F = Ctx.frameAt(0);
   F.beginAlt(nullptr, 0, 0, nullptr, 0);
   for (const Write &W : C.Writes)
     F.Kids.push_back(
         Ctx.leaf(W.Data.data(), W.Data.size(), W.At, /*Opaque=*/false));
-  unsigned Root = Ctx.freeze(F, 2);
+  unsigned Root = Ctx.freeze(F, /*Name=*/5, /*Rule=*/0);
   ipg_rt::PrintOptions O;
   if (!C.Strict) {
     O.Strict = false;
@@ -171,7 +173,7 @@ Outcome genPrint(const Case &C, ipg_rt::Ctx &Ctx) {
   }
   ipg_rt::PrintOut P;
   Outcome R;
-  R.Ok = ipg_rt::printTree(Ctx.node(Root), O, P);
+  R.Ok = ipg_rt::printTree(Ctx.node(Root), O, P, Ctx);
   R.Error = P.Error;
   R.Bytes = P.Bytes;
   R.Covered = P.CoveredBytes;
@@ -337,6 +339,7 @@ TEST(PrinterKernelTest, BothPrintersMatchThePerByteModel) {
   Symbol RootName = L->G.intern("Root");
   TreeStore Store;
   ipg_rt::Ctx Ctx;
+  ipg_rt::NodeStore GenStore;
   size_t Failures = 0, Fills = 0;
   for (const Case &C : fixedSeedCases()) {
     // The host printer discards its counters on failure; the generated
@@ -344,7 +347,7 @@ TEST(PrinterKernelTest, BothPrintersMatchThePerByteModel) {
     expectSame(referencePrint(C, "; see GapPolicy"), hostPrint(C, L->G, RootName, Store),
                "host", C.Name, /*CountersOnFailure=*/false);
     Outcome Ref = referencePrint(C, "");
-    expectSame(Ref, genPrint(C, Ctx), "generated", C.Name,
+    expectSame(Ref, genPrint(C, Ctx, GenStore), "generated", C.Name,
                /*CountersOnFailure=*/true);
     Failures += !Ref.Ok;
     Fills += Ref.Ok && Ref.Gap > 0;
@@ -358,20 +361,21 @@ TEST(PrinterKernelTest, ErrorsNameTheFirstBadOffset) {
   // Hand-picked shapes whose diagnostics are easy to read off.
   std::vector<uint8_t> Ab = {'a', 'b'}, Xy = {'x', 'y'}, Ay = {'a', 'y'};
   ipg_rt::Ctx Ctx;
+  ipg_rt::NodeStore Store;
   auto Strict = [](std::vector<Write> Ws) {
     return Case{"strict", std::move(Ws), true, {}};
   };
   // Overlap agrees on its first byte, disagrees on the second.
-  Outcome O = genPrint(Strict({{0, Ab}, {0, Ay}}), Ctx);
+  Outcome O = genPrint(Strict({{0, Ab}, {0, Ay}}), Ctx, Store);
   EXPECT_EQ(O.Error, "overlapping writes disagree at output offset 1");
   EXPECT_EQ(O.Overlap, 1u);
   // A gap before the disagreement is written and counted first.
-  O = genPrint(Strict({{1, Ab}, {0, Xy}}), Ctx);
+  O = genPrint(Strict({{1, Ab}, {0, Xy}}), Ctx, Store);
   EXPECT_EQ(O.Error, "overlapping writes disagree at output offset 1");
   EXPECT_EQ(O.Covered, 3u);
   EXPECT_EQ(O.Bytes, (std::vector<uint8_t>{'x', 'a', 'b'}));
   // A zero-length leaf at 5 grows the output to 5 bytes: 2..4 are gaps.
-  O = genPrint(Strict({{0, Ab}, {5, {}}}), Ctx);
+  O = genPrint(Strict({{0, Ab}, {5, {}}}), Ctx, Store);
   EXPECT_EQ(O.Error,
             "no leaf covers output offset 2 (tree is not print-exact)");
 }

@@ -268,9 +268,10 @@ TEST(RecoveryTest, CorruptSweepVerdictParityInterpVsVm) {
         EXPECT_EQ(RI.message().rfind("internal:", 0), std::string::npos)
             << "salvage sweep tripped an internal error: " << RI.message();
         ASSERT_EQ(SI.FailRule == ~0u, SV.FailRule == ~0u);
-        if (SI.FailRule != ~0u)
+        if (SI.FailRule != ~0u) {
           EXPECT_EQ(IE->Load->G.interner().name(SI.FailRule),
                     VE->Load->G.interner().name(SV.FailRule));
+        }
         EXPECT_EQ(SI.FailOffset, SV.FailOffset);
       }
       ++Checked;

@@ -7,14 +7,16 @@
 ///
 /// \file
 /// The serializer's property harness: on every format corpus, at scales 1
-/// and 2, in BOTH execution modes,
+/// and 2, on every engine tier,
 ///
 ///   print(parse(x)) == x                 (byte-exact reconstruction)
 ///   parse(print(parse(x))) == parse(x)   (the tree survives a round trip)
 ///
-/// Interpreter trees print through serialize/Printer.cpp; generated
-/// parsers print through the embedded ipg_rt::printTree (compiled into
-/// the child by CodegenTestHarness.h, like the differential drivers).
+/// Trees from the interpreter, the bytecode VM and the in-process
+/// generated engine (GenEngine) all print through serialize/Printer.cpp —
+/// every tier builds the same tree. Standalone generated parsers print
+/// through the printTree they export (compiled into the child by
+/// CodegenTestHarness.h, like the differential drivers).
 /// Blackbox formats re-encode through the inverse hook — the deflated-zip
 /// corpus proves decoded entry data recompresses onto the original
 /// stream byte-for-byte.
@@ -34,6 +36,7 @@
 #include "formats/FormatRegistry.h"
 #include "formats/MiniZlib.h"
 #include "formats/Zip.h"
+#include "runtime/Engine.h"
 #include "runtime/Interp.h"
 #include "serialize/Printer.h"
 #include "support/Casting.h"
@@ -62,11 +65,22 @@ std::string render(const TreePtr &T, const Grammar &G) {
   return T ? treeToString(*T, G.interner()) : std::string();
 }
 
-/// One interpreter round trip: parse, print (strict or background-fill),
-/// compare bytes, re-parse, compare trees. Returns the print result for
-/// further inspection. Takes any Engine (callers build one through the
-/// makeFormatEngine factory); the printer itself is engine-independent.
-serialize::PrintResult roundtripInterp(Engine &I, const Grammar &G,
+/// The engine tiers every printer property runs on; the generated one
+/// only when a host compiler can build its module.
+std::vector<EngineKind> engineTiers() {
+  std::vector<EngineKind> Kinds = {EngineKind::Interp, EngineKind::Vm};
+  if (hostCompilerAvailable())
+    Kinds.push_back(EngineKind::Generated);
+  return Kinds;
+}
+
+/// One round trip: parse, print (strict or background-fill), compare
+/// bytes, re-parse, compare trees, then print the FIRST tree again: its
+/// leaves (blackbox-decoded ones included) must survive the engine's
+/// next parse. Returns the print result for further inspection. Takes
+/// any Engine (callers build one through the makeFormatEngine factory);
+/// the printer itself is engine-independent.
+serialize::PrintResult roundtripEngine(Engine &I, const Grammar &G,
                                        const BlackboxRegistry &BB,
                                        const std::vector<uint8_t> &Bytes,
                                        bool Strict) {
@@ -93,35 +107,42 @@ serialize::PrintResult roundtripInterp(Engine &I, const Grammar &G,
     EXPECT_EQ(render(*R2, G), Before)
         << "parse(print(parse(x))) != parse(x)";
   }
+  auto Again = serialize::printTree(**R, G, &BB, Opts);
+  EXPECT_TRUE(Again && Again->Bytes == Bytes)
+      << "a tree changed under the engine's next parse";
   return std::move(*P);
 }
 
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Interpreter engine: every format, scales 1 and 2.
+// Every engine tier: every format, scales 1 and 2.
 //===----------------------------------------------------------------------===//
 
-TEST(RoundtripTest, InterpreterPrintsEveryFormatCorpusByteExact) {
+TEST(RoundtripTest, EveryTierPrintsEveryFormatCorpusByteExact) {
+  std::vector<EngineKind> Kinds = engineTiers();
   size_t Roundtripped = 0;
-  for (const formats::FormatInfo &FI : formats::allFormats()) {
-    SCOPED_TRACE("format: " + FI.Name);
-    auto FE = formats::makeFormatEngine(FI.Name, EngineKind::Interp);
-    ASSERT_TRUE(FE) << FE.message();
-    BlackboxRegistry BB = formats::standardBlackboxes(); // for the printer
-    for (unsigned Scale : {1u, 2u}) {
-      SCOPED_TRACE("scale: " + std::to_string(Scale));
-      std::vector<uint8_t> Bytes = formats::sampleInput(FI.Name, Scale);
-      ASSERT_FALSE(Bytes.empty());
-      serialize::PrintResult P = roundtripInterp(
-          **FE, FE->Load->G, BB, Bytes, strictPrintExact(FI.Name));
-      if (strictPrintExact(FI.Name)) {
-        EXPECT_EQ(P.GapBytes, 0u);
+  for (EngineKind Kind : Kinds) {
+    SCOPED_TRACE(std::string("engine: ") + engineKindName(Kind));
+    for (const formats::FormatInfo &FI : formats::allFormats()) {
+      SCOPED_TRACE("format: " + FI.Name);
+      auto FE = formats::makeFormatEngine(FI.Name, Kind);
+      ASSERT_TRUE(FE) << FE.message();
+      BlackboxRegistry BB = formats::standardBlackboxes(); // for the printer
+      for (unsigned Scale : {1u, 2u}) {
+        SCOPED_TRACE("scale: " + std::to_string(Scale));
+        std::vector<uint8_t> Bytes = formats::sampleInput(FI.Name, Scale);
+        ASSERT_FALSE(Bytes.empty());
+        serialize::PrintResult P = roundtripEngine(
+            **FE, FE->Load->G, BB, Bytes, strictPrintExact(FI.Name));
+        if (strictPrintExact(FI.Name)) {
+          EXPECT_EQ(P.GapBytes, 0u);
+        }
+        ++Roundtripped;
       }
-      ++Roundtripped;
     }
   }
-  EXPECT_EQ(Roundtripped, 2 * formats::allFormats().size());
+  EXPECT_EQ(Roundtripped, 2 * Kinds.size() * formats::allFormats().size());
 }
 
 TEST(RoundtripTest, StrictModeFailsExactlyForNonLeafCoveringFormats) {
@@ -144,7 +165,7 @@ TEST(RoundtripTest, StrictModeFailsExactlyForNonLeafCoveringFormats) {
 // Megabyte-class corpus: the printer (and the engines feeding it) must
 // survive trees whose depth tracks file size. PDF at scale 64 parses
 // through over a million virtual recursion levels; ELF is a megabyte
-// image. The roundtripInterp helper is unusable here — it diffs
+// image. The roundtripEngine helper is unusable here — it diffs
 // treeToString renders, whose two-spaces-per-level indentation makes a
 // megabyte-deep dump O(depth^2) bytes — so this test compares the
 // re-parse by node count instead.
@@ -192,15 +213,18 @@ TEST(RoundtripTest, MegabyteCorpusPrintsByteExact) {
 //===----------------------------------------------------------------------===//
 
 TEST(RoundtripTest, DeflatedZipRoundTripsThroughBlackboxInverse) {
-  auto FE = formats::makeFormatEngine("zip", EngineKind::Interp);
-  ASSERT_TRUE(FE) << FE.message();
-  BlackboxRegistry BB = formats::standardBlackboxes();
-  std::vector<uint8_t> Bytes = formats::synthesizeZip(
-      formats::zipArchiveOfCopies(4, 2048, /*Compress=*/true));
-  serialize::PrintResult P =
-      roundtripInterp(**FE, FE->Load->G, BB, Bytes, /*Strict=*/true);
-  EXPECT_GT(P.BlackboxBytes, 0u)
-      << "the corpus never exercised the inverse";
+  for (EngineKind Kind : engineTiers()) {
+    SCOPED_TRACE(std::string("engine: ") + engineKindName(Kind));
+    auto FE = formats::makeFormatEngine("zip", Kind);
+    ASSERT_TRUE(FE) << FE.message();
+    BlackboxRegistry BB = formats::standardBlackboxes();
+    std::vector<uint8_t> Bytes = formats::synthesizeZip(
+        formats::zipArchiveOfCopies(4, 2048, /*Compress=*/true));
+    serialize::PrintResult P =
+        roundtripEngine(**FE, FE->Load->G, BB, Bytes, /*Strict=*/true);
+    EXPECT_GT(P.BlackboxBytes, 0u)
+        << "the corpus never exercised the inverse";
+  }
 }
 
 TEST(RoundtripTest, MissingInverseIsAPrintErrorNotACrash) {
@@ -246,8 +270,8 @@ TEST(RoundtripTest, CollectedSpansAreWellFormed) {
 }
 
 //===----------------------------------------------------------------------===//
-// Generated engine: the same properties through the embedded
-// ipg_rt::printTree, in a compiled child (CodegenTestHarness recipe).
+// Standalone generated parsers: the same properties through the
+// printTree they export, in a compiled child (CodegenTestHarness recipe).
 // The child parses argv[1], prints (argv[3] = strict|fill, background =
 // the input), RE-PARSES its own output and compares canonical dumps,
 // then writes the printed bytes to argv[2] for the parent's byte-exact
@@ -282,7 +306,7 @@ bool compileRoundtripChild(const std::string &Generated,
       "    Opts.BackgroundLen = Bytes.size();\n"
       "  }\n"
       "  ipg_rt::PrintOut R;\n"
-      "  if (!gen::printTree(Root, Opts, R)) {\n"
+      "  if (!P.printTree(Root, Opts, R)) {\n"
       "    std::fprintf(stderr, \"print: %s\\n\", R.Error.c_str());\n"
       "    return 4;\n"
       "  }\n"

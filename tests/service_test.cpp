@@ -45,7 +45,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <future>
@@ -148,11 +147,7 @@ TEST(FrozenTreeTest, ParkAfterMoveStillWorksForUndetachedTrees) {
   EXPECT_TRUE((*FE)->stats().StoreRecycled);
 }
 
-#if defined(IPG_CHECK_OWNERSHIP) && defined(GTEST_HAS_DEATH_TEST) &&       \
-    !IPG_ATOMIC_REFCOUNT
-// With IPG_ATOMIC_REFCOUNT the cross-thread touch below is LEGAL (that is
-// the point of the opt-in), so the abort contract only exists in the
-// default plain-refcount configuration.
+#if defined(IPG_CHECK_OWNERSHIP) && defined(GTEST_HAS_DEATH_TEST)
 TEST(FrozenTreeDeathTest, OffThreadTreePtrReleaseAborts) {
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
   ASSERT_DEATH(
@@ -166,35 +161,6 @@ TEST(FrozenTreeDeathTest, OffThreadTreePtrReleaseAborts) {
         Evil.join();
       },
       "refcount touched off the owning engine thread");
-}
-#endif
-
-#if IPG_ATOMIC_REFCOUNT
-TEST(FrozenTreeTest, AtomicRefcountsAllowCrossThreadSharing) {
-  // The IPG_ATOMIC_REFCOUNT contract: handle copies fan out to reader
-  // threads (each taking and dropping references concurrently), the
-  // readers are joined, and the surviving handle still owns a valid
-  // tree. The final release stays on the engine thread so the recycler
-  // handoff keeps its single-thread discipline.
-  auto FE = formats::makeFormatEngine("gif", EngineKind::Interp);
-  ASSERT_TRUE(FE) << FE.message();
-  std::vector<uint8_t> In = formats::sampleInput("gif", 1);
-  auto T = (*FE)->parse(ByteSpan::of(In));
-  ASSERT_TRUE(T) << T.message();
-  const std::string Want = testutil::renderCanonical(*T, FE->Load->G);
-  std::vector<std::thread> Readers;
-  std::atomic<unsigned> Agree{0};
-  for (int I = 0; I < 8; ++I)
-    Readers.emplace_back([&] {
-      for (int K = 0; K < 100; ++K) {
-        TreePtr Copy = *T; // cross-thread retain
-        if (testutil::renderCanonical(Copy, FE->Load->G) == Want)
-          Agree.fetch_add(1, std::memory_order_relaxed);
-      } // cross-thread release
-    });
-  for (std::thread &R : Readers)
-    R.join();
-  EXPECT_EQ(Agree.load(), 800u);
 }
 #endif
 

@@ -103,17 +103,11 @@ TEST(LirTest, AllFormatModulesVerify) {
     EXPECT_NE(M.Start, InvalidRuleId);
     EXPECT_EQ(M.Rules.size(), G.numRules());
 
-    // The ipg_rt::IdStart/IdEnd contract.
-    ASSERT_GE(M.NameTable.size(), 2u);
-    EXPECT_EQ(M.NameTable[0], G.symStart());
-    EXPECT_EQ(M.NameTable[1], G.symEnd());
-    // Dense and deduplicated, with a consistent reverse map.
-    std::set<Symbol> Seen;
-    for (uint32_t Id = 0; Id < M.NameTable.size(); ++Id) {
-      EXPECT_TRUE(Seen.insert(M.NameTable[Id]).second)
-          << "duplicate name-table entry " << Id;
-      EXPECT_EQ(M.nameIdOf(M.NameTable[Id]), Id);
-    }
+    // The ipg_rt::IdStart/IdEnd/IdVal contract: trees in every tier
+    // compare against these symbols as constants.
+    EXPECT_EQ(G.symStart(), ipg_rt::IdStart);
+    EXPECT_EQ(G.symEnd(), ipg_rt::IdEnd);
+    EXPECT_EQ(G.symVal(), ipg_rt::IdVal);
 
     expectAllProgramsWellFormed(M);
 
@@ -122,7 +116,7 @@ TEST(LirTest, AllFormatModulesVerify) {
     if (FI.Name == "zip") {
       ASSERT_EQ(M.BbSites.size(), 1u);
       EXPECT_EQ(M.BbSites[0].NameStr, "inflate");
-      EXPECT_EQ(M.NameTable[M.BbSites[0].NameId], M.BbSites[0].Name);
+      EXPECT_EQ(G.interner().name(M.BbSites[0].Name), "inflate");
     } else {
       EXPECT_TRUE(M.BbSites.empty());
     }
