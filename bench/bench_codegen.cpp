@@ -16,7 +16,7 @@
 ///   <format>/generated: input_bytes, reps, mean_us, bytes_per_sec,
 ///                       allocs_per_parse, nodes_per_parse (rule-success
 ///                       freezes, comparable to the interp entry's
-///                       InterpStats::NodesCreated), memo_hits,
+///                       EngineStats::NodesCreated), memo_hits,
 ///                       memo_misses, tree_objects_per_parse
 ///   <format>/interp:    the same metrics from the in-process engine
 ///   <format>/vm:        the same metrics from the in-process bytecode
@@ -111,7 +111,7 @@ int main(int argc, char **argv) {
   for (int W = 0; W < 4; ++W)
     if (!P.parse(Bytes.data(), Bytes.size(), Root)) return 1;
   // frozenNodeCount is the counter comparable to the engine's
-  // InterpStats::NodesCreated (rule-success freezes only; memo hits do
+  // EngineStats::NodesCreated (rule-success freezes only; memo hits do
   // not re-freeze on either side). nodeCount additionally includes
   // shifted views, arrays, leaves, and failed-alternative garbage.
   size_t Nodes = P.frozenNodeCount();

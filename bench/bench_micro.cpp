@@ -18,7 +18,7 @@
 #include "formats/FormatRegistry.h"
 #include "formats/Ipv4Udp.h"
 #include "runtime/Engine.h"
-#include "runtime/Env.h"
+#include "support/GenRuntime.h"
 
 #include <benchmark/benchmark.h>
 #include <cstddef>
@@ -29,18 +29,26 @@
 using namespace ipg;
 using namespace ipg::formats;
 
-static void BM_EnvSetGet(benchmark::State &State) {
-  Env E;
+// One alternative's environment traffic on the frame every tier runs
+// in: begin the alternative, define eight attributes, widen start/end
+// through updStartEnd, read everything back through the lexical lookup.
+static void BM_FrameSetGet(benchmark::State &State) {
+  ipg_rt::Frame F;
   for (auto _ : State) {
-    for (Symbol S = 1; S <= 8; ++S)
-      E.set(S, S * 3);
-    int64_t Sum = 0;
-    for (Symbol S = 1; S <= 8; ++S)
-      Sum += E.get(S).value_or(0);
+    F.beginAlt(nullptr, 0, 64, nullptr, 0);
+    for (Symbol S = 8; S < 16; ++S)
+      F.setAttr(S, S * 3);
+    ipg_rt::updStartEnd(F, ipg_rt::IdStart, ipg_rt::IdEnd, 4, 12, true);
+    ipg_rt::updStartEnd(F, ipg_rt::IdStart, ipg_rt::IdEnd, 2, 9, true);
+    long long Sum = 0, V = 0;
+    for (Symbol S : {Symbol{ipg_rt::IdStart}, Symbol{ipg_rt::IdEnd}})
+      Sum += F.attr(S, V) ? V : 0;
+    for (Symbol S = 8; S < 16; ++S)
+      Sum += F.attr(S, V) ? V : 0;
     benchmark::DoNotOptimize(Sum);
   }
 }
-BENCHMARK(BM_EnvSetGet);
+BENCHMARK(BM_FrameSetGet);
 
 static void BM_ByteSpanReads(benchmark::State &State) {
   std::vector<uint8_t> Buf(4096);

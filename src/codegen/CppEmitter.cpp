@@ -352,8 +352,8 @@ std::string Emitter::emitExpr(const Expr &E, std::string &Body,
   case Expr::Kind::Read: {
     const auto &R = *cast<ReadExpr>(&E);
     std::string LoV = emitExpr(*R.lo(), Body, Fail);
-    // Width/endianness resolve through the same readKindSpec the
-    // interpreter's FrameCtx::readInput uses.
+    // Width/endianness resolve through the same readKindSpec
+    // ipg_rt::Frame::read uses, here at generation time.
     long long Width = 0;
     bool BigEndian = false;
     bool Fixed = ipg_rt::readKindSpec(
@@ -364,7 +364,7 @@ std::string Emitter::emitExpr(const Expr &E, std::string &Body,
     } else {
       std::string HiV = emitExpr(*R.hi(), Body, Fail);
       // btoiWidth guards the subtraction against signed overflow before
-      // performing it (the interpreter's readInput does the same).
+      // performing it (as ipg_rt::Frame::read does).
       W = "t" + std::to_string(NextTmp++);
       Body += "  long long " + W + " = 0;\n  if (!ipg_rt::btoiWidth(" +
               LoV + ", " + HiV + ", " + W + ")) " + Fail + "\n";
@@ -1307,15 +1307,15 @@ Expected<std::string> Emitter::run() {
          "  size_t nodeCount() const { return C.nodeCount(); }\n"
          "  /// Nodes frozen by successful rule alternatives in the last\n"
          "  /// parse — comparable to the engine's\n"
-         "  /// InterpStats::NodesCreated (memo hits do not re-freeze on\n"
+         "  /// EngineStats::NodesCreated (memo hits do not re-freeze on\n"
          "  /// either side).\n"
          "  size_t frozenNodeCount() const { return C.frozenNodeCount(); }\n"
          "  /// Memo table traffic of the last parse — comparable to the\n"
-         "  /// engine's InterpStats::MemoHits/MemoMisses.\n"
+         "  /// engine's EngineStats::MemoHits/MemoMisses.\n"
          "  size_t memoHits() const { return C.memoHits(); }\n"
          "  size_t memoMisses() const { return C.memoMisses(); }\n"
          "  /// High-water recursion depth of the last parse — the\n"
-         "  /// generated twin of InterpStats::PeakDepth (direct bodies,\n"
+         "  /// generated twin of EngineStats::PeakDepth (direct bodies,\n"
          "  /// flattened levels, and machine tasks all report through\n"
          "  /// Ctx::notePeak, so the figure matches the interpreter's).\n"
          "  long long peakDepth() const { return C.peakDepth(); }\n"

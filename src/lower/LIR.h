@@ -289,10 +289,10 @@ struct RecordPlan {
   uint32_t StepEnd = 0;
   uint32_t NumAttrs = 0;  ///< distinct attributes the rule defines
   bool Static = false;
-  /// Static only: the env layout (Module::PlanEnv window; start/end
-  /// slots hold the rule's final span, present only when some window
-  /// touches bytes) and the smallest local input every window and read
-  /// fits in.
+  /// Static only: the env layout (Module::PlanEnv window: the attributes
+  /// in definition order, then start/end holding the rule's final span,
+  /// present only when some window touches bytes) and the smallest local
+  /// input every window and read fits in.
   uint32_t EnvBegin = 0;
   uint32_t EnvEnd = 0;
   int64_t MinEoi = 0;

@@ -250,9 +250,10 @@ int64_t foldedEnd(const Module &M, const RecordStep &S) {
 }
 
 /// Derives a static plan's fixed env layout by replaying the per-term
-/// environment writes over its folded windows: start/end enter at the
-/// first window that touches bytes and take the min/max afterwards, and
-/// each attribute enters at its first definition. Fills \p Env, the env
+/// environment writes over its folded windows, in the frame's env slot
+/// order (ipg_rt::Frame): each attribute enters at its first definition,
+/// then start/end — the min/max of the windows that touch bytes — come
+/// last, present only when some window does. Fills \p Env, the env
 /// position of every attribute slot (\p SlotPos) and MinEoi.
 /// False when some window or read can never succeed (negative or
 /// inverted window, literal longer than its window, negative offset):
@@ -281,16 +282,9 @@ bool layoutStatic(const Module &M, const RecordStep *Steps, size_t N,
       P.MinEoi = std::max(P.MinEoi, S.Hi);
       if (Len == 0)
         break;
-      if (!Touched) {
-        Touched = true;
-        Start = S.Lo;
-        End = S.Lo + Len;
-        Env.push_back(PlanSlot{M.G->symStart(), 0});
-        Env.push_back(PlanSlot{M.G->symEnd(), 0});
-      } else {
-        Start = std::min(Start, S.Lo);
-        End = std::max(End, S.Lo + Len);
-      }
+      Start = Touched ? std::min(Start, S.Lo) : S.Lo;
+      End = Touched ? std::max(End, S.Lo + Len) : S.Lo + Len;
+      Touched = true;
       break;
     }
     case RecOp::Read:
@@ -308,11 +302,9 @@ bool layoutStatic(const Module &M, const RecordStep *Steps, size_t N,
       break;
     }
   }
-  for (PlanSlot &Sl : Env) {
-    if (Sl.Key == M.G->symStart())
-      Sl.Value = Start;
-    else if (Sl.Key == M.G->symEnd())
-      Sl.Value = End;
+  if (Touched) {
+    Env.push_back(PlanSlot{M.G->symStart(), Start});
+    Env.push_back(PlanSlot{M.G->symEnd(), End});
   }
   return true;
 }

@@ -17,12 +17,19 @@
 /// identical in both engines by construction; tests/differential_test.cpp
 /// locks that.
 ///
+/// Every tier executes an alternative in an ipg_rt::Frame
+/// (support/GenRuntime.h), the frame generated parsers use too: its
+/// environment, its sigma lookups, updStartEnd over its start/end fields,
+/// and ipg_rt::freeze, which turns it into a node. The frame keeps one
+/// input window, absolute offsets over the root input; input() rebuilds
+/// the ByteSpan view of it.
+///
 /// The engines differ only in how an expression is evaluated, which the
 /// Runner takes as its template parameter. An Evaluator is constructed
-/// from (ParseScratch &, const TreeStore &, extra engine arguments...)
-/// and provides one hook and one trait:
+/// from (ParseScratch &, extra engine arguments...) and provides one hook
+/// and one trait:
 ///
-///   bool eval(const ParseScratch::Frame &F, lir::ExprId Id, int64_t &Out);
+///   bool eval(const ipg_rt::Frame &F, lir::ExprId Id, int64_t &Out);
 ///   static constexpr bool Fuse;
 ///
 /// evaluating program \p Id of the lowered module in frame \p F; false is
@@ -53,12 +60,10 @@
 #include "lower/LIR.h"
 #include "runtime/Blackbox.h"
 #include "runtime/EngineOptions.h"
-#include "runtime/Env.h"
 #include "runtime/ParseScratch.h"
 #include "runtime/ParseTree.h"
 #include "support/Bytes.h"
 #include "support/Casting.h"
-#include "support/FlatHash.h"
 #include "support/GenRuntime.h"
 #include "support/Result.h"
 
@@ -79,7 +84,8 @@ namespace host {
 /// evaluation supplied by \p Evaluator (see the file comment).
 template <class Evaluator> class Runner {
 public:
-  using Frame = ParseScratch::Frame;
+  using Frame = ipg_rt::Frame;
+  using IntervalKey = ipg_rt::IntervalKey;
 
   Runner(const Grammar &G, const EngineOptions &Opts, EngineStats &Stats,
          ParseScratch &St, Evaluator Ev, bool HasDeadline,
@@ -90,6 +96,7 @@ public:
         HasDeadline(HasDeadline), Deadline(Deadline) {}
 
   Expected<TreePtr> run(ByteSpan Input, RuleId Start) {
+    Base = Input.data() - Input.absBase();
     uint32_t RootId = L.Rules[Start].Shape == ExecShape::Step
                           ? runMachine(Start, Input)
                           : parseRule(Start, Input, nullptr);
@@ -131,6 +138,9 @@ private:
   const bool Salvage;
   const bool HasDeadline;
   const std::chrono::steady_clock::time_point Deadline;
+  /// The byte at absolute offset 0 of the parse's input: frame windows
+  /// are absolute offsets from here.
+  const uint8_t *Base = nullptr;
   unsigned Tick = 0; ///< amortizes the deadline clock reads
   Error Hard = Error::success();
   size_t Depth = 0;
@@ -152,26 +162,38 @@ private:
   // Term execution (Direct tier and the helpers every tier delegates to).
   //===--------------------------------------------------------------------===//
 
-  /// updStartEnd of Figure 8: the first-update min/max shared with the
-  /// generated runtime. start/end enter the environment only once a term
-  /// touches bytes; there is no pre-seeded sentinel.
-  void updStartEnd(Env &E, int64_t Lo, int64_t Hi, bool Touched) {
-    EnvRef R{E};
-    ipg_rt::updStartEnd(R, G.symStart(), G.symEnd(), Lo, Hi, Touched);
+  /// The frame's local input as a ByteSpan (data, size, absolute base).
+  ByteSpan input(const Frame &F) const {
+    return ByteSpan(Base + F.Lo, F.Hi - F.Lo, F.Lo);
   }
 
-  /// The subtree's [start, end) as the parent sees it (T-NTSucc defaults,
-  /// shared with the generated runtime): untouched subtrees read as
-  /// [sub-EOI, 0).
-  void childSpan(const NodeTree &Sub, int64_t SubEoi, int64_t &BStart,
-                 int64_t &BEnd) {
-    auto S = Sub.attr(G.symStart());
-    auto En = Sub.attr(G.symEnd());
+  /// Begins an alternative of a rule over \p In in frame \p F.
+  void beginAlt(Frame &F, ByteSpan In, const Frame *Lex, size_t NumTerms) {
+    F.beginAlt(Base, In.absBase(), In.absBase() + In.size(), Lex, NumTerms);
+  }
+
+  /// updStartEnd of Figure 8 over the frame's start/end fields: the
+  /// first-update min/max shared with the generated runtime. start/end
+  /// enter the environment only once a term touches bytes; there is no
+  /// pre-seeded sentinel.
+  static void updStartEnd(Frame &F, int64_t Lo, int64_t Hi, bool Touched) {
+    ipg_rt::updStartEnd(F, ipg_rt::IdStart, ipg_rt::IdEnd, Lo, Hi, Touched);
+  }
+
+  /// The subtree \p Sub's [start, end) as the parent sees it
+  /// (ipg_rt::childSpan): untouched subtrees read as [sub-EOI, 0).
+  void childSpan(uint32_t Sub, int64_t SubEoi, int64_t &BStart,
+                 int64_t &BEnd) const {
     long long BS = 0, BE = 0;
-    ipg_rt::childSpan(S.has_value(), S.value_or(0), En.has_value(),
-                      En.value_or(0), SubEoi, BS, BE);
+    ipg_rt::childSpan(*cast<NodeTree>(Store.node(Sub)), SubEoi, BS, BE);
     BStart = BS;
     BEnd = BE;
+  }
+
+  /// Freezes the frame of a successful alternative of rule \p Id.
+  uint32_t freeze(Frame &F, const lir::RuleL &R, RuleId Id) {
+    ++Stats.NodesCreated;
+    return ipg_rt::freeze(Store, F, R.Name, Id);
   }
 
   /// Evaluates a lowered interval; false means evaluation failed (term
@@ -202,10 +224,10 @@ private:
   void completeChildNT(Frame &F, uint32_t TermIdx, int64_t Lo, int64_t Hi,
                        uint32_t Sub, ParseScratch::FlatKid *Bank = nullptr) {
     int64_t BStart, BEnd;
-    childSpan(*cast<NodeTree>(Store.node(Sub)), Hi - Lo, BStart, BEnd);
+    childSpan(Sub, Hi - Lo, BStart, BEnd);
     uint32_t Adjusted = Store.makeShifted(Sub, Lo);
-    updStartEnd(F.E, Lo + BStart, Lo + BEnd, BEnd != 0);
-    F.ChildIds.push_back(Adjusted);
+    updStartEnd(F, Lo + BStart, Lo + BEnd, BEnd != 0);
+    F.Kids.push_back(Adjusted);
     F.rec(TermIdx, Lo + BStart, Lo + BEnd);
     if (Bank)
       *Bank = ParseScratch::FlatKid{Adjusted, Lo + BStart, Lo + BEnd,
@@ -222,11 +244,11 @@ private:
     int64_t Lo, Hi;
     if (!evalInterval(F, Iv, Lo, Hi) || Hard)
       return false;
-    if (!ipg_rt::intervalOk(Lo, Hi, static_cast<int64_t>(F.Input.size())))
+    if (!ipg_rt::intervalOk(Lo, Hi, F.eoi()))
       return false;
     uint32_t Sub =
-        parseRule(Target, F.Input.slice(static_cast<size_t>(Lo),
-                                        static_cast<size_t>(Hi)),
+        parseRule(Target, input(F).slice(static_cast<size_t>(Lo),
+                                         static_cast<size_t>(Hi)),
                   &F);
     if (Hard || Sub == InvalidNode)
       return false;
@@ -239,7 +261,7 @@ private:
     switch (T.Op) {
     case lir::TermOp::CallRule: {
       if (T.Rule == InvalidRuleId) {
-        noteFail(T.Sym, F.Input.absBase());
+        noteFail(T.Sym, F.Lo);
         Hard = Error::failure("internal: unresolved nonterminal '" +
                               std::string(G.interner().name(T.Sym)) +
                               "' (run checkAttributes before parsing)");
@@ -290,13 +312,13 @@ private:
     int64_t Lo, Hi;
     if (!evalInterval(F, T.Iv, Lo, Hi) || Hard)
       return false;
-    if (!ipg_rt::intervalOk(Lo, Hi, static_cast<int64_t>(F.Input.size())))
+    if (!ipg_rt::intervalOk(Lo, Hi, F.eoi()))
       return false;
     if (T.Op == lir::TermOp::MatchRaw) {
       // `raw` matches the whole interval without reading or copying it.
-      updStartEnd(F.E, Lo, Hi, Hi > Lo);
-      F.ChildIds.push_back(
-          Store.makeLeaf(F.Input.data() + Lo,
+      updStartEnd(F, Lo, Hi, Hi > Lo);
+      F.Kids.push_back(
+          Store.makeLeaf(Base + F.Lo + Lo,
                          static_cast<size_t>(Hi - Lo), Lo,
                          /*Opaque=*/true));
       F.rec(T.TermIdx, Lo, Hi);
@@ -306,13 +328,13 @@ private:
     int64_t Len = static_cast<int64_t>(Bytes.size());
     if (Hi - Lo < Len)
       return false;
-    if (!F.Input.matchesAt(static_cast<size_t>(Lo), Bytes))
+    if (!input(F).matchesAt(static_cast<size_t>(Lo), Bytes))
       return false;
-    updStartEnd(F.E, Lo, Lo + Len, Len > 0);
+    updStartEnd(F, Lo, Lo + Len, Len > 0);
     // Zero-copy: the leaf aliases the matched window of the input.
-    F.ChildIds.push_back(Store.makeLeaf(F.Input.data() + Lo,
-                                        static_cast<size_t>(Len), Lo,
-                                        /*Opaque=*/false));
+    F.Kids.push_back(Store.makeLeaf(Base + F.Lo + Lo,
+                                    static_cast<size_t>(Len), Lo,
+                                    /*Opaque=*/false));
     F.rec(T.TermIdx, Lo, Lo + Len);
     return true;
   }
@@ -326,10 +348,10 @@ private:
     int64_t Lo, Hi;
     if (!evalInterval(F, T.Iv, Lo, Hi) || Hard)
       return false;
-    if (!ipg_rt::intervalOk(Lo, Hi, static_cast<int64_t>(F.Input.size())))
+    if (!ipg_rt::intervalOk(Lo, Hi, F.eoi()))
       return false;
     if (T.Op == lir::TermOp::MatchRaw) {
-      updStartEnd(F.E, Lo, Hi, Hi > Lo);
+      updStartEnd(F, Lo, Hi, Hi > Lo);
       F.rec(T.TermIdx, Lo, Hi);
       return true;
     }
@@ -337,9 +359,9 @@ private:
     int64_t Len = static_cast<int64_t>(Bytes.size());
     if (Hi - Lo < Len)
       return false;
-    if (!F.Input.matchesAt(static_cast<size_t>(Lo), Bytes))
+    if (!input(F).matchesAt(static_cast<size_t>(Lo), Bytes))
       return false;
-    updStartEnd(F.E, Lo, Lo + Len, Len > 0);
+    updStartEnd(F, Lo, Lo + Len, Len > 0);
     F.rec(T.TermIdx, Lo, Lo + Len);
     return true;
   }
@@ -348,7 +370,7 @@ private:
     int64_t V;
     if (!Ev.eval(F, T.E0, V))
       return false;
-    F.E.set(T.Sym, V);
+    F.setAttr(T.Sym, V);
     return true;
   }
 
@@ -362,7 +384,7 @@ private:
     if (!Ev.eval(F, T.E0, From) || !Ev.eval(F, T.E1, To))
       return false;
     if (T.Rule == InvalidRuleId) {
-      noteFail(T.Elem, F.Input.absBase());
+      noteFail(T.Elem, F.Lo);
       Hard = Error::failure("internal: unresolved array element");
       return false;
     }
@@ -370,7 +392,8 @@ private:
     // Save any outer binding of the loop variable and bind it per element;
     // the binding is visible to el/er and (through the lexical chain) to
     // local element rules, matching T-ArraySucc's E[id -> k].
-    auto Saved = F.E.get(T.Sym);
+    long long Saved = 0;
+    const bool HadSaved = F.getAttr(T.Sym, Saved);
     // Element ids accumulate in per-nesting-level scratch. Elements may
     // contain arrays at deeper levels, and entering a deeper level can
     // resize the pool — re-index on every access instead of holding a
@@ -391,19 +414,18 @@ private:
     }
 
     for (int64_t K = From; K < To; ++K) {
-      F.E.set(T.Sym, K);
+      F.setAttr(T.Sym, K);
       int64_t Lo, Hi;
       if (!evalInterval(F, T.Iv, Lo, Hi) || Hard) {
         Failed = true;
         break;
       }
-      if (!ipg_rt::intervalOk(Lo, Hi,
-                              static_cast<int64_t>(F.Input.size()))) {
+      if (!ipg_rt::intervalOk(Lo, Hi, F.eoi())) {
         Failed = true;
         break;
       }
-      const ByteSpan Slice = F.Input.slice(static_cast<size_t>(Lo),
-                                           static_cast<size_t>(Hi));
+      const ByteSpan Slice = input(F).slice(static_cast<size_t>(Lo),
+                                            static_cast<size_t>(Hi));
       uint32_t Sub = EP ? parseRecordElem(*EP, T.Rule, Slice, &F)
                         : parseRule(T.Rule, Slice, &F);
       if (Hard || Sub == InvalidNode) {
@@ -411,9 +433,9 @@ private:
         break;
       }
       int64_t BStart, BEnd;
-      childSpan(*cast<NodeTree>(Store.node(Sub)), Hi - Lo, BStart, BEnd);
+      childSpan(Sub, Hi - Lo, BStart, BEnd);
       St.ElemScratch[Level].push_back(Store.makeShifted(Sub, Lo));
-      updStartEnd(F.E, Lo + BStart, Lo + BEnd, BEnd != 0);
+      updStartEnd(F, Lo + BStart, Lo + BEnd, BEnd != 0);
       if (BEnd != 0) {
         AnyTouched = true;
         MaxEnd = std::max(MaxEnd, Lo + BEnd);
@@ -421,15 +443,15 @@ private:
     }
 
     --St.ArrayNest;
-    if (Saved)
-      F.E.set(T.Sym, *Saved);
+    if (HadSaved)
+      F.setAttr(T.Sym, Saved);
     else
-      F.E.erase(T.Sym);
+      F.eraseAttr(T.Sym);
     if (Failed)
       return false;
 
     const std::vector<uint32_t> &Elems = St.ElemScratch[Level];
-    F.ChildIds.push_back(
+    F.Kids.push_back(
         Store.makeArray(T.Elem, Elems.data(),
                         static_cast<uint32_t>(Elems.size())));
     if (AnyTouched)
@@ -484,7 +506,8 @@ private:
     EnvSlot Env[lir::MaxRecordTerms + 2];
     uint32_t NE = 0;
     uint32_t Pos[lir::MaxRecordTerms]; // dynamic: env position per slot
-    uint32_t StartPos = ~0u;           // dynamic: env position of start
+    bool Touched = false;              // dynamic: start/end, appended last
+    int64_t SpanLo = 0, SpanHi = 0;
     int64_t LeafLo[lir::MaxRecordTerms], LeafLen[lir::MaxRecordTerms];
     uint32_t Kids[lir::MaxRecordTerms];
     bool LeafRaw[lir::MaxRecordTerms];
@@ -526,15 +549,9 @@ private:
         }
         if constexpr (!Static) {
           if (Len > 0) { // updStartEnd's first-update min/max
-            if (StartPos == ~0u) {
-              StartPos = NE;
-              Env[NE++] = EnvSlot{G.symStart(), Lo};
-              Env[NE++] = EnvSlot{G.symEnd(), Lo + Len};
-            } else {
-              Env[StartPos].Value = std::min(Env[StartPos].Value, Lo);
-              Env[StartPos + 1].Value =
-                  std::max(Env[StartPos + 1].Value, Lo + Len);
-            }
+            SpanLo = Touched ? std::min(SpanLo, Lo) : Lo;
+            SpanHi = Touched ? std::max(SpanHi, Lo + Len) : Lo + Len;
+            Touched = true;
           }
           F->rec(S.TermIdx, Lo, Lo + Len);
         }
@@ -562,6 +579,10 @@ private:
           return InvalidNode;
         break;
       }
+    }
+    if (!Static && Touched) {
+      Env[NE++] = EnvSlot{ipg_rt::IdStart, SpanLo};
+      Env[NE++] = EnvSlot{ipg_rt::IdEnd, SpanHi};
     }
     for (uint32_t I = 0; I < NL; ++I)
       Kids[I] = Store.makeLeaf(In + LeafLo[I], static_cast<size_t>(LeafLen[I]),
@@ -593,26 +614,26 @@ private:
     int64_t Lo, Hi;
     if (!evalInterval(F, T.Iv, Lo, Hi) || Hard)
       return false;
-    if (!ipg_rt::intervalOk(Lo, Hi, static_cast<int64_t>(F.Input.size())))
+    if (!ipg_rt::intervalOk(Lo, Hi, F.eoi()))
       return false;
 
     // The call site was resolved against the registry at engine
     // construction (lower/LIR.h's BbSite table).
     const BlackboxFn *Fn = St.BbFns[T.Bb];
     if (!Fn) {
-      noteFail(T.Sym, F.Input.absBase() + Lo);
+      noteFail(T.Sym, F.Lo + Lo);
       Hard = Error::failure("blackbox parser '" +
                             L.BbSites[T.Bb].NameStr +
                             "' is not registered");
       return false;
     }
-    ByteSpan Slice = F.Input.slice(static_cast<size_t>(Lo),
-                                   static_cast<size_t>(Hi));
+    ByteSpan Slice = input(F).slice(static_cast<size_t>(Lo),
+                                    static_cast<size_t>(Hi));
     BlackboxResult Res = (*Fn)(Slice);
     if (!Res.Ok)
       return false;
     if (Res.End > Slice.size()) {
-      noteFail(T.Sym, F.Input.absBase() + Lo);
+      noteFail(T.Sym, F.Lo + Lo);
       Hard = Error::failure("blackbox parser '" +
                             L.BbSites[T.Bb].NameStr +
                             "' consumed past its interval");
@@ -625,8 +646,8 @@ private:
         T.Sym, Res.Value, static_cast<int64_t>(Res.End), Res.Output.data(),
         Res.Output.size(), Lo, Hi);
     ++Stats.NodesCreated;
-    updStartEnd(F.E, Lo, Lo + static_cast<int64_t>(Res.End), Res.End > 0);
-    F.ChildIds.push_back(Node);
+    updStartEnd(F, Lo, Lo + static_cast<int64_t>(Res.End), Res.End > 0);
+    F.Kids.push_back(Node);
     F.rec(T.TermIdx, Lo, Lo + static_cast<int64_t>(Res.End));
     return true;
   }
@@ -718,7 +739,7 @@ private:
     int64_t Lo, Hi;
     if (!evalInterval(F, *Iv, Lo, Hi) || Hard)
       return false;
-    if (!ipg_rt::intervalOk(Lo, Hi, static_cast<int64_t>(F.Input.size())))
+    if (!ipg_rt::intervalOk(Lo, Hi, F.eoi()))
       return false;
     if (Hi <= Lo)
       return false; // a hole must cover at least one damaged byte —
@@ -733,10 +754,10 @@ private:
   /// term (start/end, termEnd references) sees a consistent parse.
   void emitHoleAt(Frame &F, uint32_t TI, int64_t Lo, int64_t Hi,
                   Symbol HoleSym) {
-    updStartEnd(F.E, Lo, Hi, Hi > Lo);
-    F.ChildIds.push_back(Store.makeHole(F.Input.data() + Lo,
-                                        static_cast<size_t>(Hi - Lo), Lo,
-                                        HoleSym));
+    updStartEnd(F, Lo, Hi, Hi > Lo);
+    F.Kids.push_back(Store.makeHole(Base + F.Lo + Lo,
+                                    static_cast<size_t>(Hi - Lo), Lo,
+                                    HoleSym));
     F.rec(TI, Lo, Hi);
     ++Stats.HolesFilled;
   }
@@ -810,8 +831,8 @@ private:
         if (P.Static) {
           Result = runRecord<true>(P, Id, Input, nullptr);
         } else {
-          F.beginAlt(Input, R.IsLocal ? Lexical : nullptr,
-                     R.Alts[0].Exec.size());
+          beginAlt(F, Input, R.IsLocal ? Lexical : nullptr,
+                   R.Alts[0].Exec.size());
           Result = runRecord<false>(P, Id, Input, &F);
         }
       }
@@ -820,7 +841,7 @@ private:
          AI < AE; ++AI) {
       const lir::AltL &Alt = R.Alts[AI];
       const bool BT = AI + 1 < AE; // a later alternative is still untried
-      F.beginAlt(Input, R.IsLocal ? Lexical : nullptr, Alt.Exec.size());
+      beginAlt(F, Input, R.IsLocal ? Lexical : nullptr, Alt.Exec.size());
       // The environment starts empty: EOI is answered from the frame
       // (never stored as an attribute, so a grammar attribute named "EOI"
       // cannot collide through the lexical lookup), and start/end appear
@@ -838,10 +859,7 @@ private:
       if (Hard)
         break;
       if (Ok) {
-        Result = Store.makeNode(
-            R.Name, Id, F.E, F.ChildIds.data(),
-            static_cast<uint32_t>(F.ChildIds.size()));
-        ++Stats.NodesCreated;
+        Result = freeze(F, R, Id);
         break;
       }
     }
@@ -928,7 +946,7 @@ private:
     // level on the way down (recursion tries them first per activation).
     for (size_t AI = 0; AI < FI.SelfAlt; ++AI) {
       const lir::AltL &Alt = R.Alts[AI];
-      F.beginAlt(Cur, nullptr, Alt.Exec.size());
+      beginAlt(F, Cur, nullptr, Alt.Exec.size());
       ++BacktrackLive; // the self alternative is still untried
       bool Ok = true;
       for (const lir::TermL &T : Alt.Exec)
@@ -940,10 +958,7 @@ private:
       if (Hard)
         goto flat_hard;
       if (Ok) {
-        Sub = Store.makeNode(
-            R.Name, Id, F.E, F.ChildIds.data(),
-            static_cast<uint32_t>(F.ChildIds.size()));
-        ++Stats.NodesCreated;
+        Sub = freeze(F, R, Id);
         goto flat_level_ok;
       }
     }
@@ -951,7 +966,7 @@ private:
     // The self alternative's prefix (descend phase), then push the level
     // and descend into the self interval.
     {
-      F.beginAlt(Cur, nullptr, SAlt.Exec.size());
+      beginAlt(F, Cur, nullptr, SAlt.Exec.size());
       // This level enters its self alternative: it contributes to
       // BacktrackLive until it leaves it — through the prefix, the
       // whole descent below, and the replay (flat_resolved).
@@ -961,7 +976,7 @@ private:
         bool Ok;
         if (T.Op == lir::TermOp::CallRule) {
           if (T.Rule == InvalidRuleId) {
-            noteFail(T.Sym, F.Input.absBase());
+            noteFail(T.Sym, F.Lo);
             Hard = Error::failure(
                 "internal: unresolved nonterminal '" +
                 std::string(G.interner().name(T.Sym)) +
@@ -993,14 +1008,13 @@ private:
         BacktrackLive -= HasPost; // leave the self alt
         goto flat_post_alts;
       }
-      if (!ipg_rt::intervalOk(SLo, SHi,
-                              static_cast<int64_t>(F.Input.size()))) {
+      if (!ipg_rt::intervalOk(SLo, SHi, F.eoi())) {
         BacktrackLive -= HasPost; // leave the self alt
         goto flat_post_alts;
       }
       St.FlatLevels.push_back(Cur);
-      Cur = F.Input.slice(static_cast<size_t>(SLo),
-                          static_cast<size_t>(SHi));
+      Cur = input(F).slice(static_cast<size_t>(SLo),
+                           static_cast<size_t>(SHi));
       goto flat_descend;
     }
 
@@ -1024,7 +1038,7 @@ private:
     for (size_t AI = FI.SelfAlt + 1; AI < R.Alts.size(); ++AI) {
       const lir::AltL &Alt = R.Alts[AI];
       const bool BT = AI + 1 < R.Alts.size(); // a later alt is untried
-      F.beginAlt(Cur, nullptr, Alt.Exec.size());
+      beginAlt(F, Cur, nullptr, Alt.Exec.size());
       BacktrackLive += BT;
       bool Ok = true;
       for (const lir::TermL &T : Alt.Exec)
@@ -1036,10 +1050,7 @@ private:
       if (Hard)
         goto flat_hard;
       if (Ok) {
-        Sub = Store.makeNode(
-            R.Name, Id, F.E, F.ChildIds.data(),
-            static_cast<uint32_t>(F.ChildIds.size()));
-        ++Stats.NodesCreated;
+        Sub = freeze(F, R, Id);
         goto flat_level_ok;
       }
     }
@@ -1073,7 +1084,7 @@ private:
       Cur = St.FlatLevels.back();
       St.FlatLevels.pop_back();
       Depth = EntryDepth + 1 + (St.FlatLevels.size() - LvBase);
-      F.beginAlt(Cur, nullptr, SAlt.Exec.size());
+      beginAlt(F, Cur, nullptr, SAlt.Exec.size());
       size_t KidJ = 0;
       bool Ok = true;
       for (size_t Step = 0; Step < FI.SelfExecPos && Ok; ++Step) {
@@ -1082,8 +1093,8 @@ private:
           const ParseScratch::FlatKid &K =
               St.FlatKids[KidBase +
                           (St.FlatLevels.size() - LvBase) * PN + KidJ++];
-          updStartEnd(F.E, K.Start, K.End, K.Touched);
-          F.ChildIds.push_back(K.Node);
+          updStartEnd(F, K.Start, K.End, K.Touched);
+          F.Kids.push_back(K.Node);
           F.rec(T.TermIdx, K.Start, K.End);
         } else if (T.Op == lir::TermOp::MatchBytes ||
                    T.Op == lir::TermOp::MatchRaw) {
@@ -1110,10 +1121,7 @@ private:
       BacktrackLive -= HasPost; // replay done: leave the self alt
       if (!Ok)
         goto flat_post_alts;
-      Sub = Store.makeNode(
-          R.Name, Id, F.E, F.ChildIds.data(),
-          static_cast<uint32_t>(F.ChildIds.size()));
-      ++Stats.NodesCreated;
+      Sub = freeze(F, R, Id);
       if (TrackReentry) {
         St.InProgress.erase(St.FlatKeys.back());
         St.FlatKeys.pop_back();
@@ -1226,9 +1234,9 @@ private:
 
   void restoreLoopVar(Frame &F, MachineAct &A) {
     if (A.ArrHadSaved)
-      F.E.set(A.Arr->Sym, A.ArrSaved);
+      F.setAttr(A.Arr->Sym, A.ArrSaved);
     else
-      F.E.erase(A.Arr->Sym);
+      F.eraseAttr(A.Arr->Sym);
   }
 
   /// Abandons the in-flight array term of act \p I (element failed or an
@@ -1246,9 +1254,9 @@ private:
     MachineAct &A = St.Acts[I];
     int64_t Lo = A.PendLo, Hi = A.PendHi;
     int64_t BStart, BEnd;
-    childSpan(*cast<NodeTree>(Store.node(Sub)), Hi - Lo, BStart, BEnd);
+    childSpan(Sub, Hi - Lo, BStart, BEnd);
     St.ElemScratch[A.ArrLevel].push_back(Store.makeShifted(Sub, Lo));
-    updStartEnd(F.E, Lo + BStart, Lo + BEnd, BEnd != 0);
+    updStartEnd(F, Lo + BStart, Lo + BEnd, BEnd != 0);
     if (BEnd != 0) {
       A.ArrTouched = true;
       A.ArrMaxEnd = std::max(A.ArrMaxEnd, Lo + BEnd);
@@ -1267,7 +1275,7 @@ private:
         --St.ArrayNest;
         restoreLoopVar(F, A);
         const std::vector<uint32_t> &Elems = St.ElemScratch[A.ArrLevel];
-        F.ChildIds.push_back(
+        F.Kids.push_back(
             Store.makeArray(Ar.Elem, Elems.data(),
                             static_cast<uint32_t>(Elems.size())));
         if (A.ArrTouched)
@@ -1276,19 +1284,18 @@ private:
         A.Wait = MachineAct::WaitNone;
         return 1;
       }
-      F.E.set(Ar.Sym, A.ArrK);
+      F.setAttr(Ar.Sym, A.ArrK);
       int64_t Lo, Hi;
       if (!evalInterval(F, Ar.Iv, Lo, Hi) || Hard)
         return arrayFail(I, F);
-      if (!ipg_rt::intervalOk(Lo, Hi,
-                              static_cast<int64_t>(F.Input.size())))
+      if (!ipg_rt::intervalOk(Lo, Hi, F.eoi()))
         return arrayFail(I, F);
       A.PendLo = Lo;
       A.PendHi = Hi;
       A.Wait = MachineAct::WaitArr;
       StartStatus S2 = startAct(Ar.Rule,
-                                F.Input.slice(static_cast<size_t>(Lo),
-                                              static_cast<size_t>(Hi)),
+                                input(F).slice(static_cast<size_t>(Lo),
+                                               static_cast<size_t>(Hi)),
                                 &F);
       if (S2 == ActPushed)
         return 2;
@@ -1307,9 +1314,9 @@ private:
     MachineAct &A = St.Acts[I];
     A.Arr = &T;
     A.PendTI = T.TermIdx;
-    auto Saved = F.E.get(T.Sym);
-    A.ArrHadSaved = Saved.has_value();
-    A.ArrSaved = Saved.value_or(0);
+    long long Saved = 0;
+    A.ArrHadSaved = F.getAttr(T.Sym, Saved);
+    A.ArrSaved = Saved;
     A.ArrLevel = St.ArrayNest++;
     St.elemScratchAt(A.ArrLevel).clear();
     A.ArrTouched = false;
@@ -1329,7 +1336,7 @@ private:
     int64_t Lo, Hi;
     if (!evalInterval(F, Iv, Lo, Hi) || Hard)
       return 0;
-    if (!ipg_rt::intervalOk(Lo, Hi, static_cast<int64_t>(F.Input.size())))
+    if (!ipg_rt::intervalOk(Lo, Hi, F.eoi()))
       return 0;
     Recov = Recov && Hi > Lo; // zero-width holes are refused (see emitHole)
     MachineAct &A = St.Acts[I];
@@ -1340,8 +1347,8 @@ private:
     A.PendHole = HoleSym;
     A.Wait = MachineAct::WaitNT;
     StartStatus S2 = startAct(Target,
-                              F.Input.slice(static_cast<size_t>(Lo),
-                                            static_cast<size_t>(Hi)),
+                              input(F).slice(static_cast<size_t>(Lo),
+                                             static_cast<size_t>(Hi)),
                               &F);
     if (S2 == ActPushed)
       return 2;
@@ -1462,8 +1469,8 @@ private:
       const lir::AltL &Alt = R.Alts[A.AltIdx];
       if (!AltFailed) {
         if (A.NeedBegin) {
-          F.beginAlt(A.Input, R.IsLocal ? A.Lex : nullptr,
-                     Alt.Exec.size());
+          beginAlt(F, A.Input, R.IsLocal ? A.Lex : nullptr,
+                   Alt.Exec.size());
           A.NeedBegin = false;
         }
         while (A.StepIdx < Alt.Exec.size()) {
@@ -1482,10 +1489,7 @@ private:
         return;
       }
       if (!AltFailed) {
-        uint32_t Result = Store.makeNode(
-            R.Name, A.Id, F.E, F.ChildIds.data(),
-            static_cast<uint32_t>(F.ChildIds.size()));
-        ++Stats.NodesCreated;
+        uint32_t Result = freeze(F, R, A.Id);
         finishAct(Result);
         return;
       }
@@ -1527,8 +1531,8 @@ private:
 
 /// The shared body of Interp::parse and BytecodeVM::parse(Input, StartNT):
 /// reset the stats, resolve the start rule, recycle the store, and run one
-/// Runner whose evaluator is built from the scratch state, the parse's
-/// store and \p EvalArgs.
+/// Runner whose evaluator is built from the scratch state and
+/// \p EvalArgs.
 template <class Evaluator, class... EvalArgs>
 Expected<TreePtr> parse(const Grammar &G, const EngineOptions &Opts,
                         EngineStats &Stats, ParseScratch &S,
@@ -1556,7 +1560,7 @@ Expected<TreePtr> parse(const Grammar &G, const EngineOptions &Opts,
   // every previous tree is still alive — this parse gets a fresh store.
   S.beginParse(Stats);
   Runner<Evaluator> R(G, Opts, Stats, S,
-                      Evaluator(S, S.Stores.current(), Args...),
+                      Evaluator(S, Args...),
                       HasDeadline, Deadline);
   return R.run(Input, Start);
 }

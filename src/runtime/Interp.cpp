@@ -7,18 +7,18 @@
 //
 // The interpreter is host::Runner (runtime/HostRunner.h) instantiated with
 // AstEval, which tree-walks each lowered program's source expression
-// through expr/Eval.h. This file holds only that evaluator and its
-// EvalContext view of a frame.
+// through expr/Eval.h. This file holds only that evaluator and FrameCtx,
+// the EvalContext adapter over an ipg_rt::Frame.
 //
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Interp.h"
 
 #include "expr/Eval.h"
+#include "expr/Expr.h"
 #include "lower/LIR.h"
 #include "runtime/HostRunner.h"
 #include "runtime/ParseScratch.h"
-#include "support/Casting.h"
 #include "support/GenRuntime.h"
 
 #include <cstddef>
@@ -30,86 +30,69 @@ using namespace ipg;
 
 namespace {
 
-using Frame = ParseScratch::Frame;
+using Frame = ipg_rt::Frame;
 
-/// EvalContext view of a Frame (sigma of Figure 8). Child trees are stored
-/// as ids; the store resolves them.
+// The generated parsers and the host evaluators read input through one
+// guarded read (ipg_rt::Frame::read), which takes the read kind as its
+// ipg_rt encoding. That encoding must mirror ReadKind.
+static_assert(static_cast<unsigned>(ReadKind::U8) == ipg_rt::RK_U8 &&
+                  static_cast<unsigned>(ReadKind::U16Le) == ipg_rt::RK_U16Le &&
+                  static_cast<unsigned>(ReadKind::U32Le) == ipg_rt::RK_U32Le &&
+                  static_cast<unsigned>(ReadKind::U64Le) == ipg_rt::RK_U64Le &&
+                  static_cast<unsigned>(ReadKind::U16Be) == ipg_rt::RK_U16Be &&
+                  static_cast<unsigned>(ReadKind::U32Be) == ipg_rt::RK_U32Be &&
+                  static_cast<unsigned>(ReadKind::BtoiLe) ==
+                      ipg_rt::RK_BtoiLe &&
+                  static_cast<unsigned>(ReadKind::BtoiBe) == ipg_rt::RK_BtoiBe,
+              "ipg_rt read-kind encoding must mirror ipg::ReadKind");
+
+/// The EvalContext adapter expr/Eval.h needs over a Frame: every lookup
+/// is the frame's own (sigma of Figure 8, support/GenRuntime.h).
 class FrameCtx : public EvalContext {
 public:
-  FrameCtx(const Frame &F, const TreeStore &Store) : F(F), Store(Store) {}
+  explicit FrameCtx(const Frame &F) : F(F) {}
 
   std::optional<int64_t> attr(Symbol Id) const override {
-    for (const Frame *L = &F; L; L = L->Lexical)
-      if (auto V = L->E.get(Id))
-        return V;
-    return std::nullopt;
+    long long V = 0;
+    return F.attr(Id, V) ? std::optional<int64_t>(V) : std::nullopt;
   }
 
   std::optional<int64_t> ntAttr(Symbol NT, Symbol Attr) const override {
-    for (const Frame *L = &F; L; L = L->Lexical)
-      for (size_t I = L->ChildIds.size(); I-- > 0;)
-        if (const auto *N = dyn_cast<NodeTree>(Store.node(L->ChildIds[I])))
-          if (N->name() == NT)
-            return N->attr(Attr);
-    return std::nullopt;
+    long long V = 0;
+    return F.ntAttr(NT, Attr, V) ? std::optional<int64_t>(V) : std::nullopt;
   }
 
   std::optional<int64_t> elemAttr(Symbol NT, int64_t Index,
                                   Symbol Attr) const override {
-    const ArrayTree *A = findArray(NT);
-    if (!A || Index < 0 || static_cast<size_t>(Index) >= A->size())
-      return std::nullopt;
-    const NodeTree *N = A->element(static_cast<size_t>(Index));
-    return N ? N->attr(Attr) : std::nullopt;
+    long long V = 0;
+    return F.elemAttr(NT, Index, Attr, V) ? std::optional<int64_t>(V)
+                                          : std::nullopt;
   }
 
   std::optional<int64_t> arrayLength(Symbol NT) const override {
-    const ArrayTree *A = findArray(NT);
+    const ArrayTree *A = F.findArray(NT);
     if (!A)
       return std::nullopt;
     return static_cast<int64_t>(A->size());
   }
 
-  std::optional<int64_t> eoi() const override {
-    return static_cast<int64_t>(F.Input.size());
-  }
+  std::optional<int64_t> eoi() const override { return F.eoi(); }
 
   std::optional<int64_t> termEnd(uint32_t TermIdx) const override {
-    int64_t Out = 0;
-    if (!F.termEnd(TermIdx, Out))
-      return std::nullopt;
-    return Out;
+    long long V = 0;
+    return F.termEnd(TermIdx, V) ? std::optional<int64_t>(V) : std::nullopt;
   }
 
   std::optional<int64_t> readInput(ReadKind RK, int64_t Lo,
                                    int64_t Hi) const override {
-    // Width/endianness and the bounds guards live in the shared runtime
-    // (the generated parsers call the same functions).
-    long long Width = 0;
-    bool BigEndian = false;
-    if (!ipg_rt::readKindSpec(static_cast<unsigned>(RK), Width, BigEndian) &&
-        !ipg_rt::btoiWidth(Lo, Hi, Width)) // btoi(lo, hi) window
-      return std::nullopt;
-    long long Out = 0;
-    if (!ipg_rt::readScalar(F.Input.data(),
-                            static_cast<long long>(F.Input.size()), Lo,
-                            Width, BigEndian, Out))
-      return std::nullopt;
-    return static_cast<int64_t>(Out);
+    long long V = 0;
+    return F.read(static_cast<unsigned>(RK), Lo, Hi, V)
+               ? std::optional<int64_t>(V)
+               : std::nullopt;
   }
 
 private:
   const Frame &F;
-  const TreeStore &Store;
-
-  const ArrayTree *findArray(Symbol NT) const {
-    for (const Frame *L = &F; L; L = L->Lexical)
-      for (size_t I = L->ChildIds.size(); I-- > 0;)
-        if (const auto *A = dyn_cast<ArrayTree>(Store.node(L->ChildIds[I])))
-          if (A->elemName() == NT)
-            return A;
-    return nullptr;
-  }
 };
 
 /// The interpreter's expression evaluator for host::Runner: tree-walks
@@ -122,11 +105,10 @@ public:
   /// the VM's fused records are compared against.
   static constexpr bool Fuse = false;
 
-  AstEval(ParseScratch &St, const TreeStore &Store)
-      : L(St.Lowered), Store(Store) {}
+  explicit AstEval(ParseScratch &St) : L(St.Lowered) {}
 
   bool eval(const Frame &F, lir::ExprId Id, int64_t &Out) const {
-    auto V = evaluate(*L.Exprs[Id].Src, FrameCtx(F, Store));
+    auto V = evaluate(*L.Exprs[Id].Src, FrameCtx(F));
     if (!V)
       return false;
     Out = *V;
@@ -135,13 +117,12 @@ public:
 
 private:
   const lir::Module &L;
-  const TreeStore &Store;
 };
 
 } // namespace
 
 Interp::Interp(const Grammar &G, const BlackboxRegistry *Blackboxes,
-               InterpOptions Opts)
+               EngineOptions Opts)
     : G(G), Blackboxes(Blackboxes), Opts(Opts),
       S(std::make_unique<ParseScratch>()) {
   // One lowering per engine: the shared resolution layer (rule targets,

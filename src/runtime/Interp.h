@@ -15,16 +15,19 @@
 /// The interpreter and the bytecode VM (vm/BytecodeVM.h) are the two host
 /// engines, and they share one execution core, host::Runner
 /// (runtime/HostRunner.h): the three recursion-shape tiers, salvage,
-/// deadlines, memoization, reentry tracking and stats. They differ only
-/// in expression evaluation. The interpreter tree-walks each source
-/// expression through expr/Eval.h — the paper's reference semantics, and
-/// the oracle tests/differential_test.cpp holds the VM to.
+/// deadlines, memoization, reentry tracking and stats. Both execute each
+/// alternative in an ipg_rt::Frame (support/GenRuntime.h), the frame
+/// generated parsers use too, so attribute lookup and updStartEnd are one
+/// implementation. They differ only in expression evaluation. The
+/// interpreter tree-walks each source expression through expr/Eval.h —
+/// the paper's reference semantics, and the oracle
+/// tests/differential_test.cpp holds the VM to.
 ///
 /// Memoization keys on (rule, absolute slice) as described in Section 3.3,
 /// giving the O(n^2) bound; it can be disabled for ablation. The table is
 /// an open-addressing flat hash over a 128-bit packed key
-/// (support/FlatHash.h re-exporting ipg_rt's implementation, which
-/// generated parsers embed too), not a node-based map. Local
+/// (ipg_rt::FlatIntervalMap, which generated parsers embed too), not a
+/// node-based map. Local
 /// (where-clause) rules are never memoized because their meaning depends
 /// on the enclosing frame, and leaf rules (no subparser-spawning term;
 /// ruleSpawnsSubparsers) are skipped because re-matching them is cheaper
@@ -72,12 +75,6 @@
 
 namespace ipg {
 
-/// The interpreter consumes the engine-wide knob/counter structs
-/// directly (runtime/EngineOptions.h) so its defaults cannot drift from
-/// the generated engine's; the old names remain as aliases.
-using InterpOptions = EngineOptions;
-using InterpStats = EngineStats;
-
 /// Reusable engine internals (tree store, memo table, frame pool; shared
 /// with the bytecode VM — runtime/ParseScratch.h); owned via unique_ptr
 /// so the hot-path types stay out of this header.
@@ -91,7 +88,7 @@ struct ParseScratch;
 class Interp : public Engine {
 public:
   explicit Interp(const Grammar &G, const BlackboxRegistry *Blackboxes = nullptr,
-                  InterpOptions Opts = InterpOptions());
+                  EngineOptions Opts = EngineOptions());
   ~Interp() override;
 
   /// Parses from the grammar's start symbol.
@@ -100,7 +97,7 @@ public:
   Expected<TreePtr> parse(ByteSpan Input, Symbol StartNT);
 
   /// Statistics of the most recent parse() call.
-  const InterpStats &stats() const override { return Stats; }
+  const EngineStats &stats() const override { return Stats; }
 
   const Grammar &grammar() const override { return G; }
 
@@ -124,8 +121,8 @@ public:
 private:
   const Grammar &G;
   const BlackboxRegistry *Blackboxes;
-  InterpOptions Opts;
-  InterpStats Stats;
+  EngineOptions Opts;
+  EngineStats Stats;
   std::unique_ptr<ParseScratch> S;
   bool HasDeadline = false;
   std::chrono::steady_clock::time_point Deadline{};

@@ -6,17 +6,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The recycled scratch state of the two host engines — the tree-walking
-/// interpreter (runtime/Interp.cpp) and the bytecode VM
+/// The recycled host-only state of the two host engines — the
+/// tree-walking interpreter (runtime/Interp.cpp) and the bytecode VM
 /// (vm/BytecodeVM.cpp). Both are instantiations of one execution core
 /// (runtime/HostRunner.h) running the same three-tier strategy (Direct
 /// recursion / Flattened descend-replay / Step work-stack machine) over
-/// the same lowered module (lower/LIR.h), so they share one state layout:
-/// per-depth frame pool, memo + reentry tables, flattened window stack,
-/// machine activation records, and the store-recycling plumbing. Everything here survives across parse() calls so the steady
-/// state allocates nothing: vectors and the flat hashes keep their
-/// capacity through clear(), the TreeStore keeps its arena blocks through
-/// reset(), and frames are pooled per recursion depth.
+/// the same lowered module (lower/LIR.h). The frame an alternative runs
+/// in is ipg_rt::Frame (support/GenRuntime.h), the one generated parsers
+/// use too; this header pools those frames per depth and holds what only
+/// the host needs around them: the lowered module and resolved blackbox
+/// sites, memo + reentry tables, per-nesting array scratch, the flattened
+/// window stack, machine activation records, the VM's operand stack, and
+/// the store-recycling slot. Everything here survives across parse()
+/// calls so the steady state allocates nothing: vectors and the flat
+/// hashes keep their capacity through clear(), the TreeStore keeps its
+/// arena blocks through reset(), and frames are pooled per recursion
+/// depth.
 ///
 /// This header is an implementation detail of the host runner and its two
 /// engines; nothing else should include it (public surfaces expose it
@@ -30,10 +35,8 @@
 #include "lower/LIR.h"
 #include "runtime/Blackbox.h"
 #include "runtime/EngineOptions.h"
-#include "runtime/Env.h"
 #include "runtime/ParseTree.h"
 #include "support/Bytes.h"
-#include "support/FlatHash.h"
 #include "support/GenRuntime.h"
 
 #include <cstddef>
@@ -43,89 +46,13 @@
 
 namespace ipg {
 
-// The in-process engines and the generated parsers share one semantic
-// core (support/GenRuntime.h, embedded verbatim into codegen output). The
-// ReadKind encoding used across that boundary must mirror the enum.
-static_assert(static_cast<unsigned>(ReadKind::U8) == ipg_rt::RK_U8 &&
-                  static_cast<unsigned>(ReadKind::U16Le) == ipg_rt::RK_U16Le &&
-                  static_cast<unsigned>(ReadKind::U32Le) == ipg_rt::RK_U32Le &&
-                  static_cast<unsigned>(ReadKind::U64Le) == ipg_rt::RK_U64Le &&
-                  static_cast<unsigned>(ReadKind::U16Be) == ipg_rt::RK_U16Be &&
-                  static_cast<unsigned>(ReadKind::U32Be) == ipg_rt::RK_U32Be &&
-                  static_cast<unsigned>(ReadKind::BtoiLe) ==
-                      ipg_rt::RK_BtoiLe &&
-                  static_cast<unsigned>(ReadKind::BtoiBe) == ipg_rt::RK_BtoiBe,
-              "ipg_rt read-kind encoding must mirror ipg::ReadKind");
-
-/// Env adapter with the getAttr/setAttr surface ipg_rt::updStartEnd
-/// expects.
-struct EnvRef {
-  Env &E;
-  bool getAttr(Symbol S, long long &Out) const {
-    if (auto V = E.get(S)) {
-      Out = *V;
-      return true;
-    }
-    return false;
-  }
-  void setAttr(Symbol S, long long V) { E.set(S, static_cast<int64_t>(V)); }
-};
-
 struct ParseScratch {
-  /// Per-alternative execution state: the environment E, the ids of
-  /// already-built child trees, and per-term touch records for TermEnd.
-  struct Frame {
-    ByteSpan Input;
-    Env E;
-    std::vector<uint32_t> ChildIds;
-
-    /// Per-term touch records, invalidated per alternative by generation
-    /// stamp — a rule with many failing alternatives pays O(1) per
-    /// attempt instead of refilling the array (the same scheme as the
-    /// generated ipg_rt::Frame).
-    struct TermRec {
-      uint32_t Gen = 0;
-      int64_t Start = 0;
-      int64_t End = 0;
-    };
-    std::vector<TermRec> Recs;
-    uint32_t RecGen = 0;
-
-    /// Enclosing frame for where-clause rules (null for global rules).
-    const Frame *Lexical = nullptr;
-
-    void beginAlt(ByteSpan In, const Frame *Lex, size_t NumTerms) {
-      Input = In;
-      Lexical = Lex;
-      E.clear();
-      ChildIds.clear();
-      if (Recs.size() < NumTerms)
-        Recs.resize(NumTerms);
-      if (++RecGen == 0) {
-        // Generation wrap (once per 2^32 alternatives): ancient stamps
-        // could alias the restarted counter, so pay one full sweep.
-        for (TermRec &R : Recs)
-          R.Gen = 0;
-        RecGen = 1;
-      }
-    }
-
-    void rec(uint32_t TermIdx, int64_t Start, int64_t End) {
-      Recs[TermIdx] = TermRec{RecGen, Start, End};
-    }
-    bool termEnd(uint32_t TermIdx, int64_t &Out) const {
-      if (TermIdx >= Recs.size() || Recs[TermIdx].Gen != RecGen)
-        return false;
-      Out = Recs[TermIdx].End;
-      return true;
-    }
-  };
-
   /// ipg_rt::memoPack'd outcomes — the same encoding the generated Ctx
   /// uses, through the same helpers; ids are stable within a parse.
-  FlatIntervalMap<uint32_t> Memo;
-  FlatIntervalMap<uint8_t> InProgress;
-  std::vector<std::unique_ptr<Frame>> FramePool; // indexed by depth
+  ipg_rt::FlatIntervalMap<uint32_t> Memo;
+  ipg_rt::FlatIntervalMap<uint8_t> InProgress;
+  /// Per-depth frames (ipg_rt::Frame, the frame every tier runs in).
+  std::vector<std::unique_ptr<ipg_rt::Frame>> FramePool;
   std::vector<std::vector<uint32_t>> ElemScratch; // per array-nesting level
   size_t ArrayNest = 0;
 
@@ -152,7 +79,7 @@ struct ParseScratch {
   };
   std::vector<ByteSpan> FlatLevels;
   std::vector<FlatKid> FlatKids;
-  std::vector<IntervalKey> FlatKeys;
+  std::vector<ipg_rt::IntervalKey> FlatKeys;
 
   /// Step-tier activation record: one per live rule invocation on the
   /// explicit work-stack machine (the machine only ever starts at the
@@ -160,8 +87,8 @@ struct ParseScratch {
   struct MachineAct {
     RuleId Id = InvalidRuleId;
     ByteSpan Input;
-    const Frame *Lex = nullptr; ///< lexical frame for where-clause rules
-    IntervalKey Key;
+    const ipg_rt::Frame *Lex = nullptr; ///< lexical frame (where-clauses)
+    ipg_rt::IntervalKey Key;
     uint32_t AltIdx = 0;
     uint32_t StepIdx = 0; ///< next position in the alternative's exec order
     enum : uint8_t { WaitNone, WaitNT, WaitArr };
@@ -208,10 +135,14 @@ struct ParseScratch {
   /// failed one it serves the next parse (no result escaped).
   StoreSlot Stores;
 
-  Frame &frameAt(size_t Depth) {
+  /// The pooled frame of recursion depth \p Depth, resolving children
+  /// against the store of the parse in flight.
+  ipg_rt::Frame &frameAt(size_t Depth) {
     while (FramePool.size() <= Depth)
-      FramePool.push_back(std::make_unique<Frame>());
-    return *FramePool[Depth];
+      FramePool.push_back(std::make_unique<ipg_rt::Frame>());
+    ipg_rt::Frame &F = *FramePool[Depth];
+    F.Store = &Stores.current();
+    return F;
   }
 
   std::vector<uint32_t> &elemScratchAt(size_t Level) {

@@ -77,8 +77,10 @@ struct SubmitOptions {
   /// running at the deadline aborts cleanly with Verdict::Timeout — the
   /// engine checks at recoverable boundaries (rule entries / machine act
   /// starts, amortized), so the abort is prompt but not instantaneous.
-  /// The default (epoch) means no deadline. Generated-mode services fail
-  /// deadline requests up front: compiled parsers cannot be interrupted.
+  /// The default (epoch) means no deadline. Compiled parsers cannot be
+  /// interrupted, so a generated-mode service accepts a deadline request
+  /// into the queue and its worker then fails it without parsing ("does
+  /// not support deadlines", Verdict::Reject); the worker goes on serving.
   std::chrono::steady_clock::time_point Deadline{};
   bool hasDeadline() const {
     return Deadline != std::chrono::steady_clock::time_point{};

@@ -31,10 +31,10 @@
 ///
 /// 2. The shared memoization table: IntervalKey packs (rule, interval)
 ///    into 128 bits and FlatIntervalMap is the open-addressing table with
-///    tombstones and O(1) generational clear. The interpreter uses it
-///    through the aliases in support/FlatHash.h; generated parsers embed
-///    it directly (Ctx memoizes every non-local (rule, interval) result,
-///    closing the paper's Fig.-12 gap on backtracking-heavy grammars).
+///    tombstones and O(1) generational clear. The host engines and
+///    generated parsers memoize through it alike (Ctx memoizes every
+///    non-local (rule, interval) result, closing the paper's Fig.-12 gap
+///    on backtracking-heavy grammars).
 ///
 /// 3. The parse tree, Tr ::= Node(A, E, Trs) | Array(Trs) | Leaf(s), and
 ///    the NodeStore every tier builds it into: a bump arena holding the
@@ -47,12 +47,18 @@
 ///    (codegen/GenEngine.h), so no tree is ever rebuilt. Trees name rules
 ///    and attributes by grammar Symbol in every tier.
 ///
-/// 4. The embedded runtime of generated parsers: the per-parse Ctx with
+/// 4. The Frame every tier executes an alternative in: the environment E
+///    (own attributes in definition order, then start/end), the lookup
+///    sigma of Figure 8 (attribute through the lexical chain, latest node,
+///    latest array, element attribute), the guarded input read, and
+///    freeze(), which turns a frame into a node.
+///
+/// 5. The embedded runtime of generated parsers: the per-parse Ctx with
 ///    its memo table and per-depth frame pools, the step machine, and the
 ///    blackbox registration hook (Section 3.4), recycled across parses so
 ///    steady-state parsing performs no heap allocation.
 ///
-/// 5. The canonical dump, the print coverage kernel (PrintCoverage) and
+/// 6. The canonical dump, the print coverage kernel (PrintCoverage) and
 ///    the one tree print walk (PrintWalk) behind both serialize::printTree
 ///    and the printTree of generated parsers, and the layout hash that
 ///    guards the tree types a host shares with a loaded module.
@@ -128,17 +134,6 @@ inline void updStartEnd(EnvT &E, KeyT StartKey, KeyT EndKey, long long Lo,
   E.setAttr(EndKey, E.getAttr(EndKey, En) && En > Hi ? En : Hi);
 }
 
-/// The T-NTSucc defaults for a finished subtree as seen by its parent
-/// (before shifting into the parent's coordinates): an untouched subtree —
-/// no start/end in its environment — reads as [sub-EOI, 0), the identity
-/// elements of the min/max in updStartEnd.
-inline void childSpan(bool HasStart, long long StartV, bool HasEnd,
-                      long long EndV, long long SubEoi, long long &BStart,
-                      long long &BEnd) {
-  BStart = HasStart ? StartV : SubEoi;
-  BEnd = HasEnd ? EndV : 0;
-}
-
 /// `+ - *` on attribute values: two's-complement wraparound, computed
 /// through unsigned arithmetic so an overflow is defined in every engine
 /// (and in lowering's constant folding) instead of undefined behaviour.
@@ -191,7 +186,7 @@ inline bool checkedShr(long long L, long long R, long long &Out) {
 
 /// ReadKind encoding shared between the interpreter and the emitter. The
 /// numeric values MUST mirror ipg::ReadKind's declaration order
-/// (expr/Expr.h); runtime/ParseScratch.h static_asserts the correspondence.
+/// (expr/Expr.h); runtime/Interp.cpp static_asserts the correspondence.
 enum : unsigned {
   RK_U8,
   RK_U16Le,
@@ -308,8 +303,7 @@ inline bool readPacked(const unsigned char *Base, long long Size,
 // erase() leaves a tombstone so later probes keep walking; tombstones are
 // reclaimed on rehash. clear() keeps capacity and is O(1) (generational),
 // which is what lets a reused parser reach an allocation-free steady
-// state. The interpreter consumes these types through the aliases in
-// support/FlatHash.h; generated parsers embed them directly.
+// state. The host engines and generated parsers use the same table.
 //===----------------------------------------------------------------------===//
 
 /// A (rule, interval) key packed into 128 bits. Equality is exact; the
@@ -511,7 +505,7 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// Slot indexing (shared by the interpreter's Env and generated Frames).
+// Slot indexing (the O(1) attribute index behind every Frame).
 //===----------------------------------------------------------------------===//
 
 /// A generation-stamped direct map from small integer keys (interned
@@ -1033,7 +1027,7 @@ public:
   size_t arenaBytesReserved() const { return Mem.bytesReserved(); }
 
   /// makeNodeFromSlots over an environment container with data()/size()
-  /// (the host's Env, a generated frame's slot vector).
+  /// (a frame's slot vector, a test's std::vector<EnvSlot>).
   template <class EnvT>
   uint32_t makeNode(Symbol Name, RuleId Rule, const EnvT &E,
                     const uint32_t *ChildIds, uint32_t NumChildren) {
@@ -1177,10 +1171,213 @@ inline const NodeTree *ArrayTree::element(size_t I) const {
 }
 
 //===----------------------------------------------------------------------===//
-// The embedded runtime of generated parsers: the per-parse context and
-// frames their rule functions run on. The host engines run the same
-// semantics on their own scratch (runtime/ParseScratch.h); these types
-// compile as part of ipg_core so the embedded text can never rot unbuilt.
+// The frame: the environment E of one alternative in flight and the lookup
+// sigma of Figure 8 over it. Every tier executes its alternatives in these
+// frames — the host runner (runtime/HostRunner.h) and generated parsers
+// alike — so attribute lookup, updStartEnd and freezing exist once.
+//===----------------------------------------------------------------------===//
+
+/// Per-alternative execution state: the local input window, the scratch
+/// environment E, the ids of already-built children, and per-term touch
+/// records. Frames are pooled per recursion depth and reused across
+/// alternatives and parses.
+///
+/// Env slot order, the same in every tier: E holds the alternative's own
+/// attributes in first-definition order, start/end live in fields, and
+/// freeze() appends them last — so a node lists its own attributes in
+/// definition order, then start, then end.
+struct Frame {
+  const unsigned char *Base = nullptr; ///< the byte at absolute offset 0
+  size_t Lo = 0, Hi = 0; ///< local input = Base[Lo, Hi), absolute offsets
+  const NodeStore *Store = nullptr; ///< resolves the ids in Kids
+  const Frame *Lexical = nullptr; ///< enclosing frame for where-clause rules
+  std::vector<EnvSlot> E;
+  SlotIndex EIx; ///< O(1) symbol -> E position, regenerated per alternative
+  /// start/end live in dedicated fields, not E slots: updStartEnd touches
+  /// them on every byte-touching term, so the hottest two keys skip the
+  /// index entirely.
+  bool HasStart = false, HasEnd = false;
+  long long StartV = 0, EndV = 0;
+  std::vector<unsigned> Kids;
+  /// Per-term touch records, invalidated per alternative by generation
+  /// stamp (a rule with many failing alternatives — every Digit-style
+  /// dispatch — pays O(1) per attempt instead of refilling the array).
+  struct Rec {
+    unsigned Gen = 0;
+    long long Start = 0;
+    long long End = 0;
+  };
+  std::vector<Rec> Recs;
+  unsigned RecGen = 0;
+
+  void beginAlt(const unsigned char *B, size_t L, size_t H, const Frame *Lex,
+                size_t NumTerms) {
+    Base = B;
+    Lo = L;
+    Hi = H;
+    Lexical = Lex;
+    E.clear();
+    EIx.clear(); // O(1): generation bump, not a sweep
+    HasStart = HasEnd = false;
+    Kids.clear();
+    if (Recs.size() < NumTerms)
+      Recs.resize(NumTerms);
+    if (++RecGen == 0) {
+      // Generation wrap (once per 2^32 alternatives): ancient stamps
+      // could alias the restarted counter, so pay one full sweep.
+      for (Rec &R : Recs)
+        R.Gen = 0;
+      RecGen = 1;
+    }
+  }
+
+  long long eoi() const { return static_cast<long long>(Hi - Lo); }
+
+  // Own-frame environment (updStartEnd's EnvT surface). Attributes are
+  // grammar symbols, so a SlotIndex makes every get/set O(1); the two
+  // hottest symbols (start/end) bypass even that through fields.
+  bool getAttr(Symbol Id, long long &Out) const {
+    if (Id == IdStart || Id == IdEnd) {
+      if (Id == IdStart ? !HasStart : !HasEnd)
+        return false;
+      Out = Id == IdStart ? StartV : EndV;
+      return true;
+    }
+    uint32_t I = 0;
+    if (!EIx.lookup(Id, I))
+      return false;
+    Out = E[I].Value;
+    return true;
+  }
+  void setAttr(Symbol Id, long long V) {
+    if (Id == IdStart || Id == IdEnd) {
+      (Id == IdStart ? HasStart : HasEnd) = true;
+      (Id == IdStart ? StartV : EndV) = V;
+      return;
+    }
+    uint32_t I = 0;
+    if (EIx.lookup(Id, I)) {
+      E[I].Value = V;
+      return;
+    }
+    EIx.record(Id, static_cast<uint32_t>(E.size()));
+    E.push_back(EnvSlot{Id, V});
+  }
+  void eraseAttr(Symbol Id) {
+    if (Id == IdStart || Id == IdEnd) {
+      (Id == IdStart ? HasStart : HasEnd) = false;
+      return;
+    }
+    uint32_t I = 0;
+    if (!EIx.lookup(Id, I))
+      return;
+    E.erase(E.begin() + static_cast<long>(I));
+    EIx.forget(Id);
+    for (uint32_t J = I; J < E.size(); ++J)
+      EIx.record(E[J].Key, J); // reseat the slots the erase slid down
+  }
+
+  /// Lexical-chain attribute lookup (sigma of Figure 8).
+  bool attr(Symbol Id, long long &Out) const {
+    for (const Frame *F = this; F; F = F->Lexical)
+      if (F->getAttr(Id, Out))
+        return true;
+    return false;
+  }
+
+  /// Most recent child node named \p Name along the lexical chain.
+  const NodeTree *findNode(Symbol Name) const {
+    for (const Frame *F = this; F; F = F->Lexical)
+      for (size_t I = F->Kids.size(); I-- > 0;)
+        if (const NodeTree *N = asNode(F->Store->node(F->Kids[I])))
+          if (N->name() == Name)
+            return N;
+    return nullptr;
+  }
+
+  /// Most recent child array with elements named \p Elem.
+  const ArrayTree *findArray(Symbol Elem) const {
+    for (const Frame *F = this; F; F = F->Lexical)
+      for (size_t I = F->Kids.size(); I-- > 0;)
+        if (const ArrayTree *A = asArray(F->Store->node(F->Kids[I])))
+          if (A->elemName() == Elem)
+            return A;
+    return nullptr;
+  }
+
+  /// `Nt.Attr`: the attribute of the most recent child node Nt. The search
+  /// stops at the first node named Nt even when it lacks the attribute.
+  bool ntAttr(Symbol Nt, Symbol Attr, long long &Out) const {
+    const NodeTree *N = findNode(Nt);
+    return N && N->env().get(Attr, Out);
+  }
+
+  /// `Nt(Index).Attr`: the attribute of element \p Index of the most
+  /// recent array of Nt.
+  bool elemAttr(Symbol Nt, long long Index, Symbol Attr,
+                long long &Out) const {
+    const ArrayTree *A = findArray(Nt);
+    if (!A || Index < 0 || static_cast<unsigned long long>(Index) >= A->size())
+      return false;
+    const NodeTree *N = A->element(static_cast<size_t>(Index));
+    return N && N->env().get(Attr, Out);
+  }
+
+  /// The guarded read of read kind \p RK (an RK_* value) over the local
+  /// input: at offset \p RLo for the fixed-width kinds, over the window
+  /// [RLo, RHi) for btoi. False is partiality (bad window, out of bounds).
+  bool read(unsigned RK, long long RLo, long long RHi, long long &Out) const {
+    long long Width = 0;
+    bool BigEndian = false;
+    if (!readKindSpec(RK, Width, BigEndian) && !btoiWidth(RLo, RHi, Width))
+      return false;
+    return readScalar(Base + Lo, eoi(), RLo, Width, BigEndian, Out);
+  }
+
+  void rec(unsigned TermIdx, long long Start, long long End) {
+    Recs[TermIdx] = Rec{RecGen, Start, End};
+  }
+  bool termEnd(unsigned TermIdx, long long &Out) const {
+    if (TermIdx >= Recs.size() || Recs[TermIdx].Gen != RecGen)
+      return false;
+    Out = Recs[TermIdx].End;
+    return true;
+  }
+};
+
+/// Freezes \p F's environment and child ids into \p S as a node of rule
+/// \p Rule: E's slots, then start/end folded back from their fields (the
+/// frame's env slot order), then dropped again — E's index never saw them.
+inline uint32_t freeze(NodeStore &S, Frame &F, Symbol Name, RuleId Rule) {
+  const size_t Own = F.E.size();
+  if (F.HasStart)
+    F.E.push_back(EnvSlot{IdStart, F.StartV});
+  if (F.HasEnd)
+    F.E.push_back(EnvSlot{IdEnd, F.EndV});
+  uint32_t Id = S.makeNode(Name, Rule, F.E, F.Kids.data(),
+                           static_cast<uint32_t>(F.Kids.size()));
+  F.E.resize(Own);
+  return Id;
+}
+
+/// The T-NTSucc view of finished subtree \p Sub from its parent (before
+/// shifting into the parent's coordinates): an untouched subtree — no
+/// start/end in its environment — reads as [sub-EOI, 0), the identity
+/// elements of the min/max in updStartEnd.
+inline void childSpan(const NodeTree &Sub, long long SubEoi, long long &BStart,
+                      long long &BEnd) {
+  const EnvView E = Sub.env();
+  if (!E.get(IdStart, BStart))
+    BStart = SubEoi;
+  if (!E.get(IdEnd, BEnd))
+    BEnd = 0;
+}
+
+//===----------------------------------------------------------------------===//
+// The embedded runtime of generated parsers: the per-parse context their
+// rule functions run on. The host engines keep their own scratch
+// (runtime/ParseScratch.h) around the same Frame; these types compile as
+// part of ipg_core so the embedded text can never rot unbuilt.
 //===----------------------------------------------------------------------===//
 
 /// What a registered blackbox parser (Section 3.4) reports back: success
@@ -1262,10 +1459,9 @@ using StepFn = int (*)(Ctx &, Task &);
 enum : int { StepFail = 0, StepDone = 1, StepCall = 2 };
 
 /// The recycled scratch state behind one generated parser: the memo
-/// table, per-depth frame pool and per-nesting array scratch (the
-/// generated twin of the host's ParseScratch), plus the NodeStore of the
-/// parse in flight, which the caller owns. beginParse() recycles
-/// everything without releasing capacity.
+/// table, per-depth frame pool and per-nesting array scratch, plus the
+/// NodeStore of the parse in flight, which the caller owns. beginParse()
+/// recycles everything without releasing capacity.
 class Ctx {
 public:
   void setNames(const char *const *Table, size_t Count) {
@@ -1303,7 +1499,7 @@ public:
   }
 
   /// The recursion-depth guard is a HARD failure, as in the interpreter
-  /// (InterpOptions::MaxDepth): once tripped it aborts the whole parse —
+  /// (EngineOptions::MaxDepth): once tripped it aborts the whole parse —
   /// no backtracking into sibling alternatives. Generated rule functions
   /// check hardFailed() after every failed alternative.
   void hardFail() { Hard = true; }
@@ -1331,7 +1527,7 @@ public:
   void setDepthLimit(long long Limit) { DepthLim = Limit < 1 ? 1 : Limit; }
 
   /// High-water recursion depth of the current parse — the generated twin
-  /// of InterpStats::PeakDepth. Every tier reports through it: direct
+  /// of EngineStats::PeakDepth. Every tier reports through it: direct
   /// rule functions note their own C-stack depth, flattened loops their
   /// virtual (per-level) depth, and the step machine its task-stack
   /// height, so the figure matches the interpreter's exactly.
@@ -1342,12 +1538,12 @@ public:
   long long peakDepth() const { return Peak; }
 
   /// Nodes frozen by successful rule alternatives in the current parse —
-  /// the generated twin of InterpStats::NodesCreated (shifted views,
+  /// the generated twin of EngineStats::NodesCreated (shifted views,
   /// arrays, and leaves are not counted on either side).
   size_t frozenNodeCount() const { return Frozen; }
 
   /// Memo table hits/misses of the current parse — the generated twins of
-  /// InterpStats::MemoHits/MemoMisses.
+  /// EngineStats::MemoHits/MemoMisses.
   size_t memoHits() const { return Hits; }
   size_t memoMisses() const { return Misses; }
 
@@ -1436,7 +1632,15 @@ public:
   /// Tree objects in the store of the current parse.
   size_t nodeCount() const { return S ? S->nodeCount() : 0; }
 
-  inline struct Frame &frameAt(size_t Depth);
+  /// The pooled frame of recursion depth \p Depth, resolving children
+  /// against the store of the parse in flight.
+  Frame &frameAt(size_t Depth) {
+    while (Frames.size() <= Depth)
+      Frames.push_back(std::unique_ptr<Frame>(new Frame()));
+    Frame &F = *Frames[Depth];
+    F.Store = S;
+    return F;
+  }
 
   std::vector<unsigned> &elemScratch(size_t Level) {
     if (ElemScratch.size() <= Level)
@@ -1461,9 +1665,12 @@ public:
   /// The step machine's pooled task stack (runMachine).
   std::vector<Task> &stepTasks() { return Steps; }
 
-  /// Freezes a frame's scratch env + child ids into the store as a node
-  /// of rule \p Rule.
-  inline uint32_t freeze(struct Frame &F, Symbol Name, RuleId Rule);
+  /// Freezes a frame into the store as a node of rule \p Rule
+  /// (ipg_rt::freeze) and counts it.
+  uint32_t freeze(Frame &F, Symbol Name, RuleId Rule) {
+    ++Frozen;
+    return ipg_rt::freeze(*S, F, Name, Rule);
+  }
 
   uint32_t leaf(const unsigned char *Data, size_t Len, long long Off,
                 bool Opaque) {
@@ -1482,16 +1689,12 @@ public:
   /// The parent-side view of a finished subtree (childSpan defaults).
   void childSpanOf(uint32_t SubId, long long SubEoi, long long &BStart,
                    long long &BEnd) const {
-    EnvView E = asNode(S->node(SubId))->env();
-    long long St = 0, En = 0;
-    bool HasS = E.get(IdStart, St);
-    bool HasE = E.get(IdEnd, En);
-    childSpan(HasS, St, HasE, En, SubEoi, BStart, BEnd);
+    childSpan(*asNode(S->node(SubId)), SubEoi, BStart, BEnd);
   }
 
   /// The tree a successful blackbox term contributes
   /// (NodeStore::makeBlackboxNode, the host's builder too). Counts as a
-  /// frozen node, as in InterpStats::NodesCreated.
+  /// frozen node, as in EngineStats::NodesCreated.
   uint32_t blackboxNode(Symbol Name, const BlackboxOut &BB, long long Lo,
                         long long Hi) {
     ++Frozen;
@@ -1521,7 +1724,7 @@ private:
   FlatIntervalMap<unsigned> Memo; ///< memoPack'd outcomes
 
   std::vector<BlackboxSlot> Blackboxes;
-  std::vector<std::unique_ptr<struct Frame>> Frames;
+  std::vector<std::unique_ptr<Frame>> Frames;
   std::vector<std::vector<unsigned>> ElemScratch;
   std::vector<FlatLevel> FlatLevels;
   std::vector<unsigned> FlatKids;
@@ -1540,181 +1743,6 @@ private:
   size_t NumNames = 0;
   const Symbol *BbNames = nullptr;
 };
-
-/// Per-alternative execution state: the scratch environment E, the ids of
-/// already-built children, and per-term touch records — the generated twin
-/// of the host's ParseScratch::Frame. Frames are pooled per recursion
-/// depth and reused across alternatives and parses.
-struct Frame {
-  const unsigned char *Base = nullptr;
-  size_t Lo = 0, Hi = 0; ///< local input = Base[Lo, Hi)
-  Ctx *C = nullptr;
-  Frame *Lexical = nullptr; ///< enclosing frame for where-clause rules
-  std::vector<EnvSlot> E;
-  SlotIndex EIx; ///< O(1) symbol -> E position, regenerated per alternative
-  /// start/end live in dedicated fields, not E slots: updStartEnd touches
-  /// them on every byte-touching term, so the hottest two keys skip the
-  /// index entirely. freeze() folds them back into the frozen env.
-  bool HasStart = false, HasEnd = false;
-  long long StartV = 0, EndV = 0;
-  std::vector<unsigned> Kids;
-  /// Per-term touch records, invalidated per alternative by generation
-  /// stamp (a rule with many failing alternatives — every Digit-style
-  /// dispatch — pays O(1) per attempt instead of refilling the array).
-  struct Rec {
-    unsigned Gen = 0;
-    long long Start = 0;
-    long long End = 0;
-  };
-  std::vector<Rec> Recs;
-  unsigned RecGen = 0;
-
-  void beginAlt(const unsigned char *B, size_t L, size_t H, Frame *Lex,
-                size_t NumTerms) {
-    Base = B;
-    Lo = L;
-    Hi = H;
-    Lexical = Lex;
-    E.clear();
-    EIx.clear(); // O(1): generation bump, not a sweep
-    HasStart = HasEnd = false;
-    Kids.clear();
-    if (Recs.size() < NumTerms)
-      Recs.resize(NumTerms);
-    if (++RecGen == 0) {
-      // Generation wrap (once per 2^32 alternatives): ancient stamps
-      // could alias the restarted counter, so pay one full sweep.
-      for (Rec &R : Recs)
-        R.Gen = 0;
-      RecGen = 1;
-    }
-  }
-
-  long long eoi() const { return static_cast<long long>(Hi - Lo); }
-
-  // Own-frame environment (updStartEnd's EnvT surface). Attributes are
-  // grammar symbols, so a SlotIndex makes every get/set O(1); the two
-  // hottest symbols (start/end) bypass even that through fields.
-  bool getAttr(Symbol Id, long long &Out) const {
-    if (Id == IdStart || Id == IdEnd) {
-      if (Id == IdStart ? !HasStart : !HasEnd)
-        return false;
-      Out = Id == IdStart ? StartV : EndV;
-      return true;
-    }
-    uint32_t I = 0;
-    if (!EIx.lookup(Id, I))
-      return false;
-    Out = E[I].Value;
-    return true;
-  }
-  void setAttr(Symbol Id, long long V) {
-    if (Id == IdStart || Id == IdEnd) {
-      (Id == IdStart ? HasStart : HasEnd) = true;
-      (Id == IdStart ? StartV : EndV) = V;
-      return;
-    }
-    uint32_t I = 0;
-    if (EIx.lookup(Id, I)) {
-      E[I].Value = V;
-      return;
-    }
-    EIx.record(Id, static_cast<uint32_t>(E.size()));
-    E.push_back(EnvSlot{Id, V});
-  }
-  void eraseAttr(Symbol Id) {
-    if (Id == IdStart || Id == IdEnd) {
-      (Id == IdStart ? HasStart : HasEnd) = false;
-      return;
-    }
-    uint32_t I = 0;
-    if (!EIx.lookup(Id, I))
-      return;
-    E.erase(E.begin() + static_cast<long>(I));
-    EIx.forget(Id);
-    for (uint32_t J = I; J < E.size(); ++J)
-      EIx.record(E[J].Key, J); // reseat the slots the erase slid down
-  }
-
-  /// Lexical-chain attribute lookup (sigma of Figure 8).
-  bool attr(Symbol Id, long long &Out) const {
-    for (const Frame *F = this; F; F = F->Lexical)
-      if (F->getAttr(Id, Out))
-        return true;
-    return false;
-  }
-
-  /// Most recent child node named \p Name along the lexical chain.
-  const NodeTree *findNode(Symbol Name) const {
-    for (const Frame *F = this; F; F = F->Lexical)
-      for (size_t I = F->Kids.size(); I-- > 0;)
-        if (const NodeTree *N = asNode(C->node(F->Kids[I])))
-          if (N->name() == Name)
-            return N;
-    return nullptr;
-  }
-
-  /// Most recent child array with elements named \p Elem.
-  const ArrayTree *findArray(Symbol Elem) const {
-    for (const Frame *F = this; F; F = F->Lexical)
-      for (size_t I = F->Kids.size(); I-- > 0;)
-        if (const ArrayTree *A = asArray(C->node(F->Kids[I])))
-          if (A->elemName() == Elem)
-            return A;
-    return nullptr;
-  }
-
-  /// `Nt.Attr`: the attribute of the most recent child node Nt.
-  bool ntAttr(Symbol Nt, Symbol Attr, long long &Out) const {
-    const NodeTree *N = findNode(Nt);
-    return N && N->env().get(Attr, Out);
-  }
-
-  /// `Nt(Index).Attr`: the attribute of element \p Index of the most
-  /// recent array of Nt.
-  bool elemAttr(Symbol Nt, long long Index, Symbol Attr,
-                long long &Out) const {
-    const ArrayTree *A = findArray(Nt);
-    if (!A || Index < 0 || static_cast<unsigned long long>(Index) >= A->size())
-      return false;
-    const NodeTree *N = A->element(static_cast<size_t>(Index));
-    return N && N->env().get(Attr, Out);
-  }
-
-  void rec(unsigned TermIdx, long long Start, long long End) {
-    Recs[TermIdx] = Rec{RecGen, Start, End};
-  }
-  bool termEnd(unsigned TermIdx, long long &Out) const {
-    if (TermIdx >= Recs.size() || Recs[TermIdx].Gen != RecGen)
-      return false;
-    Out = Recs[TermIdx].End;
-    return true;
-  }
-};
-
-inline Frame &Ctx::frameAt(size_t Depth) {
-  while (Frames.size() <= Depth)
-    Frames.push_back(std::unique_ptr<Frame>(new Frame()));
-  Frame &F = *Frames[Depth];
-  F.C = this;
-  return F;
-}
-
-inline uint32_t Ctx::freeze(Frame &F, Symbol Name, RuleId Rule) {
-  // Fold the frame's start/end fields into the frozen env for the copy
-  // (the canonical dump sorts attributes, so their position is
-  // immaterial), then drop them again: E's index never saw them.
-  const size_t Own = F.E.size();
-  if (F.HasStart)
-    F.E.push_back(EnvSlot{IdStart, F.StartV});
-  if (F.HasEnd)
-    F.E.push_back(EnvSlot{IdEnd, F.EndV});
-  uint32_t Id = S->makeNode(Name, Rule, F.E, F.Kids.data(),
-                            static_cast<uint32_t>(F.Kids.size()));
-  F.E.resize(Own);
-  ++Frozen;
-  return Id;
-}
 
 //===----------------------------------------------------------------------===//
 // The step machine: an explicit work-stack trampoline over resumable rule

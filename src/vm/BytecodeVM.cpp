@@ -17,7 +17,6 @@
 #include "lower/LIR.h"
 #include "runtime/HostRunner.h"
 #include "runtime/ParseScratch.h"
-#include "support/Casting.h"
 #include "support/GenRuntime.h"
 
 #include <cassert>
@@ -31,7 +30,7 @@ using namespace ipg;
 
 namespace {
 
-using Frame = ParseScratch::Frame;
+using Frame = ipg_rt::Frame;
 using QE = BytecodeVM::QuickExpr;
 
 /// Decodes one expression program into its closed quick form, or General
@@ -325,9 +324,9 @@ public:
   /// Fixed-layout records run as one step (lir::RecordPlan).
   static constexpr bool Fuse = true;
 
-  VmEval(ParseScratch &St, const TreeStore &Store, const std::vector<QE> &Quick,
+  VmEval(ParseScratch &St, const std::vector<QE> &Quick,
          const std::vector<BytecodeVM::DigitTerm> &Digits)
-      : L(St.Lowered), St(St), Store(Store), Quick(Quick), Digits(Digits) {}
+      : L(St.Lowered), St(St), Quick(Quick), Digits(Digits) {}
 
   /// Executes one compiled program. Nearly every program a parse runs is
   /// trivial, so the pre-decoded quick form (BytecodeVM::QuickExpr) is
@@ -345,87 +344,58 @@ public:
       return true;
     }
     if (Q.K == QE::Eoi) {
-      Out = ipg_rt::wrapAdd(static_cast<int64_t>(F.Input.size()), Q.Imm);
+      Out = ipg_rt::wrapAdd(F.eoi(), Q.Imm);
       return true;
     }
+    long long V = 0;
     if (Q.K == QE::TermEnd) {
-      if (!F.termEnd(Q.A, Out))
+      if (!F.termEnd(Q.A, V))
         return false;
-      Out = ipg_rt::wrapAdd(Out, Q.Imm);
+      Out = ipg_rt::wrapAdd(V, Q.Imm);
       return true;
     }
     // Attribute found in the executing frame with no exists-scan binding
     // active — loadAttr's overwhelmingly common case. A miss falls
     // through to the full binds-then-lexical-chain lookup.
-    if (Q.K == QE::Attr && St.Binds.empty()) {
-      if (auto V = F.E.get(Q.Sym)) {
-        Out = ipg_rt::wrapAdd(*V, Q.Imm);
-        return true;
-      }
+    if (Q.K == QE::Attr && St.Binds.empty() && F.getAttr(Q.Sym, V)) {
+      Out = ipg_rt::wrapAdd(V, Q.Imm);
+      return true;
     }
     return evalQuickRest(F, Q, Id, Out);
   }
 
 private:
   /// The exists-scan binding stack (innermost first), then the frame's
-  /// lexical chain — the flattened form of Eval.cpp's ScopedBinding
-  /// wrappers, which override attribute lookup only.
+  /// lexical chain (Frame::attr) — the flattened form of Eval.cpp's
+  /// ScopedBinding wrappers, which override attribute lookup only.
   bool loadAttr(const Frame &F, Symbol Id, int64_t &Out) const {
     for (size_t I = St.Binds.size(); I-- > 0;)
       if (St.Binds[I].Var == Id) {
         Out = St.Binds[I].Value;
         return true;
       }
-    for (const Frame *Lx = &F; Lx; Lx = Lx->Lexical)
-      if (auto V = Lx->E.get(Id)) {
-        Out = *V;
-        return true;
-      }
-    return false;
-  }
-
-  /// Latest sibling node named \p NT across the lexical chain; the search
-  /// stops at the first NAME match (its attribute may still be absent),
-  /// mirroring FrameCtx::ntAttr.
-  bool loadNtAttr(const Frame &F, Symbol NT, Symbol Attr,
-                  int64_t &Out) const {
-    for (const Frame *Lx = &F; Lx; Lx = Lx->Lexical)
-      for (size_t I = Lx->ChildIds.size(); I-- > 0;)
-        if (const auto *N = dyn_cast<NodeTree>(Store.node(Lx->ChildIds[I])))
-          if (N->name() == NT) {
-            if (auto V = N->attr(Attr)) {
-              Out = *V;
-              return true;
-            }
-            return false;
-          }
-    return false;
-  }
-
-  const ArrayTree *findArray(const Frame &F, Symbol NT) const {
-    for (const Frame *Lx = &F; Lx; Lx = Lx->Lexical)
-      for (size_t I = Lx->ChildIds.size(); I-- > 0;)
-        if (const auto *A = dyn_cast<ArrayTree>(Store.node(Lx->ChildIds[I])))
-          if (A->elemName() == NT)
-            return A;
-    return nullptr;
-  }
-
-  /// Width/endianness and the bounds guards live in the shared runtime
-  /// (the generated parsers call the same functions).
-  bool readInput(const Frame &F, uint32_t RK, int64_t Lo, int64_t Hi,
-                 int64_t &Out) const {
-    long long Width = 0;
-    bool BigEndian = false;
-    if (!ipg_rt::readKindSpec(RK, Width, BigEndian) &&
-        !ipg_rt::btoiWidth(Lo, Hi, Width)) // btoi(lo, hi) window
-      return false;
     long long V = 0;
-    if (!ipg_rt::readScalar(F.Input.data(),
-                            static_cast<long long>(F.Input.size()), Lo,
-                            Width, BigEndian, V))
+    if (!F.attr(Id, V))
       return false;
-    Out = static_cast<int64_t>(V);
+    Out = V;
+    return true;
+  }
+
+  /// Frame::ntAttr / Frame::elemAttr with the evaluator's value type.
+  static bool loadNtAttr(const Frame &F, Symbol NT, Symbol Attr,
+                         int64_t &Out) {
+    long long V = 0;
+    if (!F.ntAttr(NT, Attr, V))
+      return false;
+    Out = V;
+    return true;
+  }
+  static bool loadElemAttr(const Frame &F, Symbol NT, int64_t Index,
+                           Symbol Attr, int64_t &Out) {
+    long long V = 0;
+    if (!F.elemAttr(NT, Index, Attr, V))
+      return false;
+    Out = V;
     return true;
   }
 
@@ -437,7 +407,7 @@ private:
     const lir::ExistsInfo &X = L.Exists[Idx];
     if (X.ArrayNT == InvalidSymbol)
       return false;
-    const ArrayTree *A = findArray(F, X.ArrayNT);
+    const ArrayTree *A = F.findArray(X.ArrayNT);
     if (!A)
       return false;
     const int64_t Len = static_cast<int64_t>(A->size());
@@ -468,7 +438,8 @@ private:
     switch (Q.K) {
     case QE::Const:
     case QE::Eoi:
-      break; // handled by evalProgram before the call
+    case QE::TermEnd:
+      break; // handled by eval() before the call
     case QE::Attr:
       if (!loadAttr(F, Q.Sym, Out))
         return false;
@@ -479,13 +450,9 @@ private:
         return false;
       Out = ipg_rt::wrapAdd(Out, Q.Imm);
       return true;
-    case QE::TermEnd:
-      if (!F.termEnd(Q.A, Out))
-        return false;
-      Out = ipg_rt::wrapAdd(Out, Q.Imm);
-      return true;
     case QE::TermEndAttr: {
-      int64_t B = 0, At = 0;
+      long long B = 0;
+      int64_t At = 0;
       if (!F.termEnd(Q.A, B) || !loadAttr(F, Q.Sym, At))
         return false;
       Out = ipg_rt::wrapAdd(B, At);
@@ -528,50 +495,23 @@ private:
     }
     case QE::ElemAttr:
     case QE::ElemAttrEqImm: {
-      int64_t Idx = 0;
-      if (!loadAttr(F, Q.Sym3, Idx))
+      int64_t Idx = 0, V = 0;
+      if (!loadAttr(F, Q.Sym3, Idx) || !loadElemAttr(F, Q.Sym, Idx, Q.A, V))
         return false;
-      const ArrayTree *A = findArray(F, Q.Sym);
-      if (!A || Idx < 0 || static_cast<size_t>(Idx) >= A->size())
-        return false;
-      const NodeTree *Nd = A->element(static_cast<size_t>(Idx));
-      if (!Nd)
-        return false;
-      auto V = Nd->attr(Q.A);
-      if (!V)
-        return false;
-      Out = Q.K == QE::ElemAttr ? *V : (*V == Q.Imm ? 1 : 0);
+      Out = Q.K == QE::ElemAttr ? V : (V == Q.Imm ? 1 : 0);
       return true;
     }
     case QE::ElemAttrPair: {
       // arr Sym [attr(Sym3)].A + arr Sym2 [attr(Imm)].Attr2, in the
       // loop's exact load order.
-      int64_t Idx1 = 0;
-      if (!loadAttr(F, Q.Sym3, Idx1))
+      int64_t Idx1 = 0, V1 = 0, Idx2 = 0, V2 = 0;
+      if (!loadAttr(F, Q.Sym3, Idx1) ||
+          !loadElemAttr(F, Q.Sym, Idx1, Q.A, V1) ||
+          !loadAttr(F, static_cast<Symbol>(Q.Imm), Idx2) ||
+          !loadElemAttr(F, Q.Sym2, Idx2, Q.Attr2, V2))
         return false;
-      const ArrayTree *A1 = findArray(F, Q.Sym);
-      if (!A1 || Idx1 < 0 || static_cast<size_t>(Idx1) >= A1->size())
-        return false;
-      const NodeTree *N1 = A1->element(static_cast<size_t>(Idx1));
-      if (!N1)
-        return false;
-      auto V1 = N1->attr(Q.A);
-      if (!V1)
-        return false;
-      int64_t Idx2 = 0;
-      if (!loadAttr(F, static_cast<Symbol>(Q.Imm), Idx2))
-        return false;
-      const ArrayTree *A2 = findArray(F, Q.Sym2);
-      if (!A2 || Idx2 < 0 || static_cast<size_t>(Idx2) >= A2->size())
-        return false;
-      const NodeTree *N2 = A2->element(static_cast<size_t>(Idx2));
-      if (!N2)
-        return false;
-      auto V2 = N2->attr(Q.Attr2);
-      if (!V2)
-        return false;
-      Out = static_cast<int64_t>(static_cast<uint64_t>(*V1) +
-                                 static_cast<uint64_t>(*V2));
+      Out = static_cast<int64_t>(static_cast<uint64_t>(V1) +
+                                 static_cast<uint64_t>(V2));
       return true;
     }
     case QE::AttrEqImm:
@@ -594,8 +534,7 @@ private:
     }
     case QE::EoiDivImm: {
       long long Guarded = 0;
-      if (!ipg_rt::checkedDiv(static_cast<int64_t>(F.Input.size()), Q.Imm,
-                              Guarded))
+      if (!ipg_rt::checkedDiv(F.eoi(), Q.Imm, Guarded))
         return false;
       Out = Guarded;
       return true;
@@ -635,9 +574,7 @@ private:
   bool readFixedQuick(const Frame &F, uint32_t Spec, int64_t Off,
                       int64_t &Out) const {
     long long V = 0;
-    if (!ipg_rt::readPacked(F.Input.data(),
-                            static_cast<long long>(F.Input.size()), Off, Spec,
-                            V))
+    if (!ipg_rt::readPacked(F.Base + F.Lo, F.eoi(), Off, Spec, V))
       return false;
     Out = V;
     return true;
@@ -847,46 +784,35 @@ private:
 
     IPG_VM_CASE(LoadElemAttr) {
       T1 = *--SP; // element index
-      const ArrayTree *A = findArray(F, Code[PC].Sym);
-      if (!A || T1 < 0 || static_cast<size_t>(T1) >= A->size())
+      if (!loadElemAttr(F, Code[PC].Sym, T1, Code[PC].Attr, T1))
         IPG_VM_FAIL();
-      const NodeTree *Nd = A->element(static_cast<size_t>(T1));
-      if (!Nd)
-        IPG_VM_FAIL();
-      auto V = Nd->attr(Code[PC].Attr);
-      if (!V)
-        IPG_VM_FAIL();
-      *SP++ = *V;
+      *SP++ = T1;
     }
     IPG_VM_NEXT();
 
     IPG_VM_CASE(LoadEoi)
-    *SP++ = static_cast<int64_t>(F.Input.size());
+    *SP++ = F.eoi();
     IPG_VM_NEXT();
 
     IPG_VM_CASE(LoadTermEnd)
-    if (!F.termEnd(static_cast<uint32_t>(Code[PC].Imm), T1))
+    if (!F.termEnd(static_cast<uint32_t>(Code[PC].Imm), Guarded))
       IPG_VM_FAIL();
-    *SP++ = T1;
+    *SP++ = Guarded;
     IPG_VM_NEXT();
 
     IPG_VM_CASE(ReadFixed)
     T1 = *--SP; // offset
-    {
-      int64_t V = 0;
-      if (!readInput(F, Code[PC].A, T1, /*Hi=*/0, V))
-        IPG_VM_FAIL();
-      *SP++ = V;
-    }
+    if (!F.read(Code[PC].A, T1, /*RHi=*/0, Guarded))
+      IPG_VM_FAIL();
+    *SP++ = Guarded;
     IPG_VM_NEXT();
 
     IPG_VM_CASE(ReadRange) {
       T1 = *--SP; // hi
       const int64_t Lo = *--SP;
-      int64_t V = 0;
-      if (!readInput(F, Code[PC].A, Lo, T1, V))
+      if (!F.read(Code[PC].A, Lo, T1, Guarded))
         IPG_VM_FAIL();
-      *SP++ = V;
+      *SP++ = Guarded;
     }
     IPG_VM_NEXT();
 
@@ -926,7 +852,6 @@ private:
 
   const lir::Module &L;
   ParseScratch &St;
-  const TreeStore &Store;
   const std::vector<QE> &Quick;
   const std::vector<BytecodeVM::DigitTerm> &Digits;
 };

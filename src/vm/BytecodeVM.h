@@ -12,11 +12,14 @@
 /// (runtime/HostRunner.h) — Direct recursion, Flattened descend-replay,
 /// Step work-stack machine, salvage, deadlines, memoization, stats — over
 /// the same runtime state (arena TreeStore, FlatIntervalMap memo, frame
-/// pool, store recycler; runtime/ParseScratch.h). Its trees, counters (terms, nodes, memo
-/// traffic, PeakDepth), hard-error texts, and allocation profile are
-/// therefore identical to the interpreter's by construction
-/// (tests/differential_test.cpp locks all three modes against each
-/// other).
+/// pool, store recycler; runtime/ParseScratch.h). Each alternative runs
+/// in an ipg_rt::Frame, the frame generated parsers use too, and the
+/// evaluator's attribute, sibling, array and input loads are that frame's
+/// lookups; only the exists-scan binding stack in front of them is the
+/// VM's own. Its trees, counters (terms, nodes, memo traffic, PeakDepth),
+/// hard-error texts, and allocation profile are therefore identical to
+/// the interpreter's by construction (tests/differential_test.cpp locks
+/// all three modes against each other).
 ///
 /// The VM supplies its expression evaluator, and that evaluator's Fuse
 /// trait switches on the runner's fused records: fixed-layout record

@@ -11,7 +11,8 @@
 /// which generated parsers embed. Attributes sort by (name, value);
 /// children print in execution order. Shared by the differential harness
 /// and the engine/service tests so every suite compares trees the same
-/// way.
+/// way. renderEnvOrder prints the same walk with each node's attributes
+/// in raw env slot order, which every tier must also agree on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +35,7 @@ namespace ipg::testutil {
 // deep-tree regression tests render those trees through here.
 inline void renderCanonical(const ipg::ParseTree &T,
                             const ipg::StringInterner &Names, int Indent,
-                            std::string &Out) {
+                            std::string &Out, bool SortAttrs = true) {
   struct Item {
     const ipg::ParseTree *T;
     int Indent;
@@ -70,7 +71,8 @@ inline void renderCanonical(const ipg::ParseTree &T,
       for (const EnvSlot &S : N.env())
         Attrs.emplace_back(std::string(Names.name(S.Key)),
                            static_cast<long long>(S.Value));
-      std::sort(Attrs.begin(), Attrs.end());
+      if (SortAttrs)
+        std::sort(Attrs.begin(), Attrs.end());
       for (size_t I = 0; I < Attrs.size(); ++I) {
         if (I)
           Out += ", ";
@@ -99,6 +101,17 @@ inline std::string renderCanonical(const ipg::ParseTree *Root,
 inline std::string renderCanonical(const ipg::TreePtr &Root,
                                    const ipg::Grammar &G) {
   return renderCanonical(Root.get(), G);
+}
+
+/// renderCanonical with every node's attributes in env slot order
+/// (support/GenRuntime.h, ipg_rt::Frame: own attributes in definition
+/// order, then start, end) instead of sorted.
+inline std::string renderEnvOrder(const ipg::TreePtr &Root,
+                                  const ipg::Grammar &G) {
+  std::string Out;
+  if (Root.get())
+    renderCanonical(*Root.get(), G.interner(), 0, Out, /*SortAttrs=*/false);
+  return Out;
 }
 
 /// Structural equality under the same lens renderCanonical prints

@@ -16,10 +16,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/AttributeCheck.h"
-#include "runtime/Env.h"
 #include "runtime/Interp.h"
 #include "support/Casting.h"
-#include "support/FlatHash.h"
 #include "support/GenRuntime.h"
 
 #include <cstddef>
@@ -107,8 +105,7 @@ Grammar loadOrDie(const char *Src) {
 
 TEST(TreeStoreTest, NodesStableAcrossGrowth) {
   TreeStore Store;
-  Env E;
-  E.set(/*Symbol=*/1, 42);
+  std::vector<EnvSlot> E = {{1, 42}};
   std::vector<const ParseTree *> Made;
   for (int I = 0; I < 2000; ++I) {
     uint32_t Id = Store.makeNode(/*Name=*/7, /*Rule=*/0, E, nullptr, 0);
@@ -126,8 +123,7 @@ TEST(TreeStoreTest, NodesStableAcrossGrowth) {
 
 TEST(TreeStoreTest, ResetReusesMemory) {
   TreeStore Store;
-  Env E;
-  E.set(1, 5);
+  std::vector<EnvSlot> E = {{1, 5}};
   for (int I = 0; I < 500; ++I)
     Store.makeNode(3, 0, E, nullptr, 0);
   size_t Reserved = Store.arenaBytesReserved();
@@ -144,10 +140,7 @@ TEST(TreeStoreTest, ShiftedNodeSharesChildrenAndShiftsOnlyStartEnd) {
                SymOther = 102;
   uint32_t Leaf = Store.makeLeafCopy("ab", 2, 0);
   uint32_t Kids[1] = {Leaf};
-  Env E;
-  E.set(SymStart, 1);
-  E.set(SymEnd, 3);
-  E.set(SymOther, 9);
+  std::vector<EnvSlot> E = {{SymStart, 1}, {SymEnd, 3}, {SymOther, 9}};
   uint32_t Base = Store.makeNode(5, 0, E, Kids, 1);
   const auto *N = cast<NodeTree>(Store.node(Base));
   uint32_t Shifted = Store.makeShifted(Base, 10);
@@ -175,9 +168,7 @@ TEST(TreeStoreTest, ShiftedNodeSharesChildrenAndShiftsOnlyStartEnd) {
 TEST(TreeStoreTest, ShiftedViewsNestAndAliasWithoutCopying) {
   TreeStore Store;
   const Symbol SymStart = ipg_rt::IdStart, SymEnd = ipg_rt::IdEnd;
-  Env E;
-  E.set(SymStart, 1);
-  E.set(SymEnd, 3);
+  std::vector<EnvSlot> E = {{SymStart, 1}, {SymEnd, 3}};
   uint32_t Base = Store.makeNode(5, 0, E, nullptr, 0);
   const auto *N = cast<NodeTree>(Store.node(Base));
 
@@ -216,10 +207,7 @@ TEST(TreeStoreTest, ComposedShiftChainsResolveAtDepthThreePlus) {
   TreeStore Store;
   const Symbol SymStart = ipg_rt::IdStart, SymEnd = ipg_rt::IdEnd,
                SymOther = 102;
-  Env E;
-  E.set(SymStart, 4);
-  E.set(SymEnd, 7);
-  E.set(SymOther, -2);
+  std::vector<EnvSlot> E = {{SymStart, 4}, {SymEnd, 7}, {SymOther, -2}};
   uint32_t Base = Store.makeNode(5, 0, E, nullptr, 0);
 
   // A four-level chain with mixed-sign deltas: each level is a view of
@@ -389,12 +377,17 @@ TEST(FlatHashTest, PackIsInjectiveOnEdgePatterns) {
   // Keys differing in exactly one component — including across the 16-bit
   // boundary the lo field is split at — must stay distinct.
   const uint64_t Big = (1ull << 48) - 1;
-  std::vector<IntervalKey> Keys = {
-      IntervalKey::pack(0, 0, 0),        IntervalKey::pack(1, 0, 0),
-      IntervalKey::pack(0, 1, 0),        IntervalKey::pack(0, 0, 1),
-      IntervalKey::pack(0, 1ull << 16, 0), IntervalKey::pack(0, Big, Big),
-      IntervalKey::pack(~0u - 1, Big, 0), IntervalKey::pack(0, 0, Big),
-      IntervalKey::pack(0, 0x1FFFF, 0),  IntervalKey::pack(0, 0xFFFF, 0),
+  std::vector<ipg_rt::IntervalKey> Keys = {
+      ipg_rt::IntervalKey::pack(0, 0, 0),
+      ipg_rt::IntervalKey::pack(1, 0, 0),
+      ipg_rt::IntervalKey::pack(0, 1, 0),
+      ipg_rt::IntervalKey::pack(0, 0, 1),
+      ipg_rt::IntervalKey::pack(0, 1ull << 16, 0),
+      ipg_rt::IntervalKey::pack(0, Big, Big),
+      ipg_rt::IntervalKey::pack(~0u - 1, Big, 0),
+      ipg_rt::IntervalKey::pack(0, 0, Big),
+      ipg_rt::IntervalKey::pack(0, 0x1FFFF, 0),
+      ipg_rt::IntervalKey::pack(0, 0xFFFF, 0),
   };
   for (size_t I = 0; I < Keys.size(); ++I)
     for (size_t J = I + 1; J < Keys.size(); ++J)
@@ -402,15 +395,15 @@ TEST(FlatHashTest, PackIsInjectiveOnEdgePatterns) {
 }
 
 TEST(FlatHashTest, InsertFindEraseBasics) {
-  FlatIntervalMap<int> M;
-  EXPECT_EQ(M.find(IntervalKey::pack(1, 2, 3)), nullptr);
-  EXPECT_TRUE(M.insert(IntervalKey::pack(1, 2, 3), 7));
-  EXPECT_FALSE(M.insert(IntervalKey::pack(1, 2, 3), 8)); // no overwrite
-  ASSERT_NE(M.find(IntervalKey::pack(1, 2, 3)), nullptr);
-  EXPECT_EQ(*M.find(IntervalKey::pack(1, 2, 3)), 7);
-  EXPECT_TRUE(M.erase(IntervalKey::pack(1, 2, 3)));
-  EXPECT_FALSE(M.erase(IntervalKey::pack(1, 2, 3)));
-  EXPECT_EQ(M.find(IntervalKey::pack(1, 2, 3)), nullptr);
+  ipg_rt::FlatIntervalMap<int> M;
+  EXPECT_EQ(M.find(ipg_rt::IntervalKey::pack(1, 2, 3)), nullptr);
+  EXPECT_TRUE(M.insert(ipg_rt::IntervalKey::pack(1, 2, 3), 7));
+  EXPECT_FALSE(M.insert(ipg_rt::IntervalKey::pack(1, 2, 3), 8)); // no overwrite
+  ASSERT_NE(M.find(ipg_rt::IntervalKey::pack(1, 2, 3)), nullptr);
+  EXPECT_EQ(*M.find(ipg_rt::IntervalKey::pack(1, 2, 3)), 7);
+  EXPECT_TRUE(M.erase(ipg_rt::IntervalKey::pack(1, 2, 3)));
+  EXPECT_FALSE(M.erase(ipg_rt::IntervalKey::pack(1, 2, 3)));
+  EXPECT_EQ(M.find(ipg_rt::IntervalKey::pack(1, 2, 3)), nullptr);
   EXPECT_EQ(M.size(), 0u);
 }
 
@@ -419,69 +412,69 @@ TEST(FlatHashTest, AdversarialIntervalPatternsCollideCorrectly) {
   // overlapping slices — (r, i, j) for all i <= j — which forces heavy
   // probe-sequence sharing in a small table. Mirror against a reference
   // map.
-  FlatIntervalMap<int> M;
+  ipg_rt::FlatIntervalMap<int> M;
   std::unordered_map<uint64_t, int> Ref;
   int V = 0;
   const uint64_t N = 60;
   for (uint64_t Lo = 0; Lo < N; ++Lo)
     for (uint64_t Hi = Lo; Hi < N; ++Hi) {
-      EXPECT_TRUE(M.insert(IntervalKey::pack(3, Lo, Hi), V));
+      EXPECT_TRUE(M.insert(ipg_rt::IntervalKey::pack(3, Lo, Hi), V));
       Ref[Lo * N + Hi] = V;
       ++V;
     }
   EXPECT_EQ(M.size(), Ref.size());
   for (uint64_t Lo = 0; Lo < N; ++Lo)
     for (uint64_t Hi = Lo; Hi < N; ++Hi) {
-      int *P = M.find(IntervalKey::pack(3, Lo, Hi));
+      int *P = M.find(ipg_rt::IntervalKey::pack(3, Lo, Hi));
       ASSERT_NE(P, nullptr);
       EXPECT_EQ(*P, Ref[Lo * N + Hi]);
     }
   // Keys never inserted (Hi < Lo) must miss even though their probe paths
   // run through fully loaded clusters.
   for (uint64_t Lo = 1; Lo < N; ++Lo)
-    EXPECT_EQ(M.find(IntervalKey::pack(3, Lo, Lo - 1)), nullptr);
+    EXPECT_EQ(M.find(ipg_rt::IntervalKey::pack(3, Lo, Lo - 1)), nullptr);
 }
 
 TEST(FlatHashTest, TombstonesKeepProbeChainsIntact) {
   // The in-progress set's pattern (DetectReentry): interleaved insert and
   // erase of nested intervals. An erase in the middle of a probe chain
   // must not hide keys inserted behind it.
-  FlatIntervalMap<uint8_t> M;
+  ipg_rt::FlatIntervalMap<uint8_t> M;
   const uint64_t N = 500;
   for (uint64_t I = 0; I < N; ++I)
-    EXPECT_TRUE(M.insert(IntervalKey::pack(1, I, N), 1));
+    EXPECT_TRUE(M.insert(ipg_rt::IntervalKey::pack(1, I, N), 1));
   // Erase every other key -> tombstones sprinkled through every cluster.
   for (uint64_t I = 0; I < N; I += 2)
-    EXPECT_TRUE(M.erase(IntervalKey::pack(1, I, N)));
+    EXPECT_TRUE(M.erase(ipg_rt::IntervalKey::pack(1, I, N)));
   // Survivors still found; erased keys miss.
   for (uint64_t I = 0; I < N; ++I) {
     if (I % 2)
-      EXPECT_NE(M.find(IntervalKey::pack(1, I, N)), nullptr) << I;
+      EXPECT_NE(M.find(ipg_rt::IntervalKey::pack(1, I, N)), nullptr) << I;
     else
-      EXPECT_EQ(M.find(IntervalKey::pack(1, I, N)), nullptr) << I;
+      EXPECT_EQ(M.find(ipg_rt::IntervalKey::pack(1, I, N)), nullptr) << I;
   }
   // Reinsert the erased keys: tombstones are reclaimed, not leaked into
   // load forever — size returns to N and everything is reachable.
   for (uint64_t I = 0; I < N; I += 2)
-    EXPECT_TRUE(M.insert(IntervalKey::pack(1, I, N), 2));
+    EXPECT_TRUE(M.insert(ipg_rt::IntervalKey::pack(1, I, N), 2));
   EXPECT_EQ(M.size(), N);
   for (uint64_t I = 0; I < N; ++I)
-    ASSERT_NE(M.find(IntervalKey::pack(1, I, N)), nullptr) << I;
+    ASSERT_NE(M.find(ipg_rt::IntervalKey::pack(1, I, N)), nullptr) << I;
 }
 
 TEST(FlatHashTest, EraseInsertChurnDoesNotGrowUnbounded) {
   // Repeated insert/erase of the same keyset (the reentry set under a
   // recursive grammar) must stay within one rehash of the initial
   // capacity rather than treating every tombstone as permanent load.
-  FlatIntervalMap<uint8_t> M;
+  ipg_rt::FlatIntervalMap<uint8_t> M;
   for (uint64_t I = 0; I < 32; ++I)
-    M.insert(IntervalKey::pack(2, I, 100), 1);
+    M.insert(ipg_rt::IntervalKey::pack(2, I, 100), 1);
   size_t Cap = M.capacity();
   for (int Round = 0; Round < 1000; ++Round) {
     for (uint64_t I = 0; I < 32; ++I)
-      M.erase(IntervalKey::pack(2, I, 100));
+      M.erase(ipg_rt::IntervalKey::pack(2, I, 100));
     for (uint64_t I = 0; I < 32; ++I)
-      M.insert(IntervalKey::pack(2, I, 100), 1);
+      M.insert(ipg_rt::IntervalKey::pack(2, I, 100), 1);
   }
   EXPECT_EQ(M.size(), 32u);
   EXPECT_LE(M.capacity(), Cap * 2);
@@ -491,14 +484,15 @@ TEST(FlatHashTest, ClearIsGenerationalAcrossManyEpochs) {
   // clear() bumps an epoch instead of sweeping; stale slots must read as
   // empty in every later generation, including ones with interleaved
   // erases, and per-epoch contents must never bleed through.
-  FlatIntervalMap<int> M;
+  ipg_rt::FlatIntervalMap<int> M;
   for (int Epoch = 0; Epoch < 50; ++Epoch) {
     for (uint64_t I = 0; I < 100; ++I)
-      EXPECT_TRUE(M.insert(IntervalKey::pack(1, I, I + 1), Epoch)) << Epoch;
+      EXPECT_TRUE(M.insert(ipg_rt::IntervalKey::pack(1, I, I + 1), Epoch))
+          << Epoch;
     for (uint64_t I = 0; I < 100; I += 3)
-      EXPECT_TRUE(M.erase(IntervalKey::pack(1, I, I + 1)));
+      EXPECT_TRUE(M.erase(ipg_rt::IntervalKey::pack(1, I, I + 1)));
     for (uint64_t I = 0; I < 100; ++I) {
-      int *P = M.find(IntervalKey::pack(1, I, I + 1));
+      int *P = M.find(ipg_rt::IntervalKey::pack(1, I, I + 1));
       if (I % 3 == 0) {
         EXPECT_EQ(P, nullptr) << Epoch << "/" << I;
       } else {
@@ -508,20 +502,20 @@ TEST(FlatHashTest, ClearIsGenerationalAcrossManyEpochs) {
     }
     M.clear();
     EXPECT_EQ(M.size(), 0u);
-    EXPECT_EQ(M.find(IntervalKey::pack(1, 1, 2)), nullptr) << Epoch;
+    EXPECT_EQ(M.find(ipg_rt::IntervalKey::pack(1, 1, 2)), nullptr) << Epoch;
   }
 }
 
 TEST(FlatHashTest, ClearKeepsCapacity) {
-  FlatIntervalMap<int> M;
+  ipg_rt::FlatIntervalMap<int> M;
   for (uint64_t I = 0; I < 1000; ++I)
-    M.insert(IntervalKey::pack(1, I, I + 1), static_cast<int>(I));
+    M.insert(ipg_rt::IntervalKey::pack(1, I, I + 1), static_cast<int>(I));
   size_t Cap = M.capacity();
   M.clear();
   EXPECT_EQ(M.size(), 0u);
   EXPECT_EQ(M.capacity(), Cap);
-  EXPECT_EQ(M.find(IntervalKey::pack(1, 5, 6)), nullptr);
+  EXPECT_EQ(M.find(ipg_rt::IntervalKey::pack(1, 5, 6)), nullptr);
   // Reusable after clear.
-  EXPECT_TRUE(M.insert(IntervalKey::pack(1, 5, 6), 42));
-  EXPECT_EQ(*M.find(IntervalKey::pack(1, 5, 6)), 42);
+  EXPECT_TRUE(M.insert(ipg_rt::IntervalKey::pack(1, 5, 6), 42));
+  EXPECT_EQ(*M.find(ipg_rt::IntervalKey::pack(1, 5, 6)), 42);
 }

@@ -11,7 +11,8 @@
 /// formats::genBlackboxBridge — is parsed by ALL THREE engines (the
 /// interpreter, the compiled generated parser, and the bytecode VM over
 /// the lowered IR), and the trees are compared node-by-node
-/// — shape, node names, start/end, every attribute value, leaf windows.
+/// — shape, node names, start/end, every attribute value, leaf windows —
+/// and each node's env slot order is compared unsorted as well.
 /// The comparison goes through one canonical text rendering
 /// (ipg_rt::dumpTree, embedded in every generated parser; renderCanonical
 /// below produces the identical format from the interpreter's ParseTree),
@@ -71,6 +72,7 @@ Grammar load(const char *Src) {
 // side's ipg_rt::dumpTree format) lives in tests/TreeCanonical.h, shared
 // with engine_test and service_test.
 using testutil::renderCanonical;
+using testutil::renderEnvOrder;
 
 /// Compiles \p Generated with a driver that parses argv[1] and writes the
 /// generated runtime's canonical dump to argv[2]. Exit codes: 0 accepted,
@@ -158,6 +160,10 @@ TEST(DifferentialTest, AllFormatCorporaAgree) {
     // core, so beyond tree equality its counters must match exactly.
     auto FV = formats::makeFormatEngine(FI.Name, EngineKind::Vm);
     ASSERT_TRUE(FV) << FV.message();
+    // The generated parser in process, whose trees the raw env slot order
+    // check below reads directly.
+    auto FG = formats::makeFormatEngine(FI.Name, EngineKind::Generated);
+    ASSERT_TRUE(FG) << FG.message();
 
     Engine &I = **FE;
     Engine &V = **FV;
@@ -192,6 +198,18 @@ TEST(DifferentialTest, AllFormatCorporaAgree) {
       EXPECT_EQ(I.stats().MemoHits, V.stats().MemoHits) << FI.Name;
       EXPECT_EQ(I.stats().MemoMisses, V.stats().MemoMisses) << FI.Name;
       EXPECT_EQ(I.stats().PeakDepth, V.stats().PeakDepth) << FI.Name;
+
+      // Every tier executes in the same frame (ipg_rt::Frame), so each
+      // node's env lists its slots in the same order — own attributes in
+      // definition order, then start/end — not merely the same set.
+      auto RG = (*FG)->parse(ByteSpan::of(Bytes));
+      ASSERT_TRUE(RG) << FI.Name << " corpus rejected by the in-process "
+                      << "generated parser: " << RG.message();
+      const std::string Order = renderEnvOrder(*R, G);
+      EXPECT_EQ(Order, renderEnvOrder(*RV, FV->Load->G))
+          << FI.Name << ": interpreter and VM env slot orders diverge";
+      EXPECT_EQ(Order, renderEnvOrder(*RG, FG->Load->G))
+          << FI.Name << ": interpreter and generated env slot orders diverge";
       ++Compared;
     }
 

@@ -635,7 +635,7 @@ TEST_P(GifSweep, ManyBlocks) {
   Spec.NumImages = static_cast<size_t>(GetParam()) / 2;
   GifModel Model;
   auto Bytes = synthesizeGif(Spec, &Model);
-  InterpOptions Opts;
+  EngineOptions Opts;
   Opts.MaxDepth = 1 << 18;
   Interp I(R->G, nullptr, Opts);
   auto Tree = I.parse(ByteSpan::of(Bytes));

@@ -186,12 +186,12 @@ bool fuzzCorpus(const Options &O, const Corpus &C, Stats &Total) {
   // stack), so deep mutants — a duplicated PDF subtree can double the
   // file — hit the clean depth-limit reject, never a stack overflow,
   // even under ASan's fat frames.
-  Interp I(Load->G, &BB, InterpOptions{});
+  Interp I(Load->G, &BB, EngineOptions{});
   // The salvage twin: same grammar, same mutants, RecoveryPolicy::
   // Salvage. Damage the strict engine rejects may come back as a tree
   // with hole leaves — which must then reprint the mutant byte-exact,
   // holes included.
-  InterpOptions SalvageOpts;
+  EngineOptions SalvageOpts;
   SalvageOpts.Recovery = RecoveryPolicy::Salvage;
   Interp SI(Load->G, &BB, SalvageOpts);
 

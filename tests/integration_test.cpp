@@ -118,7 +118,7 @@ TEST_P(FormatProperty, PrettyPrinterRoundTrips) {
 TEST_P(FormatProperty, ValidSamplesParse) {
   for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
     auto Bytes = sampleFor(GetParam().Name, Seed);
-    InterpOptions Opts;
+    EngineOptions Opts;
     Opts.MaxDepth = 1 << 16;
     Interp I(*G, blackboxes(), Opts);
     auto Tree = I.parse(ByteSpan::of(Bytes));
@@ -129,9 +129,9 @@ TEST_P(FormatProperty, ValidSamplesParse) {
 
 TEST_P(FormatProperty, MemoizationPreservesMeaning) {
   auto Bytes = sampleFor(GetParam().Name, 3);
-  InterpOptions On;
+  EngineOptions On;
   On.MaxDepth = 1 << 16;
-  InterpOptions Off = On;
+  EngineOptions Off = On;
   Off.UseMemo = false;
   Interp IOn(*G, blackboxes(), On);
   Interp IOff(*G, blackboxes(), Off);
@@ -157,7 +157,7 @@ TEST_P(FormatProperty, SingleByteCorruptionNeverCrashes) {
   // care byte) or reject cleanly — never hard-error or crash.
   auto Bytes = sampleFor(GetParam().Name, 5);
   uint64_t Rng = 0x9e3779b97f4a7c15ULL;
-  InterpOptions Opts;
+  EngineOptions Opts;
   Opts.MaxDepth = 1 << 16;
   Interp I(*G, blackboxes(), Opts);
   for (int Trial = 0; Trial < 64; ++Trial) {
@@ -178,7 +178,7 @@ TEST_P(FormatProperty, SingleByteCorruptionNeverCrashes) {
 
 TEST_P(FormatProperty, EveryTruncationFailsCleanly) {
   auto Bytes = sampleFor(GetParam().Name, 2);
-  InterpOptions Opts;
+  EngineOptions Opts;
   Opts.MaxDepth = 1 << 16;
   Interp I(*G, blackboxes(), Opts);
   // Sweep a spread of prefix lengths including the empty input.
@@ -214,12 +214,12 @@ TEST_P(FormatProperty, CodegenEmitsForEveryGrammar) {
 
 TEST_P(FormatProperty, StatsAreConsistent) {
   auto Bytes = sampleFor(GetParam().Name, 4);
-  InterpOptions Opts;
+  EngineOptions Opts;
   Opts.MaxDepth = 1 << 16;
   Interp I(*G, blackboxes(), Opts);
   auto Tree = I.parse(ByteSpan::of(Bytes));
   ASSERT_TRUE(Tree) << Tree.message();
-  const InterpStats &S = I.stats();
+  const EngineStats &S = I.stats();
   EXPECT_GT(S.NodesCreated, 0u);
   EXPECT_GT(S.TermsExecuted, 0u);
   EXPECT_GT(S.PeakDepth, 0u);
@@ -257,7 +257,7 @@ TEST(EngineProperty, MemoKeysAreAbsoluteNotRelative) {
 TEST(EngineProperty, DeepRecursionWithinLimitSucceeds) {
   auto R = loadGrammar(R"(A -> "x"[0, 1] A[1, EOI] / "x"[0, 1] ;)");
   ASSERT_TRUE(R) << R.message();
-  InterpOptions Opts;
+  EngineOptions Opts;
   Opts.MaxDepth = 3000;
   Interp I(R->G, nullptr, Opts);
   std::string Long(2000, 'x');

@@ -655,7 +655,7 @@ TEST(SemanticsMemo, SecondParseOfSameSliceHits) {
   ASSERT_TRUE(R) << R.message();
   EXPECT_GT(I.stats().MemoHits, 0u);
 
-  InterpOptions NoMemo;
+  EngineOptions NoMemo;
   NoMemo.UseMemo = false;
   Interp I2(G, nullptr, NoMemo);
   auto R2 = parseStr(I2, "xxxx");
@@ -682,7 +682,7 @@ TEST(SemanticsMemo, FailuresAreMemoizedToo) {
 TEST(SemanticsNontermination, DepthGuardReportsHardError) {
   // Figure 11d: S -> ""[0,0] S[0,EOI] loops on the same interval.
   Grammar G = load(R"(S -> ""[0, 0] S[0, EOI] ;)");
-  InterpOptions Opts;
+  EngineOptions Opts;
   Opts.MaxDepth = 64;
   Interp I(G, nullptr, Opts);
   auto R = parseStr(I, "abc");
@@ -693,7 +693,7 @@ TEST(SemanticsNontermination, DepthGuardReportsHardError) {
 // The reentry guard is host-runner state, so both host engines honor it.
 TEST(SemanticsNontermination, ReentryDetectionFailsCleanly) {
   Grammar G = load(R"(S -> ""[0, 0] S[0, EOI] ;)");
-  InterpOptions Opts;
+  EngineOptions Opts;
   Opts.DetectReentry = true;
   for (EngineKind Kind : {EngineKind::Interp, EngineKind::Vm}) {
     SCOPED_TRACE(engineKindName(Kind));
@@ -712,7 +712,7 @@ TEST(SemanticsNontermination, SeekStyleLoopCaughtByGuards) {
     S -> num[0, 1] S[num.val, EOI] / "$"[0, 1] ;
     num -> {val = u8(0)} ;
   )");
-  InterpOptions Opts;
+  EngineOptions Opts;
   Opts.DetectReentry = true;
   for (EngineKind Kind : {EngineKind::Interp, EngineKind::Vm}) {
     SCOPED_TRACE(engineKindName(Kind));

@@ -45,6 +45,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <future>
@@ -327,4 +328,27 @@ TEST(ParseServiceTest, GeneratedModeMatchesInterpMode) {
     EXPECT_EQ(renderCanonical(R.root(), FE->Load->G),
               referenceDump(Name, 2));
   }
+
+  // Compiled parsers cannot be interrupted: a deadline request is queued
+  // and then failed by the worker without parsing, and the worker goes on
+  // serving the next request.
+  SubmitOptions WithDeadline;
+  WithDeadline.Deadline =
+      std::chrono::steady_clock::now() + std::chrono::hours(1);
+  auto gifRequest = [] {
+    return ParseRequest{"gif",
+                        InputSource::fromBytes(formats::sampleInput("gif", 2))};
+  };
+  ParseResult Refused = (*Svc)->submit(gifRequest(), WithDeadline).get();
+  EXPECT_FALSE(Refused.ok());
+  EXPECT_NE(Refused.error().find("does not support deadlines"),
+            std::string::npos)
+      << Refused.error();
+  EXPECT_EQ(Refused.verdict(), Verdict::Reject);
+  ParseResult Next = (*Svc)->submit(gifRequest()).get();
+  ASSERT_TRUE(Next.ok()) << Next.error();
+  auto Gif = formats::makeFormatEngine("gif", EngineKind::Interp);
+  ASSERT_TRUE(Gif) << Gif.message();
+  EXPECT_EQ(renderCanonical(Next.root(), Gif->Load->G),
+            referenceDump("gif", 2));
 }

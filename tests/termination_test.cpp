@@ -141,7 +141,7 @@ TEST(TerminationTest, CheckerAgreesWithRuntimeOnDivergence) {
     auto R = loadGrammar(R"(S -> ""[0, 0] S[0, EOI] ;)");
     ASSERT_TRUE(R) << R.message();
     EXPECT_FALSE(checkTermination(R->G).Terminates);
-    InterpOptions Opts;
+    EngineOptions Opts;
     Opts.MaxDepth = 50;
     Interp I(R->G, nullptr, Opts);
     auto P = I.parse(ByteSpan::of(std::string_view("xyz")));

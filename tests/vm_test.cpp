@@ -260,7 +260,7 @@ TEST(LirTest, VerifyRejectsCorruptRecordPlans) {
     Q.MinEoi -= 1;
   });
   expectRejected("wrong span", [](lir::Module &B, lir::RecordPlan &Q) {
-    B.PlanEnv[Q.EnvBegin + 1].Value += 1; // H's end slot
+    B.PlanEnv[Q.EnvEnd - 1].Value += 1; // H's end slot, the last one
   });
   expectRejected("swapped env layout", [](lir::Module &B,
                                           lir::RecordPlan &Q) {
