@@ -139,21 +139,26 @@ public:
   }
 
   std::string toJson() const {
-    std::string S = "{\n  \"bench\": \"" + escape(Name) +
-                    "\",\n  \"schema\": \"ipg-bench-v1\",\n  \"entries\": [";
+    std::string S = "{\n  \"bench\": \"";
+    S += escape(Name);
+    S += "\",\n  \"schema\": \"ipg-bench-v1\",\n  \"entries\": [";
     bool FirstE = true;
     for (const auto &[EntryName, Metrics] : Entries) {
       if (!FirstE)
         S += ",";
       FirstE = false;
-      S += "\n    { \"name\": \"" + escape(EntryName) +
-           "\", \"metrics\": { ";
+      S += "\n    { \"name\": \"";
+      S += escape(EntryName);
+      S += "\", \"metrics\": { ";
       bool FirstM = true;
       for (const auto &[Key, Value] : Metrics) {
         if (!FirstM)
           S += ", ";
         FirstM = false;
-        S += "\"" + escape(Key) + "\": " + number(Value);
+        S += '"';
+        S += escape(Key);
+        S += "\": ";
+        S += number(Value);
       }
       S += " } }";
     }

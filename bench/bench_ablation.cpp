@@ -10,16 +10,14 @@
 ///   1. packrat memoization on/off (Section 3.3's O(n^2) device),
 ///   2. the specialized `btoi`-style integer builtins vs. the grammar-level
 ///      recursive Int rule (the Section 7 specialization),
-///   3. reentry detection on/off (engine guard overhead),
-///   4. switch terms vs. the biased-choice + predicate desugaring the
+///   3. switch terms vs. the biased-choice + predicate desugaring the
 ///      paper says switch abbreviates.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/AttributeCheck.h"
-#include "formats/Elf.h"
-#include "formats/FormatRegistry.h"
 #include "runtime/Engine.h"
+#include "support/Bytes.h"
 
 #include "BenchUtil.h"
 
@@ -30,7 +28,6 @@
 
 using namespace ipg;
 using namespace ipg::bench;
-using namespace ipg::formats;
 
 namespace {
 
@@ -124,39 +121,8 @@ void ablationBtoi() {
   note("specializes Int as btoi in generated parsers.");
 }
 
-void ablationReentry() {
-  banner("Ablation 3: reentry-detection guard overhead (ELF parse)");
-  auto R = loadElfGrammar();
-  if (!R)
-    return;
-  ElfSynthSpec Spec;
-  Spec.NumSymbols = 512;
-  Spec.NumDynEntries = 128;
-  auto Bytes = synthesizeElf(Spec);
-  ByteSpan S = ByteSpan::of(Bytes);
-
-  EngineOptions Guarded;
-  Guarded.DetectReentry = true;
-  auto EPlain = makeEngine(EngineKind::Interp, R->G);
-  auto EGuard = makeEngine(EngineKind::Interp, R->G, nullptr, Guarded);
-  if (!EPlain || !EGuard)
-    return;
-  Engine &IPlain = **EPlain;
-  Engine &IGuard = **EGuard;
-
-  auto TPlain = timeIt([&] { if (!IPlain.parse(S)) std::abort(); }, 300);
-  auto TGuard = timeIt([&] { if (!IGuard.parse(S)) std::abort(); }, 300);
-  std::printf("guard off: %10.1f us    guard on: %10.1f us    overhead: %+.1f%%\n",
-              TPlain.MeanUs, TGuard.MeanUs,
-              100.0 * (TGuard.MeanUs - TPlain.MeanUs) / TPlain.MeanUs);
-  Report.add("reentry/elf", "guard_off_us", TPlain.MeanUs);
-  Report.add("reentry/elf", "guard_on_us", TGuard.MeanUs);
-  note("shape: modest overhead; static termination checking (Section 5)");
-  note("makes the guard unnecessary for checked grammars.");
-}
-
 void ablationSwitch() {
-  banner("Ablation 4: switch term vs biased-choice desugaring");
+  banner("Ablation 3: switch term vs biased-choice desugaring");
   // Same language, expressed with a switch term vs. predicates + biased
   // choice (the desugaring Section 3.4 describes).
   Grammar WithSwitch = mustLoad(R"(
@@ -211,7 +177,6 @@ void ablationSwitch() {
 int main(int argc, char **argv) {
   ablationMemo();
   ablationBtoi();
-  ablationReentry();
   ablationSwitch();
   return Report.writeFile(benchJsonPath(argc, argv, "ablation")) ? 0 : 1;
 }

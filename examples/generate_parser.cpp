@@ -28,11 +28,11 @@
 using namespace ipg;
 
 int main(int argc, char **argv) {
-  CppEmitterOptions Opts;
+  EngineOptions Opts;
   std::string Path;
   for (int I = 1; I < argc; ++I) {
     if (std::string(argv[I]) == "--no-memo")
-      Opts.Engine.UseMemo = false;
+      Opts.UseMemo = false;
     else
       Path = argv[I];
   }

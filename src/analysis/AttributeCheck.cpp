@@ -79,7 +79,7 @@ private:
   Symbol SymVal, SymStart, SymEnd, SymEoi;
   std::vector<std::set<Symbol>> DefSets;
   std::unordered_map<RuleId, FreeRefs> FreeRefCache;
-  std::set<RuleId> FreeRefInProgress;
+  std::set<RuleId> FreeRefVisiting;
 
   Error walkRule(Rule &R, std::vector<const Alternative *> &Scope);
   Error resolveAlt(const Rule &R, Alternative &Alt,
@@ -173,9 +173,9 @@ const FreeRefs &Checker::freeRefs(RuleId Id) {
   if (It != FreeRefCache.end())
     return It->second;
   static const FreeRefs Empty;
-  if (FreeRefInProgress.count(Id))
+  if (FreeRefVisiting.count(Id))
     return Empty; // recursive local rule; under-approximate
-  FreeRefInProgress.insert(Id);
+  FreeRefVisiting.insert(Id);
 
   FreeRefs FR;
   const Rule &R = G.rule(Id);
@@ -270,7 +270,7 @@ const FreeRefs &Checker::freeRefs(RuleId Id) {
     }
   }
 
-  FreeRefInProgress.erase(Id);
+  FreeRefVisiting.erase(Id);
   return FreeRefCache.emplace(Id, std::move(FR)).first->second;
 }
 

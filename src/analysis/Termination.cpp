@@ -83,7 +83,8 @@ TerminationReport ipg::checkTermination(const Grammar &G) {
 
     for (size_t K = 0; K < Cycle.size(); ++K) {
       const NTEdge &E = Graph.Edges[Cycle[K]];
-      std::string Prefix = "e" + std::to_string(K);
+      std::string Prefix = "e";
+      Prefix += std::to_string(K);
       // el_k = 0
       if (E.Lo)
         Sys.addEq(linearize(*E.Lo, Atoms, Prefix, G.interner()));

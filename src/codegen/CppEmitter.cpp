@@ -70,7 +70,7 @@ constexpr std::string_view LocalsMarker = "//IPG_LOCALS\n";
 class Emitter {
 public:
   Emitter(const Grammar &G, const std::string &NS,
-          const CppEmitterOptions &Opts)
+          const EngineOptions &Opts)
       : G(G), NS(NS), Opts(Opts), M(lir::lower(G)) {}
 
   Expected<std::string> run();
@@ -78,7 +78,7 @@ public:
 private:
   const Grammar &G;
   std::string NS;
-  CppEmitterOptions Opts;
+  EngineOptions Opts;
   /// The lowered module: resolved names, shapes, flatten plans, memo
   /// policy, blackbox sites — the SAME facts the interpreter and the
   /// bytecode VM consume, so the engines cannot disagree on them.
@@ -800,7 +800,7 @@ void Emitter::emitRule(RuleId Id) {
   // optimization — the policy is the lowered module's Memoizable bit,
   // shared with the interpreter and the VM, so the engines' memo traffic
   // stays comparable.
-  bool Memoize = Opts.Engine.UseMemo && RL.Memoizable;
+  bool Memoize = Opts.UseMemo && RL.Memoizable;
   std::string RId = std::to_string(Id);
   NumLocals = 0;
   std::string Body;
@@ -862,7 +862,7 @@ void Emitter::emitFlattenedRule(RuleId Id) {
   const lir::AltL &SAlt = RL.Alts[FI.SelfAlt];
   const lir::TermL &SelfT = SAlt.Exec[FI.SelfExecPos];
   const size_t PN = FI.PrefixNTTerms.size();
-  bool Memoize = Opts.Engine.UseMemo && RL.Memoizable;
+  bool Memoize = Opts.UseMemo && RL.Memoizable;
   std::string RId = std::to_string(Id);
   std::string PNs = std::to_string(PN);
   NumLocals = 0;
@@ -1072,7 +1072,7 @@ void Emitter::emitFlattenedRule(RuleId Id) {
 
 void Emitter::emitStepRule(RuleId Id) {
   const lir::RuleL &RL = M.Rules[Id];
-  bool Memoize = Opts.Engine.UseMemo && RL.Memoizable;
+  bool Memoize = Opts.UseMemo && RL.Memoizable;
   std::string RId = std::to_string(Id);
   InStepFn = true;
   // Step bodies suspend and re-enter, so C++ locals do not survive to
@@ -1239,7 +1239,7 @@ Expected<std::string> Emitter::run() {
          "    C.setBlackboxNames(BlackboxNames);\n"
          "    // EngineOptions::MaxDepth at emission time; adjust per\n"
          "    // instance with setDepthLimit.\n"
-         "    C.setDepthLimit(" + std::to_string(Opts.Engine.MaxDepth) +
+         "    C.setDepthLimit(" + std::to_string(Opts.MaxDepth) +
          "LL);\n"
          "  }\n"
          "  /// Runtime twin of EngineOptions::MaxDepth: a HARD limit on\n"
@@ -1365,6 +1365,6 @@ Expected<std::string> Emitter::run() {
 
 Expected<std::string> ipg::emitCppParser(const Grammar &G,
                                          const std::string &Namespace,
-                                         const CppEmitterOptions &Opts) {
+                                         const EngineOptions &Opts) {
   return Emitter(G, Namespace, Opts).run();
 }

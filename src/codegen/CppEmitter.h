@@ -37,7 +37,7 @@
 ///  - Memoization: every non-local (rule, interval) result — successes
 ///    AND failures — is memoized in the embedded FlatIntervalMap with the
 ///    interpreter's exact key packing, closing the Fig.-12 gap on
-///    backtracking-heavy grammars like PDF. CppEmitterOptions::Memoize
+///    backtracking-heavy grammars like PDF. EngineOptions::UseMemo
 ///    turns it off for ablation (plain recursive descent, as the paper's
 ///    generator); the trees are identical either way.
 ///
@@ -61,23 +61,18 @@
 
 namespace ipg {
 
-struct CppEmitterOptions {
-  /// The SAME runtime knobs the interpreter consumes, so the two engines
-  /// cannot drift on defaults. Engine.UseMemo picks between memoized
-  /// rule functions and the paper's plain recursive descent (trees are
-  /// byte-identical either way); Engine.MaxDepth is baked in as the
-  /// emitted parser's default depth limit (still runtime-adjustable via
-  /// Parser::setDepthLimit). Engine.DetectReentry is honored by the host
-  /// engines (interpreter and VM) only and ignored here; makeEngine()
-  /// refuses it for generated engines.
-  EngineOptions Engine;
-};
-
 /// Emits a standalone recursive-descent parser for \p G (which must be
-/// completed + attribute-checked) into namespace \p Namespace.
+/// completed + attribute-checked) into namespace \p Namespace. \p Opts
+/// are the SAME runtime knobs the host engines consume, so the engines
+/// cannot drift on defaults: UseMemo picks between memoized rule
+/// functions and the paper's plain recursive descent (trees are
+/// byte-identical either way); MaxDepth is baked in as the emitted
+/// parser's default depth limit (still runtime-adjustable via
+/// Parser::setDepthLimit). Recovery is not consulted: makeEngine()
+/// refuses Salvage for generated engines.
 Expected<std::string> emitCppParser(const Grammar &G,
                                     const std::string &Namespace,
-                                    const CppEmitterOptions &Opts = {});
+                                    const EngineOptions &Opts = {});
 
 } // namespace ipg
 

@@ -127,9 +127,7 @@ GenModule::compile(const Grammar &G, const EngineOptions &Opts,
   if (Config.RegisterBlackboxes && Config.BridgeSource.empty())
     return Ret::failure("RegisterBlackboxes set without a BridgeSource");
 
-  CppEmitterOptions EOpts;
-  EOpts.Engine = Opts;
-  Expected<std::string> Src = emitCppParser(G, "ipgmod", EOpts);
+  Expected<std::string> Src = emitCppParser(G, "ipgmod", Opts);
   if (!Src)
     return Ret::failure(Src.message());
 

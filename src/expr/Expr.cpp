@@ -82,13 +82,25 @@ std::string Expr::str(const StringInterner &Names) const {
     return std::to_string(cast<NumExpr>(this)->value());
   case Kind::Binary: {
     const auto *B = cast<BinaryExpr>(this);
-    return "(" + B->lhs()->str(Names) + " " + binOpSpelling(B->op()) + " " +
-           B->rhs()->str(Names) + ")";
+    std::string S = "(";
+    S += B->lhs()->str(Names);
+    S += ' ';
+    S += binOpSpelling(B->op());
+    S += ' ';
+    S += B->rhs()->str(Names);
+    S += ')';
+    return S;
   }
   case Kind::Cond: {
     const auto *C = cast<CondExpr>(this);
-    return "(" + C->cond()->str(Names) + " ? " + C->thenExpr()->str(Names) +
-           " : " + C->elseExpr()->str(Names) + ")";
+    std::string S = "(";
+    S += C->cond()->str(Names);
+    S += " ? ";
+    S += C->thenExpr()->str(Names);
+    S += " : ";
+    S += C->elseExpr()->str(Names);
+    S += ')';
+    return S;
   }
   case Kind::Ref: {
     const auto *R = cast<RefExpr>(this);

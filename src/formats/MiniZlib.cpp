@@ -63,10 +63,11 @@ std::vector<uint8_t> ipg::formats::miniZlibCompress(ByteSpan In) {
   // reserve never reallocates.
   std::vector<uint8_t> Out;
   Out.reserve(HeaderSize + 1 + Size + Size / 2 + 8);
-  Out.insert(Out.end(), {'M', 'Z', '1', static_cast<uint8_t>(Size),
-                         static_cast<uint8_t>(Size >> 8),
-                         static_cast<uint8_t>(Size >> 16),
-                         static_cast<uint8_t>(Size >> 24)});
+  Out.push_back('M');
+  Out.push_back('Z');
+  Out.push_back('1');
+  for (unsigned Shift = 0; Shift < 32; Shift += 8)
+    Out.push_back(static_cast<uint8_t>(Size >> Shift));
 
   size_t Lit = 0; // start of the literal run not yet emitted
   auto FlushLiterals = [&](size_t To) {

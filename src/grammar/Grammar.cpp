@@ -145,17 +145,31 @@ static std::string escapeBytes(const std::string &Bytes) {
 
 static std::string intervalToString(const Interval &Iv,
                                     const StringInterner &Names) {
+  std::string S;
   switch (Iv.How) {
   case Interval::Form::Omitted:
-    if (Iv.completed())
-      return "[" + Iv.Lo->str(Names) + ", " + Iv.Hi->str(Names) + "]*";
-    return "";
+    if (Iv.completed()) {
+      S += '[';
+      S += Iv.Lo->str(Names);
+      S += ", ";
+      S += Iv.Hi->str(Names);
+      S += "]*";
+    }
+    break;
   case Interval::Form::Length:
-    return "[" + Iv.Len->str(Names) + "]";
+    S += '[';
+    S += Iv.Len->str(Names);
+    S += ']';
+    break;
   case Interval::Form::Explicit:
-    return "[" + Iv.Lo->str(Names) + ", " + Iv.Hi->str(Names) + "]";
+    S += '[';
+    S += Iv.Lo->str(Names);
+    S += ", ";
+    S += Iv.Hi->str(Names);
+    S += ']';
+    break;
   }
-  return "";
+  return S;
 }
 
 std::string ipg::termToString(const Term &T, const Grammar &G) {
@@ -173,8 +187,12 @@ std::string ipg::termToString(const Term &T, const Grammar &G) {
   }
   case Term::Kind::AttrDef: {
     const auto *A = cast<AttrDefTerm>(&T);
-    return "{" + std::string(Names.name(A->Name)) + " = " +
-           A->Value->str(Names) + "}";
+    std::string S = "{";
+    S += Names.name(A->Name);
+    S += " = ";
+    S += A->Value->str(Names);
+    S += '}';
+    return S;
   }
   case Term::Kind::Predicate:
     return "check(" + cast<PredicateTerm>(&T)->Cond->str(Names) + ")";
@@ -211,13 +229,20 @@ static void printRule(const Grammar &G, const Rule &R, std::string &Out,
   Out += Pad + std::string(G.interner().name(R.Name)) + " ->";
   bool FirstAlt = true;
   for (const Alternative &Alt : R.Alts) {
-    if (!FirstAlt)
-      Out += "\n" + Pad + "  /";
+    if (!FirstAlt) {
+      Out += '\n';
+      Out += Pad;
+      Out += "  /";
+    }
     FirstAlt = false;
-    for (const TermPtr &T : Alt.Terms)
-      Out += " " + termToString(*T, G);
+    for (const TermPtr &T : Alt.Terms) {
+      Out += ' ';
+      Out += termToString(*T, G);
+    }
     if (!Alt.LocalRules.empty()) {
-      Out += "\n" + Pad + "  where {\n";
+      Out += '\n';
+      Out += Pad;
+      Out += "  where {\n";
       for (RuleId L : Alt.LocalRules)
         printRule(G, G.rule(L), Out, Indent + 4);
       Out += Pad + "  }";

@@ -44,12 +44,6 @@ ipg::makeEngine(EngineKind Kind, const Grammar &G,
       return Ret::failure("generated parsers do not support "
                           "RecoveryPolicy::Salvage; use the interpreter or "
                           "bytecode VM");
-    // Likewise the reentry guard: emitted rule functions carry no
-    // in-progress table and rely on the depth limit alone.
-    if (Opts.DetectReentry)
-      return Ret::failure("generated parsers do not support "
-                          "EngineOptions::DetectReentry; use the interpreter "
-                          "or bytecode VM");
     // The module compiles the options in (memoization policy, default
     // depth limit); blackboxes bind through GenConfig's bridge source,
     // not the host registry — reject a silent mismatch.

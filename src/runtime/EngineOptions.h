@@ -13,8 +13,8 @@
 /// depth limit of 64 means the same hard failure in each, and UseMemo
 /// toggles the same Section-3.3 (rule, absolute-interval) policy
 /// everywhere — tests/engine_test.cpp regression-tests the parity. The
-/// knobs generated parsers cannot honor (Salvage recovery, DetectReentry)
-/// make makeEngine() refuse to build one rather than be ignored.
+/// one knob generated parsers cannot honor (Salvage recovery) makes
+/// makeEngine() refuse to build one rather than be ignored.
 ///
 /// EngineStats is the uniform counter block `Engine::stats()` returns.
 /// Counters are reset at the ENTRY of every parse() — including parses
@@ -76,14 +76,11 @@ struct EngineOptions {
   /// (Section 3.3). The host engines (interpreter and VM) honor it per
   /// parse; the code generator bakes it into the emitted rule functions.
   bool UseMemo = true;
-  /// Treat re-entry of an in-progress (rule, slice) as failure instead of
-  /// recursing; off by default for fidelity to the formal semantics.
-  /// Honored by the host engines (interpreter and VM); generated parsers
-  /// rely on the depth limit, and makeEngine() refuses to build one with
-  /// this set.
-  bool DetectReentry = false;
   /// Hard limit on rule recursion depth. Tripping it aborts the whole
   /// parse (no backtracking into sibling alternatives) in every engine.
+  /// It is the one divergence guard: a grammar that fails termination
+  /// checking (analysis/Termination.h) stops here instead of diverging;
+  /// a checked grammar reaches it only on input nested that deep.
   size_t MaxDepth = 8192;
   /// Error-recovery policy; see the enum. Strict preserves today's
   /// byte-for-byte behavior (and counters) exactly.

@@ -12,10 +12,10 @@
 /// through the three recursion-shape tiers (Direct recursion, Flattened
 /// descend/replay, Step work-stack machine; analysis/RecShape.h) and owns
 /// everything around them: the Salvage gate (BacktrackLive), amortized
-/// deadline ticks, memo and reentry bookkeeping, stats, failure
-/// diagnostics and the hard-error texts. Trees and counters are therefore
-/// identical in both engines by construction; tests/differential_test.cpp
-/// locks that.
+/// deadline ticks, the rule-entry sequence (enterRule) and memo
+/// bookkeeping, stats, failure diagnostics and the hard-error texts. Trees
+/// and counters are therefore identical in both engines by construction;
+/// tests/differential_test.cpp locks that.
 ///
 /// Every tier executes an alternative in an ipg_rt::Frame
 /// (support/GenRuntime.h), the frame generated parsers use too: its
@@ -259,16 +259,10 @@ private:
   bool execTerm(Frame &F, const lir::TermL &T) {
     ++Stats.TermsExecuted;
     switch (T.Op) {
-    case lir::TermOp::CallRule: {
-      if (T.Rule == InvalidRuleId) {
-        noteFail(T.Sym, F.Lo);
-        Hard = Error::failure("internal: unresolved nonterminal '" +
-                              std::string(G.interner().name(T.Sym)) +
-                              "' (run checkAttributes before parsing)");
-        return false;
-      }
+    case lir::TermOp::CallRule:
+      if (T.Rule == InvalidRuleId)
+        return unresolvedNT(F, T.Sym);
       return parseChildNT(F, T.TermIdx, T.Rule, T.Iv);
-    }
 
     case lir::TermOp::MatchBytes:
     case lir::TermOp::MatchRaw:
@@ -284,22 +278,14 @@ private:
       return execArray(F, T);
 
     case lir::TermOp::Select: {
-      for (uint32_t AI = T.ArmsBegin; AI != T.ArmsEnd; ++AI) {
-        const lir::ArmL &C = L.Arms[AI];
-        if (C.Cond != lir::NoExpr) {
-          int64_t V;
-          if (!Ev.eval(F, C.Cond, V))
-            return false;
-          if (V == 0)
-            continue;
-        }
-        if (C.Rule == InvalidRuleId) {
-          Hard = Error::failure("internal: unresolved switch arm");
-          return false;
-        }
-        return parseChildNT(F, T.TermIdx, C.Rule, C.Iv);
+      const lir::ArmL *C = chooseArm(F, T);
+      if (!C)
+        return false;
+      if (C->Rule == InvalidRuleId) {
+        Hard = Error::failure("internal: unresolved switch arm");
+        return false;
       }
-      return false; // no arm matched
+      return parseChildNT(F, T.TermIdx, C->Rule, C->Iv);
     }
 
     case lir::TermOp::CallBlackbox:
@@ -308,62 +294,67 @@ private:
     return false;
   }
 
+  /// Matches a terminal and records its interval effects (start/end,
+  /// touch record). \p Leaf clear is the flattened tier's way DOWN: no
+  /// leaf is built — the replay on the way back up materializes it.
+  template <bool Leaf = true>
   bool execTerminal(Frame &F, const lir::TermL &T) {
     int64_t Lo, Hi;
     if (!evalInterval(F, T.Iv, Lo, Hi) || Hard)
       return false;
     if (!ipg_rt::intervalOk(Lo, Hi, F.eoi()))
       return false;
-    if (T.Op == lir::TermOp::MatchRaw) {
-      // `raw` matches the whole interval without reading or copying it.
-      updStartEnd(F, Lo, Hi, Hi > Lo);
-      F.Kids.push_back(
-          Store.makeLeaf(Base + F.Lo + Lo,
-                         static_cast<size_t>(Hi - Lo), Lo,
-                         /*Opaque=*/true));
-      F.rec(T.TermIdx, Lo, Hi);
-      return true;
+    // `raw` matches the whole interval without reading or copying it.
+    const bool Raw = T.Op == lir::TermOp::MatchRaw;
+    int64_t Len = Hi - Lo;
+    if (!Raw) {
+      const std::string &Bytes = L.Lits[T.Lit];
+      Len = static_cast<int64_t>(Bytes.size());
+      if (Hi - Lo < Len)
+        return false;
+      if (!input(F).matchesAt(static_cast<size_t>(Lo), Bytes))
+        return false;
     }
-    const std::string &Bytes = L.Lits[T.Lit];
-    int64_t Len = static_cast<int64_t>(Bytes.size());
-    if (Hi - Lo < Len)
-      return false;
-    if (!input(F).matchesAt(static_cast<size_t>(Lo), Bytes))
-      return false;
     updStartEnd(F, Lo, Lo + Len, Len > 0);
     // Zero-copy: the leaf aliases the matched window of the input.
-    F.Kids.push_back(Store.makeLeaf(Base + F.Lo + Lo,
-                                    static_cast<size_t>(Len), Lo,
-                                    /*Opaque=*/false));
+    if constexpr (Leaf)
+      F.Kids.push_back(Store.makeLeaf(Base + F.Lo + Lo,
+                                      static_cast<size_t>(Len), Lo,
+                                      /*Opaque=*/Raw));
     F.rec(T.TermIdx, Lo, Lo + Len);
     return true;
   }
 
-  /// A terminal on the flattened tier's way DOWN: match and record the
-  /// interval effects (start/end, touch record) but build no leaf — the
-  /// replay on the way back up materializes it. Counts as an execution;
-  /// the replay does not.
-  bool probeTerminal(Frame &F, const lir::TermL &T) {
-    ++Stats.TermsExecuted;
-    int64_t Lo, Hi;
-    if (!evalInterval(F, T.Iv, Lo, Hi) || Hard)
-      return false;
-    if (!ipg_rt::intervalOk(Lo, Hi, F.eoi()))
-      return false;
-    if (T.Op == lir::TermOp::MatchRaw) {
-      updStartEnd(F, Lo, Hi, Hi > Lo);
-      F.rec(T.TermIdx, Lo, Hi);
-      return true;
+  /// The switch arm a Select term commits to: the first whose condition
+  /// holds. Null when none holds or a condition fails to evaluate.
+  /// Conditions are pure, so choosing again yields the same arm.
+  const lir::ArmL *chooseArm(const Frame &F, const lir::TermL &T) {
+    for (uint32_t AI = T.ArmsBegin; AI != T.ArmsEnd; ++AI) {
+      const lir::ArmL &C = L.Arms[AI];
+      if (C.Cond != lir::NoExpr) {
+        int64_t V;
+        if (!Ev.eval(F, C.Cond, V))
+          return nullptr;
+        if (V == 0)
+          continue;
+      }
+      return &C;
     }
-    const std::string &Bytes = L.Lits[T.Lit];
-    int64_t Len = static_cast<int64_t>(Bytes.size());
-    if (Hi - Lo < Len)
-      return false;
-    if (!input(F).matchesAt(static_cast<size_t>(Lo), Bytes))
-      return false;
-    updStartEnd(F, Lo, Lo + Len, Len > 0);
-    F.rec(T.TermIdx, Lo, Lo + Len);
-    return true;
+    return nullptr;
+  }
+
+  /// The hard error of a call to a nonterminal the lowering could not
+  /// resolve; returns false so a term can fail with it.
+#if defined(__GNUC__) || defined(__clang__)
+  __attribute__((noinline, cold))
+#endif
+  bool
+  unresolvedNT(const Frame &F, Symbol Sym) {
+    noteFail(Sym, F.Lo);
+    Hard = Error::failure("internal: unresolved nonterminal '" +
+                          std::string(G.interner().name(Sym)) +
+                          "' (run checkAttributes before parsing)");
+    return false;
   }
 
   bool execAttrDef(Frame &F, const lir::TermL &T) {
@@ -404,12 +395,11 @@ private:
     int64_t MaxEnd = 0;
     bool Failed = false;
     // Elements of a static record rule try their plan inline (see
-    // parseRecordElem); under DetectReentry they keep parseRule's guard.
+    // parseRecordElem).
     const lir::RecordPlan *EP = nullptr;
     if constexpr (Evaluator::Fuse) {
       const lir::RuleL &ER = L.Rules[T.Rule];
-      if (ER.Plan != lir::NoPlan && L.Plans[ER.Plan].Static &&
-          !(Opts.DetectReentry && !ER.IsLocal))
+      if (ER.Plan != lir::NoPlan && L.Plans[ER.Plan].Static)
         EP = &L.Plans[ER.Plan];
     }
 
@@ -713,24 +703,14 @@ private:
       Iv = &T.Iv;
       break;
     case lir::TermOp::Select: {
-      // Re-find the committed arm (condition evaluation is pure): the
-      // hole covers the arm the parse committed to, not the whole term.
-      for (uint32_t AI = T.ArmsBegin; AI != T.ArmsEnd; ++AI) {
-        const lir::ArmL &C = L.Arms[AI];
-        if (C.Cond != lir::NoExpr) {
-          int64_t V;
-          if (!Ev.eval(F, C.Cond, V))
-            return false;
-          if (V == 0)
-            continue;
-        }
-        Iv = &C.Iv;
-        if (C.Rule != InvalidRuleId)
-          HoleSym = L.Rules[C.Rule].Name;
-        break;
-      }
-      if (!Iv)
+      // The hole covers the arm the parse committed to, not the whole
+      // term.
+      const lir::ArmL *C = chooseArm(F, T);
+      if (!C)
         return false; // no arm matched: nothing bounds the damage
+      Iv = &C->Iv;
+      if (C->Rule != InvalidRuleId)
+        HoleSym = L.Rules[C->Rule].Name;
       break;
     }
     default:
@@ -771,6 +751,66 @@ private:
         "' (likely a non-terminating grammar; see termination checking)");
   }
 
+  /// The memo key of rule \p Id over \p In (absolute offsets).
+  static IntervalKey keyOf(RuleId Id, ByteSpan In) {
+    return IntervalKey::pack(Id, In.absBase(), In.absBase() + In.size());
+  }
+
+  /// Memoizes rule \p Id's outcome over \p In: node \p Result, or a
+  /// failure when it is InvalidNode.
+  void memoize(RuleId Id, ByteSpan In, uint32_t Result) {
+    St.Memo.insert(keyOf(Id, In),
+                   ipg_rt::memoPack(Result == InvalidNode ? 0u : Result,
+                                    Result != InvalidNode));
+  }
+
+  /// Local rules are never memoized (their meaning depends on the
+  /// enclosing frame); leaf rules are excluded as a pure optimization —
+  /// re-matching a handful of terminals/attrdefs is cheaper than a probe
+  /// (the RuleL::Memoizable policy shared with all engines). Salvage
+  /// disables memoization wholesale: with the BacktrackLive gate the
+  /// outcome of a subparse depends on the enclosing backtrack state, so
+  /// caching it (a hole-bearing tree, or a gated failure) would replay it
+  /// into contexts where the opposite decision is required.
+  bool isMemoized(const lir::RuleL &R) const {
+    return Opts.UseMemo && R.Memoizable && !Salvage;
+  }
+
+  /// The rule-entry sequence of every tier — parseRule, each
+  /// parseFlattened level and startAct: the depth limit (a hard error),
+  /// the deadline tick, the depth and peak accounting, and the memo probe
+  /// with its hit/miss counts. True: the rule runs, one level deeper.
+  /// \p Node is InvalidNode. False: the activation is decided at Depth
+  /// as on entry — \p Node is the memoized node, or InvalidNode for a
+  /// memoized failure or a hard error (Hard set).
+#if defined(__GNUC__) || defined(__clang__)
+  __attribute__((always_inline))
+#endif
+  bool enterRule(const lir::RuleL &R, RuleId Id, ByteSpan In, bool Memoize,
+                 uint32_t &Node) {
+    Node = InvalidNode;
+    if (Depth >= Opts.MaxDepth) {
+      Hard = depthError(R, In.absBase());
+      return false;
+    }
+    if (pastDeadline(R.Name, In.absBase()))
+      return false;
+    ++Depth;
+    Stats.PeakDepth = std::max(Stats.PeakDepth, Depth);
+    if (Memoize) {
+      if (const uint32_t *Hit = St.Memo.find(keyOf(Id, In))) {
+        ++Stats.MemoHits;
+        --Depth;
+        unsigned NodeId = 0;
+        if (ipg_rt::memoUnpack(*Hit, NodeId))
+          Node = NodeId;
+        return false;
+      }
+      ++Stats.MemoMisses;
+    }
+    return true;
+  }
+
   /// Parses \p Id over \p Input; returns the frozen node id, or
   /// InvalidNode on failure (check Hard for aborts). Dispatches on the
   /// rule's recursion shape: Flattened rules run as a descend/replay loop
@@ -786,44 +826,11 @@ private:
       return parseFlattened(Id, Input);
     assert(R.Shape != ExecShape::Step &&
            "step rules only run on the machine (up-closure violated)");
-    if (Depth >= Opts.MaxDepth) {
-      Hard = depthError(R, Input.absBase());
-      return InvalidNode;
-    }
-    if (pastDeadline(R.Name, Input.absBase()))
-      return InvalidNode;
-    ++Depth;
-    Stats.PeakDepth = std::max(Stats.PeakDepth, Depth);
+    const bool Memoize = isMemoized(R);
+    uint32_t Result;
+    if (!enterRule(R, Id, Input, Memoize, Result))
+      return Result;
 
-    // Local rules are never memoized (their meaning depends on the
-    // enclosing frame); leaf rules are excluded as a pure optimization —
-    // re-matching a handful of terminals/attrdefs is cheaper than a probe
-    // (the RuleL::Memoizable policy shared with all engines). Salvage
-    // disables memoization wholesale: with the BacktrackLive gate the
-    // outcome of a subparse depends on the enclosing backtrack state, so
-    // caching it (a hole-bearing tree, or a gated failure) would replay
-    // it into contexts where the opposite decision is required.
-    bool Memoize = Opts.UseMemo && R.Memoizable && !Salvage;
-    bool TrackReentry = Opts.DetectReentry && !R.IsLocal;
-    IntervalKey Key;
-    if (Memoize || TrackReentry)
-      Key = IntervalKey::pack(Id, Input.absBase(),
-                              Input.absBase() + Input.size());
-    if (Memoize) {
-      if (const uint32_t *Hit = St.Memo.find(Key)) {
-        ++Stats.MemoHits;
-        --Depth;
-        unsigned NodeId = 0;
-        return ipg_rt::memoUnpack(*Hit, NodeId) ? NodeId : InvalidNode;
-      }
-      ++Stats.MemoMisses;
-    }
-    if (TrackReentry && !St.InProgress.insert(Key, 1)) {
-      --Depth;
-      return InvalidNode; // packrat-style: in-progress re-entry fails
-    }
-
-    uint32_t Result = InvalidNode;
     Frame &F = St.frameAt(Depth);
     if constexpr (Evaluator::Fuse) {
       if (R.Plan != lir::NoPlan) {
@@ -864,12 +871,8 @@ private:
       }
     }
 
-    if (TrackReentry)
-      St.InProgress.erase(Key);
     if (Memoize && !Hard)
-      St.Memo.insert(Key, ipg_rt::memoPack(
-                              Result == InvalidNode ? 0u : Result,
-                              Result != InvalidNode));
+      memoize(Id, Input, Result);
     --Depth;
     return Hard ? InvalidNode : Result;
   }
@@ -884,62 +887,36 @@ private:
   /// descends into the self interval. On the way UP the self alternative
   /// replays per level — rebuilding the environment, materializing the
   /// terminal leaves, rebinding the banked children — completes the self
-  /// child, and runs the suffix. Alternative order, memo traffic, depth
-  /// accounting, and reentry tracking match the recursive form exactly.
+  /// child, and runs the suffix. Alternative order, memo traffic and
+  /// depth accounting match the recursive form exactly.
   uint32_t parseFlattened(RuleId Id, ByteSpan Input) {
     const lir::RuleL &R = L.Rules[Id];
     const FlattenInfo &FI = R.Flatten;
     const lir::AltL &SAlt = R.Alts[FI.SelfAlt];
     const lir::TermL &SelfT = SAlt.Exec[FI.SelfExecPos];
     const size_t PN = FI.PrefixNTTerms.size();
-    const bool Memoize = Opts.UseMemo && R.Memoizable && !Salvage;
-    const bool TrackReentry = Opts.DetectReentry; // never a local rule
+    const bool Memoize = isMemoized(R);
     // Each level contributes to BacktrackLive while inside its self
     // alternative iff post-self alternatives exist to fall back to.
     const bool HasPost = FI.SelfAlt + 1 < R.Alts.size();
     const size_t EntryDepth = Depth;
     const size_t LvBase = St.FlatLevels.size();
     const size_t KidBase = St.FlatKids.size();
-    const size_t KeyBase = St.FlatKeys.size();
     Frame &F = St.frameAt(EntryDepth + 1);
     ByteSpan Cur = Input;
     uint32_t Sub = InvalidNode;
     int64_t SLo = 0, SHi = 0;
 
-    auto levelKey = [&] {
-      return IntervalKey::pack(Id, Cur.absBase(),
-                               Cur.absBase() + Cur.size());
-    };
-
   flat_descend:
     // Depth here is VIRTUAL — entry depth plus pending levels, the exact
     // figure the recursive form would have reached.
     Depth = EntryDepth + (St.FlatLevels.size() - LvBase);
-    if (Depth >= Opts.MaxDepth) {
-      Hard = depthError(R, Cur.absBase());
-      goto flat_hard;
-    }
-    if (pastDeadline(R.Name, Cur.absBase()))
-      goto flat_hard;
-    ++Depth;
-    Stats.PeakDepth = std::max(Stats.PeakDepth, Depth);
-    if (Memoize) {
-      if (const uint32_t *Hit = St.Memo.find(levelKey())) {
-        ++Stats.MemoHits;
-        unsigned NodeId = 0;
-        if (ipg_rt::memoUnpack(*Hit, NodeId)) {
-          Sub = NodeId;
-          goto flat_resolved;
-        }
+    if (!enterRule(R, Id, Cur, Memoize, Sub)) {
+      if (Hard)
+        goto flat_hard;
+      if (Sub == InvalidNode)
         goto flat_level_failed;
-      }
-      ++Stats.MemoMisses;
-    }
-    if (TrackReentry) {
-      IntervalKey K = levelKey();
-      if (!St.InProgress.insert(K, 1))
-        goto flat_level_failed; // packrat-style: in-progress re-entry fails
-      St.FlatKeys.push_back(K);
+      goto flat_resolved;
     }
 
     // Alternatives BEFORE the self alternative run for real at every
@@ -976,11 +953,7 @@ private:
         bool Ok;
         if (T.Op == lir::TermOp::CallRule) {
           if (T.Rule == InvalidRuleId) {
-            noteFail(T.Sym, F.Lo);
-            Hard = Error::failure(
-                "internal: unresolved nonterminal '" +
-                std::string(G.interner().name(T.Sym)) +
-                "' (run checkAttributes before parsing)");
+            unresolvedNT(F, T.Sym);
             goto flat_hard;
           }
           ++Stats.TermsExecuted;
@@ -990,7 +963,9 @@ private:
             St.FlatKids.push_back(Bank);
         } else if (T.Op == lir::TermOp::MatchBytes ||
                    T.Op == lir::TermOp::MatchRaw) {
-          Ok = probeTerminal(F, T);
+          // Counts as an execution; the replay on the way up does not.
+          ++Stats.TermsExecuted;
+          Ok = execTerminal</*Leaf=*/false>(F, T);
         } else {
           Ok = execTerm(F, T);
         }
@@ -1018,15 +993,11 @@ private:
       goto flat_descend;
     }
 
-    // The current level resolved to node Sub at the descend: close its
-    // bookkeeping (recursion: erase reentry, then memoize) and unwind.
+    // The current level resolved to node Sub at the descend: memoize it
+    // and unwind.
   flat_level_ok:
-    if (TrackReentry) {
-      St.InProgress.erase(St.FlatKeys.back());
-      St.FlatKeys.pop_back();
-    }
     if (Memoize)
-      St.Memo.insert(levelKey(), ipg_rt::memoPack(Sub, true));
+      memoize(Id, Cur, Sub);
     goto flat_resolved;
 
     // Alternatives AFTER the self alternative, tried when the self
@@ -1054,12 +1025,8 @@ private:
         goto flat_level_ok;
       }
     }
-    if (TrackReentry) {
-      St.InProgress.erase(St.FlatKeys.back());
-      St.FlatKeys.pop_back();
-    }
     if (Memoize)
-      St.Memo.insert(levelKey(), ipg_rt::memoPack(0u, false));
+      memoize(Id, Cur, InvalidNode);
     goto flat_level_failed;
 
     // A level failed outright: its parent's self call failed, so the
@@ -1122,24 +1089,16 @@ private:
       if (!Ok)
         goto flat_post_alts;
       Sub = freeze(F, R, Id);
-      if (TrackReentry) {
-        St.InProgress.erase(St.FlatKeys.back());
-        St.FlatKeys.pop_back();
-      }
       if (Memoize)
-        St.Memo.insert(levelKey(), ipg_rt::memoPack(Sub, true));
+        memoize(Id, Cur, Sub);
     }
     St.FlatKids.resize(KidBase);
     Depth = EntryDepth;
     return Sub;
 
     // A hard failure aborts the whole activation: recursion unwinds every
-    // pending level erasing its reentry key and storing nothing.
+    // pending level storing nothing.
   flat_hard:
-    while (St.FlatKeys.size() > KeyBase) {
-      St.InProgress.erase(St.FlatKeys.back());
-      St.FlatKeys.pop_back();
-    }
     St.FlatLevels.resize(LvBase);
     St.FlatKids.resize(KidBase);
     Depth = EntryDepth;
@@ -1164,51 +1123,17 @@ private:
 
   enum StartStatus { ActPushed, ActDoneOk, ActDoneFail };
 
-  /// Mirrors parseRule's entry sequence (depth check, peak, memo probe,
-  /// reentry insert). Either pushes a new act or resolves inline from the
-  /// memo table (StartNode holds the node on ActDoneOk).
+  /// parseRule's entry sequence (enterRule) for the machine. Either
+  /// pushes a new act or resolves inline from the memo table (StartNode
+  /// holds the node on ActDoneOk).
   StartStatus startAct(RuleId Id, ByteSpan In, const Frame *Lex) {
     const lir::RuleL &R = L.Rules[Id];
-    if (Depth >= Opts.MaxDepth) {
-      Hard = depthError(R, In.absBase());
-      return ActDoneFail;
-    }
-    if (pastDeadline(R.Name, In.absBase()))
-      return ActDoneFail;
-    ++Depth;
-    Stats.PeakDepth = std::max(Stats.PeakDepth, Depth);
-    bool Memoize = Opts.UseMemo && R.Memoizable && !Salvage;
-    bool TrackReentry = Opts.DetectReentry && !R.IsLocal;
-    IntervalKey Key;
-    if (Memoize || TrackReentry)
-      Key = IntervalKey::pack(Id, In.absBase(), In.absBase() + In.size());
-    if (Memoize) {
-      if (const uint32_t *Hit = St.Memo.find(Key)) {
-        ++Stats.MemoHits;
-        --Depth;
-        unsigned NodeId = 0;
-        if (!ipg_rt::memoUnpack(*Hit, NodeId))
-          return ActDoneFail;
-        StartNode = NodeId;
-        return ActDoneOk;
-      }
-      ++Stats.MemoMisses;
-    }
-    bool Inserted = false;
-    if (TrackReentry) {
-      if (!St.InProgress.insert(Key, 1)) {
-        --Depth;
-        return ActDoneFail; // packrat-style: in-progress re-entry fails
-      }
-      Inserted = true;
-    }
+    if (!enterRule(R, Id, In, isMemoized(R), StartNode))
+      return StartNode == InvalidNode ? ActDoneFail : ActDoneOk;
     MachineAct A;
     A.Id = Id;
     A.Input = In;
     A.Lex = Lex;
-    A.Key = Key;
-    A.Memoize = Memoize;
-    A.Inserted = Inserted;
     BacktrackLive += R.Alts.size() > 1; // alt 0 begins with later alts
     St.Acts.push_back(A);
     return ActPushed;
@@ -1219,13 +1144,10 @@ private:
   /// slot for the act below.
   void finishAct(uint32_t Result) {
     MachineAct &A = St.Acts.back();
-    if (A.Inserted)
-      St.InProgress.erase(A.Key);
-    if (A.Memoize && !Hard)
-      St.Memo.insert(A.Key, ipg_rt::memoPack(
-                                Result == InvalidNode ? 0u : Result,
-                                Result != InvalidNode));
-    BacktrackLive -= A.AltIdx + 1 < L.Rules[A.Id].Alts.size();
+    const lir::RuleL &R = L.Rules[A.Id];
+    if (isMemoized(R) && !Hard)
+      memoize(A.Id, A.Input, Result);
+    BacktrackLive -= A.AltIdx + 1 < R.Alts.size();
     --Depth;
     St.Acts.pop_back();
     ChildOk = Result != InvalidNode && !Hard;
@@ -1381,23 +1303,9 @@ private:
                           T.Sym);
     }
     case lir::TermOp::Select: {
-      // Find the committed arm first (condition evaluation is pure);
-      // delegate whole-term when it does not need the machine.
-      const lir::ArmL *Chosen = nullptr;
-      for (uint32_t AI = T.ArmsBegin; AI != T.ArmsEnd; ++AI) {
-        const lir::ArmL &C = L.Arms[AI];
-        if (C.Cond != lir::NoExpr) {
-          int64_t V;
-          if (!Ev.eval(F, C.Cond, V)) {
-            ++Stats.TermsExecuted;
-            return 0;
-          }
-          if (V == 0)
-            continue;
-        }
-        Chosen = &C;
-        break;
-      }
+      // Find the committed arm first; delegate whole-term when it does
+      // not need the machine.
+      const lir::ArmL *Chosen = chooseArm(F, T);
       if (!Chosen) {
         ++Stats.TermsExecuted;
         return 0; // no arm matched
@@ -1515,14 +1423,9 @@ private:
     while (!St.Acts.empty() && !Hard)
       advance();
     if (Hard) {
-      // Unwind exactly as recursion would: each pending activation
-      // erases its reentry key; nothing is memoized.
-      while (!St.Acts.empty()) {
-        if (St.Acts.back().Inserted)
-          St.InProgress.erase(St.Acts.back().Key);
-        St.Acts.pop_back();
-        --Depth;
-      }
+      // Unwind exactly as recursion would: nothing pending is memoized.
+      Depth -= St.Acts.size();
+      St.Acts.clear();
       return InvalidNode;
     }
     return ChildOk ? ChildNode : InvalidNode;

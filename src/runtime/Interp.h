@@ -15,7 +15,7 @@
 /// The interpreter and the bytecode VM (vm/BytecodeVM.h) are the two host
 /// engines, and they share one execution core, host::Runner
 /// (runtime/HostRunner.h): the three recursion-shape tiers, salvage,
-/// deadlines, memoization, reentry tracking and stats. Both execute each
+/// deadlines, memoization and stats. Both execute each
 /// alternative in an ipg_rt::Frame (support/GenRuntime.h), the frame
 /// generated parsers use too, so attribute lookup and updStartEnd are one
 /// implementation. They differ only in expression evaluation. The
@@ -50,11 +50,9 @@
 /// one-per-thread contract the engine itself has).
 ///
 /// Nontermination handling: the formal semantics simply diverges on
-/// grammars that fail termination checking; a practical engine cannot. Two
-/// guards exist: MaxDepth aborts the whole parse with a hard error, and
-/// (optionally) DetectReentry treats re-entering the same (rule, slice)
-/// while it is still being parsed as failure, packrat-style. Both are off
-/// the semantics' happy path and covered by dedicated tests.
+/// grammars that fail termination checking; a practical engine cannot.
+/// EngineOptions::MaxDepth aborts such a parse with a hard error, in every
+/// engine tier.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -15,11 +15,11 @@
 /// in is ipg_rt::Frame (support/GenRuntime.h), the one generated parsers
 /// use too; this header pools those frames per depth and holds what only
 /// the host needs around them: the lowered module and resolved blackbox
-/// sites, memo + reentry tables, per-nesting array scratch, the flattened
+/// sites, the memo table, per-nesting array scratch, the flattened
 /// window stack, machine activation records, the VM's operand stack, and
 /// the store-recycling slot. Everything here survives across parse()
-/// calls so the steady state allocates nothing: vectors and the flat
-/// hashes keep their capacity through clear(), the TreeStore keeps its
+/// calls so the steady state allocates nothing: vectors and the memo
+/// table keep their capacity through clear(), the TreeStore keeps its
 /// arena blocks through reset(), and frames are pooled per recursion
 /// depth.
 ///
@@ -50,7 +50,6 @@ struct ParseScratch {
   /// ipg_rt::memoPack'd outcomes — the same encoding the generated Ctx
   /// uses, through the same helpers; ids are stable within a parse.
   ipg_rt::FlatIntervalMap<uint32_t> Memo;
-  ipg_rt::FlatIntervalMap<uint8_t> InProgress;
   /// Per-depth frames (ipg_rt::Frame, the frame every tier runs in).
   std::vector<std::unique_ptr<ipg_rt::Frame>> FramePool;
   std::vector<std::vector<uint32_t>> ElemScratch; // per array-nesting level
@@ -66,9 +65,8 @@ struct ParseScratch {
   /// "not registered" hard error at call time.
   std::vector<const BlackboxFn *> BbFns;
 
-  /// Flattened-tier state: the descend/replay window stack, banked
-  /// prefix-child records, and (under DetectReentry) the in-progress keys
-  /// of pending levels. Nested flattened activations share these vectors
+  /// Flattened-tier state: the descend/replay window stack and banked
+  /// prefix-child records. Nested flattened activations share these vectors
   /// through saved bases; capacity persists across parses, so the steady
   /// state allocates nothing.
   struct FlatKid {
@@ -79,7 +77,6 @@ struct ParseScratch {
   };
   std::vector<ByteSpan> FlatLevels;
   std::vector<FlatKid> FlatKids;
-  std::vector<ipg_rt::IntervalKey> FlatKeys;
 
   /// Step-tier activation record: one per live rule invocation on the
   /// explicit work-stack machine (the machine only ever starts at the
@@ -88,13 +85,10 @@ struct ParseScratch {
     RuleId Id = InvalidRuleId;
     ByteSpan Input;
     const ipg_rt::Frame *Lex = nullptr; ///< lexical frame (where-clauses)
-    ipg_rt::IntervalKey Key;
     uint32_t AltIdx = 0;
     uint32_t StepIdx = 0; ///< next position in the alternative's exec order
     enum : uint8_t { WaitNone, WaitNT, WaitArr };
     uint8_t Wait = WaitNone;
-    bool Memoize = false;
-    bool Inserted = false;  ///< holds an InProgress reentry key
     bool NeedBegin = true;  ///< beginAlt pending for (AltIdx, StepIdx=0)
     uint32_t PendTI = 0;    ///< term index of the suspended child
     int64_t PendLo = 0;
@@ -166,13 +160,11 @@ struct ParseScratch {
   void beginParse(EngineStats &Stats) {
     Stats.StoreRecycled = Stores.acquire();
     Memo.clear();
-    InProgress.clear();
     ArrayNest = 0;
     // The tier scratch is left empty by every exit path; clearing here is
     // belt-and-braces so a parse can never see a predecessor's state.
     FlatLevels.clear();
     FlatKids.clear();
-    FlatKeys.clear();
     Acts.clear();
     VStack.clear();
     VTop = 0;

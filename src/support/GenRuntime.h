@@ -30,8 +30,8 @@
 ///    (div/mod/shift) of the expression language.
 ///
 /// 2. The shared memoization table: IntervalKey packs (rule, interval)
-///    into 128 bits and FlatIntervalMap is the open-addressing table with
-///    tombstones and O(1) generational clear. The host engines and
+///    into 128 bits and FlatIntervalMap is the insert-only open-addressing
+///    table with O(1) generational clear. The host engines and
 ///    generated parsers memoize through it alike (Ctx memoizes every
 ///    non-local (rule, interval) result, closing the paper's Fig.-12 gap
 ///    on backtracking-heavy grammars).
@@ -297,23 +297,22 @@ inline bool readPacked(const unsigned char *Base, long long Size,
 //
 // — and entries live in one flat power-of-two slot array with linear
 // probing. Offsets are absolute byte positions in the root input, so
-// 48 bits allow 256 TiB inputs; rule id ~0u is reserved to encode the
-// empty and tombstone slot states and is asserted against.
+// 48 bits allow 256 TiB inputs.
 //
-// erase() leaves a tombstone so later probes keep walking; tombstones are
-// reclaimed on rehash. clear() keeps capacity and is O(1) (generational),
-// which is what lets a reused parser reach an allocation-free steady
-// state. The host engines and generated parsers use the same table.
+// The table is insert-only: a parse memoizes each (rule, interval) once
+// and never retracts it. clear() keeps capacity and is O(1)
+// (generational), which is what lets a reused parser reach an
+// allocation-free steady state. The host engines and generated parsers
+// use the same table.
 //===----------------------------------------------------------------------===//
 
 /// A (rule, interval) key packed into 128 bits. Equality is exact; the
-/// packing is injective for lo/hi < 2^48 and rule < 2^32 - 1.
+/// packing is injective for lo/hi < 2^48.
 struct IntervalKey {
   uint64_t A = 0;
   uint64_t B = 0;
 
   static IntervalKey pack(uint32_t Rule, uint64_t Lo, uint64_t Hi) {
-    assert(Rule != ~0u && "rule id ~0 is reserved for slot sentinels");
     assert(Lo < (1ull << 48) && Hi < (1ull << 48) &&
            "interval offsets limited to 48 bits");
     IntervalKey K;
@@ -327,25 +326,19 @@ struct IntervalKey {
   }
 };
 
-/// Open-addressing hash map from IntervalKey to a small trivially copyable
-/// value (parse engines store node handles and in-progress marks). Linear
-/// probing, max load factor 3/4 counting tombstones, geometric growth from
-/// a 64-slot floor.
+/// Insert-only open-addressing hash map from IntervalKey to a small
+/// trivially copyable value (parse engines store memoPack'd node
+/// handles). Linear probing, max load factor 3/4, geometric growth from a
+/// 64-slot floor.
 template <typename V> class FlatIntervalMap {
-  // Slot states are encoded in the key's A word: valid keys never carry
-  // rule id ~0u, so A values with all upper 32 bits set are free for
-  // sentinels and B disambiguates empty from tombstone.
-  static constexpr uint64_t SentinelA = ~0ull;
-  static constexpr uint64_t EmptyB = 0;
-  static constexpr uint64_t TombB = 1;
-
-  // Each slot carries the epoch it was last written in; slots from older
-  // epochs read as empty, which is what makes clear() O(1): it bumps the
-  // epoch instead of sweeping a table that one large parse may have grown
-  // far beyond what small parses need.
+  // Each slot carries the epoch it was written in, and a slot is live
+  // exactly when its epoch is current; slots from older epochs read as
+  // empty. That is what makes clear() O(1): it bumps the epoch instead of
+  // sweeping a table that one large parse may have grown far beyond what
+  // small parses need.
   struct Slot {
-    uint64_t A = SentinelA;
-    uint64_t B = EmptyB;
+    uint64_t A = 0;
+    uint64_t B = 0;
     V Value{};
     uint32_t Epoch = 0;
   };
@@ -361,12 +354,7 @@ public:
     for (size_t I = hashOf(K) & Mask;; I = (I + 1) & Mask) {
       Slot &S = Slots[I];
       if (S.Epoch != Epoch)
-        return nullptr; // stale epoch reads as empty
-      if (S.A == SentinelA) {
-        if (S.B == EmptyB)
-          return nullptr;
-        continue; // tombstone: keep probing
-      }
+        return nullptr;
       if (S.A == K.A && S.B == K.B)
         return &S.Value;
     }
@@ -378,77 +366,26 @@ public:
   /// Inserts \p K -> \p Value; returns false (leaving the existing value
   /// untouched) when the key was already present.
   bool insert(const IntervalKey &K, const V &Value) {
-    if ((Used + 1) * 4 > capacity() * 3) {
-      // Grow only when live entries justify it; when the load breach is
-      // mostly tombstones (the insert/erase-heavy in-progress set never
-      // holds more than recursion-depth live keys), rehash in place to
-      // purge them instead of doubling forever.
-      size_t NewCap = capacity() ? capacity() : 64;
-      if (Size * 2 >= Used)
-        NewCap = capacity() ? capacity() * 2 : 64;
-      rehash(NewCap);
-    }
-    size_t Mask = Slots.size() - 1;
-    size_t Tomb = ~size_t(0);
-    for (size_t I = hashOf(K) & Mask;; I = (I + 1) & Mask) {
-      Slot &S = Slots[I];
-      bool Fresh = S.Epoch == Epoch;
-      if (Fresh && S.A != SentinelA) {
-        if (S.A == K.A && S.B == K.B)
-          return false;
-        continue;
-      }
-      if (Fresh && S.B == TombB) {
-        if (Tomb == ~size_t(0))
-          Tomb = I;
-        continue;
-      }
-      // Empty (stale epoch or never written): claim the first tombstone
-      // on the probe path if any, so long-lived tables don't accumulate
-      // displacement.
-      Slot &Dst = Slots[Tomb != ~size_t(0) ? Tomb : I];
-      bool Reclaimed = Tomb != ~size_t(0);
-      Dst.A = K.A;
-      Dst.B = K.B;
-      Dst.Value = Value;
-      Dst.Epoch = Epoch;
-      ++Size;
-      if (!Reclaimed)
-        ++Used; // reusing a tombstone doesn't raise the load
-      return true;
-    }
-  }
-
-  /// Removes \p K (leaving a tombstone); returns whether it was present.
-  bool erase(const IntervalKey &K) {
-    if (Slots.empty())
-      return false;
+    if ((Size + 1) * 4 > capacity() * 3)
+      rehash(capacity() ? capacity() * 2 : 64);
     size_t Mask = Slots.size() - 1;
     for (size_t I = hashOf(K) & Mask;; I = (I + 1) & Mask) {
       Slot &S = Slots[I];
-      if (S.Epoch != Epoch)
-        return false; // stale epoch reads as empty
-      if (S.A == SentinelA) {
-        if (S.B == EmptyB)
-          return false;
-        continue;
-      }
-      if (S.A == K.A && S.B == K.B) {
-        S.A = SentinelA;
-        S.B = TombB;
-        S.Value = V{};
-        --Size;
+      if (S.Epoch != Epoch) {
+        S = Slot{K.A, K.B, Value, Epoch};
+        ++Size;
         return true;
       }
+      if (S.A == K.A && S.B == K.B)
+        return false;
     }
   }
 
-  /// Drops all entries and tombstones but keeps the slot array. O(1):
-  /// bumping the epoch invalidates every slot, so a long-lived table
-  /// sized by one large parse costs nothing to clear before small ones.
+  /// Drops all entries but keeps the slot array. O(1): bumping the epoch
+  /// invalidates every slot, so a long-lived table sized by one large
+  /// parse costs nothing to clear before small ones.
   void clear() {
     Size = 0;
-    Used = 0;
     ++Epoch;
     if (Epoch == 0) {
       // Epoch wrap (once per 2^32 clears): ancient slots could alias the
@@ -462,8 +399,6 @@ public:
   size_t size() const { return Size; }
   bool empty() const { return Size == 0; }
   size_t capacity() const { return Slots.size(); }
-  /// Occupied + tombstoned slots (what load-factor growth is gated on).
-  size_t usedSlots() const { return Used; }
 
 private:
   static size_t hashOf(const IntervalKey &K) {
@@ -481,26 +416,19 @@ private:
   void rehash(size_t NewCap) {
     std::vector<Slot> Old = std::move(Slots);
     Slots.assign(NewCap, Slot());
-    Size = 0;
-    Used = 0;
     size_t Mask = NewCap - 1;
     for (const Slot &S : Old) {
-      if (S.Epoch != Epoch || S.A == SentinelA)
+      if (S.Epoch != Epoch)
         continue;
-      for (size_t I = hashOf({S.A, S.B}) & Mask;; I = (I + 1) & Mask) {
-        if (Slots[I].Epoch != Epoch) {
-          Slots[I] = S;
-          ++Size;
-          ++Used;
-          break;
-        }
-      }
+      size_t I = hashOf({S.A, S.B}) & Mask;
+      while (Slots[I].Epoch == Epoch)
+        I = (I + 1) & Mask;
+      Slots[I] = S;
     }
   }
 
   std::vector<Slot> Slots;
   size_t Size = 0;     ///< live entries
-  size_t Used = 0;     ///< live entries + tombstones this epoch
   uint32_t Epoch = 1;  ///< current generation; 0 marks never-written slots
 };
 

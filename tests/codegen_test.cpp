@@ -102,8 +102,8 @@ TEST(CodegenTest, EmitsMemoizationForGlobalRulesOnly) {
   EXPECT_EQ(Code->find("C.memoFind(" + std::to_string(Local) + "u"),
             std::string::npos);
 
-  CppEmitterOptions Off;
-  Off.Engine.UseMemo = false;
+  EngineOptions Off;
+  Off.UseMemo = false;
   auto Plain = emitCppParser(G, "gen", Off);
   ASSERT_TRUE(Plain) << Plain.message();
   EXPECT_EQ(Plain->find("C.memoFind("), std::string::npos);

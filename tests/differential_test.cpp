@@ -426,8 +426,8 @@ TEST(DifferentialTest, MemoizedAndUnmemoizedGeneratedParsersAgree) {
 
     auto Memo = emitCppParser(Load->G, "gen");
     ASSERT_TRUE(Memo) << Memo.message();
-    CppEmitterOptions Off;
-    Off.Engine.UseMemo = false;
+    EngineOptions Off;
+    Off.UseMemo = false;
     auto Plain = emitCppParser(Load->G, "gen", Off);
     ASSERT_TRUE(Plain) << Plain.message();
     // The ablation really removed the table, not just renamed things.

@@ -208,22 +208,6 @@ TEST(EngineOptionsParity, UseMemoOffPreservesTreesOnBothEngines) {
   }
 }
 
-// The reentry guard lives in the host runner's in-progress table, which
-// generated parsers do not carry: asking for it is refused up front (no
-// host compiler needed — the refusal comes before any compile) instead of
-// being silently ignored, like RecoveryPolicy::Salvage.
-TEST(EngineOptionsParity, GeneratedEngineRejectsDetectReentryUpFront) {
-  Grammar G = load(R"(S -> "ab"[0, 2] {v = 7} ;)");
-  EngineOptions Opts;
-  Opts.DetectReentry = true;
-  auto E = makeEngine(EngineKind::Generated, G, nullptr, Opts);
-  ASSERT_FALSE(E);
-  EXPECT_NE(E.message().find("generated parsers do not support "
-                             "EngineOptions::DetectReentry"),
-            std::string::npos)
-      << E.message();
-}
-
 //===----------------------------------------------------------------------===//
 // GenModule / GenEngine: one store, guarded layout and names, work dirs
 //===----------------------------------------------------------------------===//

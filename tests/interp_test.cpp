@@ -16,6 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/AttributeCheck.h"
+#include "codegen/GenEngine.h"
 #include "runtime/Engine.h"
 #include "runtime/Interp.h"
 #include "support/Casting.h"
@@ -690,37 +691,65 @@ TEST(SemanticsNontermination, DepthGuardReportsHardError) {
   EXPECT_NE(R.message().find("depth"), std::string::npos);
 }
 
-// The reentry guard is host-runner state, so both host engines honor it.
-TEST(SemanticsNontermination, ReentryDetectionFailsCleanly) {
-  Grammar G = load(R"(S -> ""[0, 0] S[0, EOI] ;)");
-  EngineOptions Opts;
-  Opts.DetectReentry = true;
-  for (EngineKind Kind : {EngineKind::Interp, EngineKind::Vm}) {
-    SCOPED_TRACE(engineKindName(Kind));
-    auto E = makeEngine(Kind, G, nullptr, Opts);
-    ASSERT_TRUE(E) << E.message();
-    auto R = (*E)->parse(ByteSpan::of(std::string_view("abc")));
-    ASSERT_FALSE(R);
-    EXPECT_NE(R.message().find("rejected"), std::string::npos);
-  }
-}
-
+// The depth limit is the one divergence guard, and every engine tier
+// honors it: Figure 11's non-terminating grammars fail in the interpreter,
+// the VM and (with a host compiler) a generated parser, at the same
+// failure site.
 TEST(SemanticsNontermination, SeekStyleLoopCaughtByGuards) {
-  // Figure 11b: S -> num[0,1] S[num.val, EOI]; input byte 0 jumps back to
-  // offset 0 forever.
-  Grammar G = load(R"(
-    S -> num[0, 1] S[num.val, EOI] / "$"[0, 1] ;
-    num -> {val = u8(0)} ;
-  )");
+  struct Case {
+    const char *Tag;
+    const char *Src;
+    std::vector<uint8_t> Loop;
+  };
+  const Case Cases[] = {
+      // Figure 11b: S -> num[0,1] S[num.val, EOI]; input byte 0 jumps
+      // back to offset 0 forever.
+      {"fig11b", R"(
+         S -> num[0, 1] S[num.val, EOI] / "$"[0, 1] ;
+         num -> {val = u8(0)} ;
+       )",
+       {0, 0, 0}},
+      // Figure 11d: S -> ""[0,0] S[0,EOI] loops on the same interval.
+      {"fig11d", R"(S -> ""[0, 0] S[0, EOI] ;)", {'a', 'b', 'c'}},
+  };
+  std::vector<EngineKind> Kinds = {EngineKind::Interp, EngineKind::Vm};
+  if (GenModule::hostCompilerAvailable())
+    Kinds.push_back(EngineKind::Generated);
   EngineOptions Opts;
-  Opts.DetectReentry = true;
-  for (EngineKind Kind : {EngineKind::Interp, EngineKind::Vm}) {
+  Opts.MaxDepth = 64;
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Tag);
+    Grammar G = load(C.Src);
+    uint32_t FailRule = ~0u;
+    int64_t FailOffset = -1;
+    for (EngineKind Kind : Kinds) {
+      SCOPED_TRACE(engineKindName(Kind));
+      auto E = makeEngine(Kind, G, nullptr, Opts);
+      ASSERT_TRUE(E) << E.message();
+      auto R = (*E)->parse(ByteSpan::of(C.Loop));
+      ASSERT_FALSE(R);
+      if (Kind != EngineKind::Generated) {
+        EXPECT_NE(R.message().find("recursion depth limit exceeded"),
+                  std::string::npos)
+            << R.message();
+      }
+      const EngineStats &S = (*E)->stats();
+      EXPECT_EQ(S.ParseVerdict, Verdict::Reject);
+      ASSERT_NE(S.FailRule, ~0u);
+      if (Kind == EngineKind::Interp) {
+        FailRule = S.FailRule;
+        FailOffset = S.FailOffset;
+      }
+      EXPECT_EQ(S.FailRule, FailRule);
+      EXPECT_EQ(S.FailOffset, FailOffset);
+    }
+  }
+  // A chain that advances terminates and accepts.
+  Grammar G = load(Cases[0].Src);
+  for (EngineKind Kind : Kinds) {
     SCOPED_TRACE(engineKindName(Kind));
     auto E = makeEngine(Kind, G, nullptr, Opts);
     ASSERT_TRUE(E) << E.message();
-    std::vector<uint8_t> Loop = {0, 0, 0};
-    EXPECT_FALSE((*E)->parse(ByteSpan::of(Loop)));
-    // A chain that advances terminates and accepts.
     std::vector<uint8_t> Chain = {1, '$'};
     auto R = (*E)->parse(ByteSpan::of(Chain));
     EXPECT_TRUE(R) << R.message();

@@ -134,7 +134,7 @@ TEST(TerminationTest, OffsetJumpWithPositiveGuardStillRejected) {
 }
 
 TEST(TerminationTest, CheckerAgreesWithRuntimeOnDivergence) {
-  // For the grammars flagged above, the runtime's reentry guard indeed
+  // For the grammars flagged above, the runtime's depth guard indeed
   // fires; for the accepted ones, parsing completes. This ties Theorem 5.1
   // to observable behaviour.
   {
