@@ -364,3 +364,55 @@ TEST(NTGraphTest, DagHasNoCycles) {
   ASSERT_TRUE(R) << R.message();
   EXPECT_TRUE(elementaryCycles(buildNTGraph(R->G)).empty());
 }
+
+//===----------------------------------------------------------------------===//
+// Pinned diagnostics of completion and attribute checking: one malformed
+// grammar per distinct message, with the exact text loadGrammar reports.
+// (The checker's "internal term-end reference out of range" cannot be
+// reached from grammar text: only completion creates term-end references.)
+//===----------------------------------------------------------------------===//
+
+TEST(DiagnosticsTest, CompletionAndCheckMessagesArePinned) {
+  struct Diag {
+    const char *Src;
+    const char *Message;
+  };
+  const Diag Cases[] = {
+      {"S -> for i = 0 to 3 do A[4] ; A -> \"x\" ;",
+       "rule 'S': array term requires an explicit interval"},
+      {"S -> Q[0, 1] ;", "rule 'S': unknown nonterminal 'Q'"},
+      {"S -> {x = y + 1} ;", "rule 'S': reference to undefined attribute 'y'"},
+      {"S -> A[0, 1] {x = A(0).v} ; A -> {v = u8(0)} ;",
+       "rule 'S': 'A' is not an array; use 'A.attr'"},
+      {"S -> A[0, 1] {x = A.nope} ; A -> {v = u8(0)} ;",
+       "rule 'S': attribute 'nope' is not defined by every alternative of "
+       "'A'"},
+      {"S -> A[0, 1] {x = A.b} ; A -> {b = 1} {c = 2} / {c = 3} ;",
+       "rule 'S': attribute 'b' is not defined by every alternative of 'A'"},
+      {"blackbox bb ; S -> bb[0, 1] {x = bb.foo} ;",
+       "rule 'S': blackbox 'bb' only defines val/start/end"},
+      {"S -> for i = 0 to 2 do A[i, i + 1] {x = A.v} ; A -> {v = u8(0)} ;",
+       "rule 'S': 'A' is an array; use 'A(e).attr'"},
+      {"S -> for i = 0 to 2 do A[i, i + 1] {x = A(0).w} ; A -> {v = u8(0)} ;",
+       "rule 'S': attribute 'w' is not defined by every alternative of 'A'"},
+      {"S -> {x = B.v} ;", "rule 'S': no sibling term named 'B' in scope"},
+      {"S -> {x = 1} {x = 2} ;",
+       "rule 'S': attribute 'x' defined twice in one alternative"},
+      {"S -> B1[0, B2.a] B2[B1.b, EOI] ; B1 -> {b = u8(0)} ; "
+       "B2 -> {a = u8(0)} ;",
+       "rule 'S': circular attribute dependencies in an alternative"},
+      {"S -> \"a\"[0, 1] D[1, 2] where { D -> {v = u8(0)} Q[0, 1] ; } ;",
+       "rule 'D': unknown nonterminal 'Q'"},
+      {"S -> {k = 1} D[0, 1] where { D -> {v = k + zz} ; } ;",
+       "rule 'D': reference to undefined attribute 'zz'"},
+      {"S -> D[0, EOI] where { D -> \"x\"[Zed.val, EOI] ; } ;",
+       "rule 'D': no sibling term named 'Zed' in scope"},
+      {"S -> {i = 0} for j = 0 to 2 do A[j, j + 1] {x = j} ; A -> \"a\" ;",
+       "rule 'S': reference to undefined attribute 'j'"},
+  };
+  for (const Diag &D : Cases) {
+    auto R = loadGrammar(D.Src);
+    ASSERT_FALSE(R) << D.Src;
+    EXPECT_EQ(R.message(), D.Message) << D.Src;
+  }
+}

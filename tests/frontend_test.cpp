@@ -242,3 +242,72 @@ TEST(ParserTest, GrammarPrintingRoundTripParses) {
                   << "\n" << Printed;
   EXPECT_EQ(G2->numRules(), G->numRules());
 }
+
+//===----------------------------------------------------------------------===//
+// Pinned diagnostics: one malformed grammar per distinct message, with the
+// exact text (location included) the front end reports.
+//===----------------------------------------------------------------------===//
+
+namespace {
+struct Diag {
+  const char *Src;
+  const char *Message;
+};
+} // namespace
+
+TEST(DiagnosticsTest, TokenizeMessagesArePinned) {
+  const Diag Cases[] = {
+      {"S -> \"a\" ; /* open", "line 1:19: unterminated block comment"},
+      {"S -> \"abc", "line 1:10: unterminated string literal"},
+      {"S -> \"ab\\", "line 1:10: unterminated escape"},
+      {"S -> \"\\x4\" ;", "line 1:9: \\x escape requires two hex digits"},
+      {"S -> \"\\q\" ;", "line 1:9: unknown escape '\\q'"},
+      {"S -> A ! B ;", "line 1:9: stray '!' (did you mean '!='?)"},
+      {"S -> A | B ;", "line 1:9: stray '|' (did you mean '||'?)"},
+      {"S -> A\n  $ ;", "line 2:3: unexpected character '$'"},
+  };
+  for (const Diag &D : Cases) {
+    auto Toks = tokenize(D.Src);
+    ASSERT_FALSE(Toks) << D.Src;
+    EXPECT_EQ(Toks.message(), D.Message) << D.Src;
+    // The parser reports the lexer's diagnostic unchanged.
+    auto G = parseGrammarText(D.Src);
+    ASSERT_FALSE(G) << D.Src;
+    EXPECT_EQ(G.message(), D.Message) << D.Src;
+  }
+}
+
+TEST(DiagnosticsTest, ParseMessagesArePinned) {
+  const Diag Cases[] = {
+      {"S -> A[0, 1 ;", "line 1:13: expected ']', found ';'"},
+      {"S -> {1 = 2} ;", "line 1:7: expected identifier, found number"},
+      {"S -> {x = ]} ;", "line 1:11: expected expression"},
+      {"S -> {x = A(1, 2).y} ;",
+       "line 1:20: array element reference takes exactly one index"},
+      {"S -> {x = foo(1)} ;", "line 1:17: unknown builtin function 'foo'"},
+      {"S -> {x = u8(1, 2)} ;",
+       "line 1:19: builtin 'u8' expects 1 argument(s)"},
+      {"S -> for i = 0 to 2 do A ; A -> \"a\" ;",
+       "line 1:26: this term requires an interval"},
+      {"S -> switch(1 : \"a\") ;",
+       "line 1:17: expected nonterminal in switch arm"},
+      {"S -> ] ;", "line 1:6: expected a term, found ']'"},
+      {"S -> / \"a\" ;", "line 1:6: empty alternative"},
+      {"S -> where { A -> \"a\" ; } ;", "line 1:27: empty alternative"},
+      {"S -> \"a\" where { \"b\" } ;",
+       "line 1:18: expected local rule in where-block"},
+      {"S -> \"a\" where { A -> \"x\" ; A -> \"y\" ; } ;",
+       "line 1:29: duplicate local rule 'A'"},
+      {"\"a\" ;", "line 1:1: expected a rule or declaration"},
+      {"S -> \"a\" ;\nS -> \"b\" ;", "line 2:1: duplicate rule 'S'"},
+      {"ThisRuleNameIsLong -> \"a\" ; ThisRuleNameIsLong -> \"b\" ;",
+       "line 1:29: duplicate rule 'ThisRuleNameIsLong'"},
+      {"blackbox bb ;", "grammar has no rules"},
+      {"start Q ; S -> \"a\" ;", "start symbol 'Q' has no rule"},
+  };
+  for (const Diag &D : Cases) {
+    auto G = parseGrammarText(D.Src);
+    ASSERT_FALSE(G) << D.Src;
+    EXPECT_EQ(G.message(), D.Message) << D.Src;
+  }
+}

@@ -131,6 +131,125 @@ TEST(LirTest, AllFormatModulesVerify) {
 }
 
 //===----------------------------------------------------------------------===//
+// Load digests: the front end, completion and attribute checking produce
+// the same grammar (symbols, printed rules, every alternative's ExecOrder)
+// and lowering the same module, field for field, as the pinned digests
+// record. A rewrite of any of those layers that changes what they build
+// changes a digest.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// FNV-1a over a canonical dump of the loaded grammar and its module.
+/// AST pointers are dumped as what they point at, never as addresses.
+class Digest {
+public:
+  template <typename... Ts> void add(const Ts &...Vs) {
+    ((Text += std::to_string(Vs), Text += ' '), ...);
+  }
+  void str(std::string_view S) {
+    Text += S;
+    Text += '\n';
+  }
+  uint64_t value() const {
+    uint64_t H = 1469598103934665603ull;
+    for (unsigned char C : Text) {
+      H ^= C;
+      H *= 1099511628211ull;
+    }
+    return H;
+  }
+
+private:
+  std::string Text;
+};
+
+void digestInterval(Digest &D, const lir::IntervalL &Iv) {
+  D.add(Iv.Lo, Iv.Hi);
+}
+
+uint64_t loadDigest(const Grammar &G, const lir::Module &M) {
+  Digest D;
+  for (Symbol S = 0; S < G.interner().size(); ++S)
+    D.str(G.interner().name(S));
+  D.str(G.str());
+  for (RuleId Id = 0; Id < G.numRules(); ++Id)
+    for (const Alternative &Alt : G.rule(Id).Alts) {
+      D.add(Id, Alt.Terms.size(), Alt.LocalRules.size());
+      for (uint32_t I : Alt.ExecOrder)
+        D.add(I);
+      for (RuleId L : Alt.LocalRules)
+        D.add(L);
+      D.str("");
+    }
+  for (const lir::RuleL &R : M.Rules) {
+    D.add(R.Name, R.IsLocal, R.Memoizable, static_cast<int>(R.Shape),
+          R.Plan, R.Alts.size());
+    if (R.Shape == ExecShape::Flattened) {
+      D.add(R.Flatten.SelfAlt, R.Flatten.SelfTerm, R.Flatten.SelfExecPos);
+      for (uint32_t T : R.Flatten.PrefixNTTerms)
+        D.add(T);
+    }
+    for (const lir::AltL &A : R.Alts)
+      for (const lir::TermL &T : A.Exec) {
+        D.add(static_cast<int>(T.Op), T.TermIdx, T.Rule, T.E0, T.E1, T.Sym,
+              T.Elem, T.Lit, T.ArmsBegin, T.ArmsEnd, T.Bb, T.Recoverable);
+        digestInterval(D, T.Iv);
+      }
+    D.str("");
+  }
+  for (const std::string &L : M.Lits)
+    D.str(L);
+  for (const lir::ArmL &A : M.Arms) {
+    D.add(A.Cond, A.Rule);
+    digestInterval(D, A.Iv);
+  }
+  for (const lir::XInstr &X : M.XCode)
+    D.add(static_cast<int>(X.Op), X.A, X.Sym, X.Attr, X.Imm);
+  for (const lir::ExprProgram &P : M.Exprs) {
+    D.add(P.Begin, P.End, P.MaxStack);
+    D.str(P.Src->str(G.interner()));
+  }
+  for (const lir::ExistsInfo &X : M.Exists)
+    D.add(X.LoopVar, X.ArrayNT, X.Cond, X.Then, X.Else);
+  for (const lir::BbSite &B : M.BbSites) {
+    D.add(B.Name);
+    D.str(B.NameStr);
+  }
+  for (const lir::RecordPlan &P : M.Plans)
+    D.add(P.Rule, P.StepBegin, P.StepEnd, P.NumAttrs, P.Static, P.EnvBegin,
+          P.EnvEnd, P.MinEoi);
+  for (const lir::RecordStep &S : M.PlanSteps)
+    D.add(static_cast<int>(S.Op), S.TermIdx, S.LoE, S.HiE, S.Lo, S.Hi, S.Lit,
+          S.Spec, S.Sym, S.Slot, S.FirstDef, S.Pos, static_cast<int>(S.Cmp),
+          S.A.IsSlot, S.A.Slot, S.A.Imm, S.B.IsSlot, S.B.Slot, S.B.Imm,
+          S.PosA, S.PosB);
+  for (const lir::PlanSlot &S : M.PlanEnv)
+    D.add(S.Key, S.Value);
+  D.add(M.Start, M.AnyStep);
+  return D.value();
+}
+
+} // namespace
+
+TEST(LirTest, FormatLoadDigestsArePinned) {
+  const std::map<std::string, uint64_t> Pinned = {
+      {"zip", 0x13c1d3dc8ad2c8d9ull},     {"gif", 0x3c4322113758e62bull},
+      {"pe", 0x91c3a2fbb4107756ull},      {"elf", 0xb296b6d7e9e0b24bull},
+      {"pdf", 0xd4d4427abc975ef6ull},     {"ipv4udp", 0xafe3ddf6dc5eb9b4ull},
+      {"dns", 0x2a6185c9844003afull},
+  };
+  ASSERT_EQ(formats::allFormats().size(), Pinned.size());
+  for (const formats::FormatInfo &FI : formats::allFormats()) {
+    auto Load = formats::loadFormatGrammar(FI.Name);
+    ASSERT_TRUE(Load) << Load.message();
+    uint64_t Got = loadDigest(Load->G, lir::lower(Load->G));
+    EXPECT_EQ(Got, Pinned.at(FI.Name))
+        << FI.Name << ": 0x" << std::hex << Got;
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Operand resolution on a checked grammar: every lowered term carries
 // resolved rule targets, completed intervals, interned literals, and
 // resolved select-arm windows — engines never consult the source AST for
