@@ -21,6 +21,10 @@
 ///     steady-state arena claim; the node/memo counters are locked to
 ///     the interpreter's by the differential harness, so a drift here
 ///     means an engine-parity break, not a perf wobble.
+///   load_allocs, cold_parse_allocs — the cold path, also GATED: heap
+///     allocations of one loadGrammar of the format (tokenize, parse,
+///     complete, check), and of a fresh VM engine's construction plus
+///     its first parse of the sample (lowering, frames, a new store).
 ///   mean_us, bytes_per_sec, speedup — information only (the speedup
 ///     is VM-over-interpreter on this machine; the >=1.5x target on
 ///     pdf/elf is for real cores, not noisy CI runners).
@@ -77,6 +81,15 @@ bool measureAllocs(Engine &E, const std::string &What, ByteSpan Image,
   return true;
 }
 
+/// Heap allocations of \p Fn, which runs once untimed first so one-time
+/// statics stay out of the count.
+template <typename Fn> double coldAllocs(Fn &&Run) {
+  Run();
+  uint64_t A0 = allocCount();
+  Run();
+  return static_cast<double>(allocCount() - A0);
+}
+
 /// Timing half: the two engines' windows are INTERLEAVED round-robin
 /// and each side keeps its best round. A sequential A-then-B protocol
 /// lets one machine-load spike land entirely on one engine and invert
@@ -126,6 +139,20 @@ int main(int argc, char **argv) {
     double Size = static_cast<double>(Bytes.size());
 
     ByteSpan Image = ByteSpan::of(Bytes);
+    const Grammar &G = (*VE).Load->G;
+    bool ColdOk = true;
+    double LoadAllocs = coldAllocs(
+        [&] { ColdOk &= static_cast<bool>(formats::loadFormatGrammar(FI.Name)); });
+    double ColdParseAllocs = coldAllocs([&] {
+      auto E = makeEngine(EngineKind::Vm, G, (*VE).Blackboxes.get());
+      ColdOk &= E && (*E)->parse(Image);
+    });
+    if (!ColdOk) {
+      std::fprintf(stderr, "error: %s: cold load or first parse failed\n",
+                   FI.Name.c_str());
+      return 1;
+    }
+
     Measurement Interp, Vm;
     if (!measureAllocs(**IE, FI.Name + "/interp", Image, Reps, Interp) ||
         !measureAllocs(**VE, FI.Name + "/vm", Image, Reps, Vm))
@@ -141,6 +168,8 @@ int main(int argc, char **argv) {
     Report.add(Entry, "mean_us", Vm.MeanUs);
     Report.add(Entry, "bytes_per_sec", Bps);
     Report.add(Entry, "allocs_per_parse", Vm.AllocsPerParse);
+    Report.add(Entry, "load_allocs", LoadAllocs);
+    Report.add(Entry, "cold_parse_allocs", ColdParseAllocs);
     Report.add(Entry, "nodes_per_parse",
                static_cast<double>(V.stats().NodesCreated));
     Report.add(Entry, "memo_hits", static_cast<double>(V.stats().MemoHits));

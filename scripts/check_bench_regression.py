@@ -25,6 +25,10 @@ GATED_METRICS = [
     "nodes_per_parse",
     "terms_per_parse",
     "memo_misses",
+    # BENCH_vm.json's cold path: allocations of one grammar load, and of
+    # a fresh VM engine's construction plus its first parse.
+    "load_allocs",
+    "cold_parse_allocs",
     # BENCH_roundtrip.json (serializer): print-exactness facts. More gap
     # or overlap bytes means the printer (or a grammar) stopped covering
     # the corpus the way the committed baseline proves it can.

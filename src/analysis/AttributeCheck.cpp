@@ -10,13 +10,14 @@
 #include "frontend/Parser.h"
 #include "support/Casting.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <initializer_list>
 #include <set>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -24,79 +25,142 @@ using namespace ipg;
 
 namespace {
 
-/// Names a local rule may need from its enclosing alternative(s): bare
-/// attribute/loop-variable identifiers and sibling nonterminal names.
-struct FreeRefs {
-  std::set<Symbol> Bare;
-  std::set<Symbol> NtNames;
-};
-
-/// Everything an alternative binds locally, precomputed once.
-struct AltLocalInfo {
-  std::set<Symbol> AttrDefs;  ///< {id=e} names
-  std::set<Symbol> LoopVars;  ///< array loop variables
-  std::set<Symbol> Produced;  ///< NT / blackbox / array-element names
-};
-
-AltLocalInfo altLocalInfo(const Alternative &Alt) {
-  AltLocalInfo Info;
-  for (const TermPtr &T : Alt.Terms) {
-    switch (T->kind()) {
-    case Term::Kind::AttrDef:
-      Info.AttrDefs.insert(cast<AttrDefTerm>(T.get())->Name);
-      break;
-    case Term::Kind::Array: {
-      const auto *A = cast<ArrayTerm>(T.get());
-      Info.LoopVars.insert(A->LoopVar);
-      Info.Produced.insert(A->Elem);
-      break;
-    }
-    case Term::Kind::Nonterminal:
-      Info.Produced.insert(cast<NTTerm>(T.get())->Name);
-      break;
-    case Term::Kind::Blackbox:
-      Info.Produced.insert(cast<BlackboxTerm>(T.get())->Name);
-      break;
-    case Term::Kind::Switch:
-    case Term::Kind::Terminal:
-    case Term::Kind::Predicate:
-      break;
-    }
-  }
-  return Info;
+/// Whether \p Alt defines attribute \p S ({S = e}).
+bool definesAttr(const Alternative &Alt, Symbol S) {
+  for (const TermPtr &T : Alt.Terms)
+    if (const auto *D = dyn_cast<AttrDefTerm>(T.get()))
+      if (D->Name == S)
+        return true;
+  return false;
 }
+
+/// Whether \p Alt binds \p S as an array loop variable.
+bool bindsLoopVar(const Alternative &Alt, Symbol S) {
+  for (const TermPtr &T : Alt.Terms)
+    if (const auto *A = dyn_cast<ArrayTerm>(T.get()))
+      if (A->LoopVar == S)
+        return true;
+  return false;
+}
+
+/// The name a term produces in its alternative's tree (nonterminal,
+/// blackbox, or array element), or InvalidSymbol.
+Symbol producedName(const Term &T) {
+  if (const auto *N = dyn_cast<NTTerm>(&T))
+    return N->Name;
+  if (const auto *B = dyn_cast<BlackboxTerm>(&T))
+    return B->Name;
+  if (const auto *A = dyn_cast<ArrayTerm>(&T))
+    return A->Elem;
+  return InvalidSymbol;
+}
+
+bool producesName(const Alternative &Alt, Symbol S) {
+  for (const TermPtr &T : Alt.Terms)
+    if (producedName(*T) == S)
+      return true;
+  return false;
+}
+
+/// Whether every alternative of \p R defines \p S (membership in the
+/// def(A) of Section 3.2).
+bool definedByEveryAlt(const Rule &R, Symbol S) {
+  if (R.Alts.empty())
+    return false;
+  for (const Alternative &Alt : R.Alts)
+    if (!definesAttr(Alt, S))
+      return false;
+  return true;
+}
+
+/// Calls \p Fn with the local rule every term of \p Alt invokes (through a
+/// nonterminal, an array, or a switch arm).
+template <typename Fn>
+void forEachLocalCallee(const Grammar &G, const Alternative &Alt, Fn &&Visit) {
+  auto Local = [&](RuleId Id) {
+    if (Id != InvalidRuleId && G.rule(Id).IsLocal)
+      Visit(Id);
+  };
+  for (const TermPtr &T : Alt.Terms) {
+    if (const auto *N = dyn_cast<NTTerm>(T.get()))
+      Local(N->Resolved);
+    else if (const auto *A = dyn_cast<ArrayTerm>(T.get()))
+      Local(A->Resolved);
+    else if (const auto *Sw = dyn_cast<SwitchTerm>(T.get()))
+      for (const SwitchChoice &C : Sw->Choices)
+        Local(C.Resolved);
+  }
+}
+
+/// A name a local rule may need from its enclosing alternative(s): a bare
+/// attribute/loop-variable identifier, or (Nt) a sibling nonterminal name.
+struct FreeRef {
+  Symbol Name;
+  bool Nt;
+  bool operator<(const FreeRef &O) const {
+    return Nt != O.Nt ? Nt < O.Nt : Name < O.Name;
+  }
+  bool operator==(const FreeRef &O) const {
+    return Nt == O.Nt && Name == O.Name;
+  }
+};
 
 class Checker {
 public:
   explicit Checker(Grammar &G)
       : G(G), SymVal(G.intern("val")), SymStart(G.symStart()),
-        SymEnd(G.symEnd()), SymEoi(G.symEoi()) {}
+        SymEnd(G.symEnd()), SymEoi(G.symEoi()), Free(G.numRules()) {}
 
   Error run();
 
 private:
   Grammar &G;
   Symbol SymVal, SymStart, SymEnd, SymEoi;
-  std::vector<std::set<Symbol>> DefSets;
-  std::unordered_map<RuleId, FreeRefs> FreeRefCache;
-  std::set<RuleId> FreeRefVisiting;
 
-  Error walkRule(Rule &R, std::vector<const Alternative *> &Scope);
-  Error resolveAlt(const Rule &R, Alternative &Alt,
-                   const std::vector<const Alternative *> &Scope);
-  Error checkAltRefs(const Rule &R, Alternative &Alt,
-                     const std::vector<const Alternative *> &Scope);
-  Error checkExpr(const Rule &R, const Alternative &Alt,
-                  const std::vector<const Alternative *> &Scope,
-                  const Expr &E, std::set<Symbol> &BoundVars);
+  /// Free references of each local rule, computed on first use: the
+  /// window [Begin, End) of FreeRefs, indexed by RuleId.
+  struct FreeWindow {
+    enum : uint8_t { Unvisited, Visiting, Done } State = Unvisited;
+    uint32_t Begin = 0, End = 0;
+  };
+  std::vector<FreeWindow> Free;
+  std::vector<FreeRef> FreeRefs;
+
+  // Scratch reused across alternatives (capacity persists).
+  std::vector<const Alternative *> Scope; ///< enclosing alternatives
+  std::vector<Symbol> Bound; ///< loop variables visible in an expression
+  std::vector<uint64_t> DependsOn; ///< ExecOrder edges, N rows of N bits
+  std::vector<uint32_t> Unmet;
+
+  Error walkRule(Rule &R);
+  Error resolveAlt(const Rule &R, Alternative &Alt);
+  Error checkAltRefs(const Rule &R, const Alternative &Alt);
+  Error checkExpr(const Rule &R, const Alternative &Alt, const Expr &E);
   Error buildExecOrder(const Rule &R, Alternative &Alt);
 
-  RuleId resolveName(Symbol Name,
-                     const std::vector<const Alternative *> &Scope) const;
-  const FreeRefs &freeRefs(RuleId Id);
+  RuleId resolveName(Symbol Name) const;
+  /// The free references of local rule \p Id, as a FreeRefs window; a
+  /// rule whose computation is in progress (recursion) reads as empty.
+  std::pair<uint32_t, uint32_t> freeRefs(RuleId Id);
+  void addFreeRef(const Alternative &Alt, const Expr &E);
 
-  std::string ruleName(const Rule &R) const {
-    return std::string(G.interner().name(R.Name));
+  bool isBound(Symbol S) const {
+    for (Symbol B : Bound)
+      if (B == S)
+        return true;
+    return false;
+  }
+  std::string_view name(Symbol S) const { return G.interner().name(S); }
+  /// "rule 'R': " then \p Parts, appended one by one: GCC 12 reports
+  /// false -Wrestrict errors on inlined "literal" + std::string chains.
+  Error fail(const Rule &R,
+             std::initializer_list<std::string_view> Parts) const {
+    std::string Msg = "rule '";
+    Msg += name(R.Name);
+    Msg += "': ";
+    for (std::string_view P : Parts)
+      Msg += P;
+    return Error::failure(std::move(Msg));
   }
   bool isSpecialAttr(Symbol S) const {
     return S == SymStart || S == SymEnd || S == SymEoi;
@@ -108,25 +172,16 @@ private:
 std::set<Symbol> ipg::ruleDefSet(const Grammar &G, RuleId Id) {
   const Rule &R = G.rule(Id);
   std::set<Symbol> Defs;
-  bool First = true;
-  for (const Alternative &Alt : R.Alts) {
-    std::set<Symbol> AltDefs = altLocalInfo(Alt).AttrDefs;
-    if (First) {
-      Defs = std::move(AltDefs);
-      First = false;
-      continue;
-    }
-    std::set<Symbol> Inter;
-    for (Symbol S : Defs)
-      if (AltDefs.count(S))
-        Inter.insert(S);
-    Defs = std::move(Inter);
-  }
+  if (R.Alts.empty())
+    return Defs;
+  for (const TermPtr &T : R.Alts[0].Terms)
+    if (const auto *D = dyn_cast<AttrDefTerm>(T.get()))
+      if (definedByEveryAlt(R, D->Name))
+        Defs.insert(D->Name);
   return Defs;
 }
 
-RuleId Checker::resolveName(
-    Symbol Name, const std::vector<const Alternative *> &Scope) const {
+RuleId Checker::resolveName(Symbol Name) const {
   for (auto It = Scope.rbegin(); It != Scope.rend(); ++It)
     for (RuleId L : (*It)->LocalRules)
       if (G.rule(L).Name == Name)
@@ -134,14 +189,11 @@ RuleId Checker::resolveName(
   return G.findGlobal(Name);
 }
 
-Error Checker::resolveAlt(const Rule &R, Alternative &Alt,
-                          const std::vector<const Alternative *> &Scope) {
+Error Checker::resolveAlt(const Rule &R, Alternative &Alt) {
   auto Resolve = [&](Symbol Name, RuleId &Out) {
-    Out = resolveName(Name, Scope);
+    Out = resolveName(Name);
     if (Out == InvalidRuleId)
-      return Error::failure("rule '" + ruleName(R) +
-                            "': unknown nonterminal '" +
-                            std::string(G.interner().name(Name)) + "'");
+      return fail(R, {"unknown nonterminal '", name(Name), "'"});
     return Error::success();
   };
   for (const TermPtr &T : Alt.Terms) {
@@ -168,155 +220,117 @@ Error Checker::resolveAlt(const Rule &R, Alternative &Alt,
   return Error::success();
 }
 
-const FreeRefs &Checker::freeRefs(RuleId Id) {
-  auto It = FreeRefCache.find(Id);
-  if (It != FreeRefCache.end())
-    return It->second;
-  static const FreeRefs Empty;
-  if (FreeRefVisiting.count(Id))
-    return Empty; // recursive local rule; under-approximate
-  FreeRefVisiting.insert(Id);
+/// Appends \p E to FreeRefs when it references a name \p Alt does not
+/// bind itself. Loop-variable filtering is flow-insensitive: any array of
+/// the alternative binds its variable for every expression in it.
+void Checker::addFreeRef(const Alternative &Alt, const Expr &E) {
+  const auto *Ref = dyn_cast<RefExpr>(&E);
+  if (!Ref)
+    return;
+  switch (Ref->refKind()) {
+  case RefKind::Attr:
+    if (!definesAttr(Alt, Ref->attrName()) &&
+        !bindsLoopVar(Alt, Ref->attrName()) &&
+        !isSpecialAttr(Ref->attrName()))
+      FreeRefs.push_back({Ref->attrName(), false});
+    break;
+  case RefKind::NtAttr:
+  case RefKind::NtElemAttr:
+    if (!producesName(Alt, Ref->nt()))
+      FreeRefs.push_back({Ref->nt(), true});
+    break;
+  case RefKind::Eoi:
+  case RefKind::TermEnd:
+    break;
+  }
+}
 
-  FreeRefs FR;
+std::pair<uint32_t, uint32_t> Checker::freeRefs(RuleId Id) {
+  FreeWindow &W = Free[Id];
+  if (W.State == FreeWindow::Done)
+    return {W.Begin, W.End};
+  if (W.State == FreeWindow::Visiting)
+    return {0, 0}; // recursive local rule; under-approximate
+  W.State = FreeWindow::Visiting;
+
+  // Finish every local callee first, so this rule's references can be
+  // appended to FreeRefs as one contiguous window.
   const Rule &R = G.rule(Id);
+  for (const Alternative &Alt : R.Alts)
+    forEachLocalCallee(G, Alt, [&](RuleId Callee) { (void)freeRefs(Callee); });
+
+  const uint32_t Begin = static_cast<uint32_t>(FreeRefs.size());
   for (const Alternative &Alt : R.Alts) {
-    AltLocalInfo Info = altLocalInfo(Alt);
-    auto AddExprRefs = [&](const Expr &Root) {
-      forEachExpr(Root, [&](const Expr &E) {
-        const auto *Ref = dyn_cast<RefExpr>(&E);
-        if (!Ref)
-          return;
-        switch (Ref->refKind()) {
-        case RefKind::Attr:
-          if (!Info.AttrDefs.count(Ref->attrName()) &&
-              !Info.LoopVars.count(Ref->attrName()) &&
-              !isSpecialAttr(Ref->attrName()))
-            FR.Bare.insert(Ref->attrName());
-          break;
-        case RefKind::NtAttr:
-        case RefKind::NtElemAttr:
-          if (!Info.Produced.count(Ref->nt()))
-            FR.NtNames.insert(Ref->nt());
-          break;
-        case RefKind::Eoi:
-        case RefKind::TermEnd:
-          break;
-        }
-      });
-    };
+    auto Add = [&](const Expr &E) { addFreeRef(Alt, E); };
     for (const TermPtr &T : Alt.Terms) {
-      switch (T->kind()) {
-      case Term::Kind::Nonterminal: {
-        const auto *N = cast<NTTerm>(T.get());
+      // A nonterminal's unexpanded length form is not visited.
+      if (const auto *N = dyn_cast<NTTerm>(T.get())) {
         if (N->Iv.Lo)
-          AddExprRefs(*N->Iv.Lo);
+          forEachExpr(*N->Iv.Lo, Add);
         if (N->Iv.Hi)
-          AddExprRefs(*N->Iv.Hi);
-        if (N->Resolved != InvalidRuleId && G.rule(N->Resolved).IsLocal) {
-          const FreeRefs &Inner = freeRefs(N->Resolved);
-          for (Symbol S : Inner.Bare)
-            if (!Info.AttrDefs.count(S) && !Info.LoopVars.count(S))
-              FR.Bare.insert(S);
-          for (Symbol S : Inner.NtNames)
-            if (!Info.Produced.count(S))
-              FR.NtNames.insert(S);
-        }
-        break;
-      }
-      default: {
-        forEachTermExpr(*T, [&](const Expr &E) {
-          // Visit only Ref nodes; loop-variable filtering for arrays/exists
-          // is approximated by Info.LoopVars above.
-          const auto *Ref = dyn_cast<RefExpr>(&E);
-          if (!Ref)
-            return;
-          if (Ref->refKind() == RefKind::Attr) {
-            if (!Info.AttrDefs.count(Ref->attrName()) &&
-                !Info.LoopVars.count(Ref->attrName()) &&
-                !isSpecialAttr(Ref->attrName()))
-              FR.Bare.insert(Ref->attrName());
-          } else if (Ref->refKind() == RefKind::NtAttr ||
-                     Ref->refKind() == RefKind::NtElemAttr) {
-            if (!Info.Produced.count(Ref->nt()))
-              FR.NtNames.insert(Ref->nt());
-          }
-        });
-        // Nested local invocations from arrays / switches.
-        if (const auto *A = dyn_cast<ArrayTerm>(T.get())) {
-          if (A->Resolved != InvalidRuleId && G.rule(A->Resolved).IsLocal) {
-            const FreeRefs &Inner = freeRefs(A->Resolved);
-            for (Symbol S : Inner.Bare)
-              if (!Info.AttrDefs.count(S) && !Info.LoopVars.count(S))
-                FR.Bare.insert(S);
-            for (Symbol S : Inner.NtNames)
-              if (!Info.Produced.count(S))
-                FR.NtNames.insert(S);
-          }
-        } else if (const auto *Sw = dyn_cast<SwitchTerm>(T.get())) {
-          for (const SwitchChoice &C : Sw->Choices)
-            if (C.Resolved != InvalidRuleId && G.rule(C.Resolved).IsLocal) {
-              const FreeRefs &Inner = freeRefs(C.Resolved);
-              for (Symbol S : Inner.Bare)
-                if (!Info.AttrDefs.count(S) && !Info.LoopVars.count(S))
-                  FR.Bare.insert(S);
-              for (Symbol S : Inner.NtNames)
-                if (!Info.Produced.count(S))
-                  FR.NtNames.insert(S);
-            }
-        }
-        break;
-      }
+          forEachExpr(*N->Iv.Hi, Add);
+      } else {
+        forEachTermExpr(*T, Add);
       }
     }
+    // What the local callees need and this alternative does not bind.
+    forEachLocalCallee(G, Alt, [&](RuleId Callee) {
+      auto [CB, CE] = freeRefs(Callee);
+      for (uint32_t K = CB; K != CE; ++K) {
+        FreeRef F = FreeRefs[K];
+        if (F.Nt ? !producesName(Alt, F.Name)
+                 : !definesAttr(Alt, F.Name) && !bindsLoopVar(Alt, F.Name))
+          FreeRefs.push_back(F);
+      }
+    });
   }
+  std::sort(FreeRefs.begin() + Begin, FreeRefs.end());
+  FreeRefs.erase(std::unique(FreeRefs.begin() + Begin, FreeRefs.end()),
+                 FreeRefs.end());
 
-  FreeRefVisiting.erase(Id);
-  return FreeRefCache.emplace(Id, std::move(FR)).first->second;
+  FreeWindow &Done = Free[Id];
+  Done.State = FreeWindow::Done;
+  Done.Begin = Begin;
+  Done.End = static_cast<uint32_t>(FreeRefs.size());
+  return {Done.Begin, Done.End};
 }
 
 Error Checker::checkExpr(const Rule &R, const Alternative &Alt,
-                         const std::vector<const Alternative *> &Scope,
-                         const Expr &E, std::set<Symbol> &BoundVars) {
-  auto Err = [&](const std::string &Msg) {
-    return Error::failure("rule '" + ruleName(R) + "': " + Msg);
-  };
-  AltLocalInfo Info = altLocalInfo(Alt);
-
+                         const Expr &E) {
   switch (E.kind()) {
   case Expr::Kind::Num:
     return Error::success();
   case Expr::Kind::Binary: {
     const auto &B = *cast<BinaryExpr>(&E);
-    if (Error Er = checkExpr(R, Alt, Scope, *B.lhs(), BoundVars))
+    if (Error Er = checkExpr(R, Alt, *B.lhs()))
       return Er;
-    return checkExpr(R, Alt, Scope, *B.rhs(), BoundVars);
+    return checkExpr(R, Alt, *B.rhs());
   }
   case Expr::Kind::Cond: {
     const auto &C = *cast<CondExpr>(&E);
-    if (Error Er = checkExpr(R, Alt, Scope, *C.cond(), BoundVars))
+    if (Error Er = checkExpr(R, Alt, *C.cond()))
       return Er;
-    if (Error Er = checkExpr(R, Alt, Scope, *C.thenExpr(), BoundVars))
+    if (Error Er = checkExpr(R, Alt, *C.thenExpr()))
       return Er;
-    return checkExpr(R, Alt, Scope, *C.elseExpr(), BoundVars);
+    return checkExpr(R, Alt, *C.elseExpr());
   }
   case Expr::Kind::Exists: {
     const auto &X = *cast<ExistsExpr>(&E);
-    bool Inserted = BoundVars.insert(X.loopVar()).second;
-    Error Er = checkExpr(R, Alt, Scope, *X.cond(), BoundVars);
+    Bound.push_back(X.loopVar());
+    Error Er = checkExpr(R, Alt, *X.cond());
     if (!Er)
-      Er = checkExpr(R, Alt, Scope, *X.thenExpr(), BoundVars);
+      Er = checkExpr(R, Alt, *X.thenExpr());
     if (!Er)
-      Er = checkExpr(R, Alt, Scope, *X.elseExpr(), BoundVars);
-    if (Inserted)
-      BoundVars.erase(X.loopVar());
+      Er = checkExpr(R, Alt, *X.elseExpr());
+    Bound.pop_back();
     return Er;
   }
   case Expr::Kind::Read: {
     const auto &Rd = *cast<ReadExpr>(&E);
-    if (Error Er = checkExpr(R, Alt, Scope, *Rd.lo(), BoundVars))
+    if (Error Er = checkExpr(R, Alt, *Rd.lo()))
       return Er;
     if (Rd.hi())
-      return checkExpr(R, Alt, Scope, *Rd.hi(), BoundVars);
+      return checkExpr(R, Alt, *Rd.hi());
     return Error::success();
   }
   case Expr::Kind::Ref:
@@ -329,169 +343,143 @@ Error Checker::checkExpr(const Rule &R, const Alternative &Alt,
     return Error::success();
   case RefKind::TermEnd:
     if (Ref.termIndex() >= Alt.Terms.size())
-      return Err("internal term-end reference out of range");
+      return fail(R, {"internal term-end reference out of range"});
     return Error::success();
   case RefKind::Attr: {
     Symbol Id = Ref.attrName();
     // In the current alternative, loop variables are visible only inside
-    // their binding construct (tracked precisely via BoundVars). In
-    // enclosing lexical alternatives the binding site cannot be tracked
-    // statically, so any outer loop variable is accepted (the runtime
-    // fails cleanly if it is unbound when evaluated).
-    if (BoundVars.count(Id) || isSpecialAttr(Id))
+    // their binding construct (tracked precisely via Bound). In enclosing
+    // lexical alternatives the binding site cannot be tracked statically,
+    // so any outer loop variable is accepted (the runtime fails cleanly
+    // if it is unbound when evaluated).
+    if (isBound(Id) || isSpecialAttr(Id))
       return Error::success();
-    if (Info.AttrDefs.count(Id))
+    if (definesAttr(Alt, Id))
       return Error::success();
-    for (const Alternative *Outer : Scope) {
-      AltLocalInfo OuterInfo = altLocalInfo(*Outer);
-      if (OuterInfo.AttrDefs.count(Id) || OuterInfo.LoopVars.count(Id))
+    for (const Alternative *Outer : Scope)
+      if (definesAttr(*Outer, Id) || bindsLoopVar(*Outer, Id))
         return Error::success();
-    }
-    return Err("reference to undefined attribute '" +
-               std::string(G.interner().name(Id)) + "'");
+    return fail(R, {"reference to undefined attribute '", name(Id), "'"});
   }
   case RefKind::NtAttr:
   case RefKind::NtElemAttr: {
     Symbol NT = Ref.nt();
     Symbol Attr = Ref.attrName();
     if (Ref.index()) {
-      if (Error Er = checkExpr(R, Alt, Scope, *Ref.index(), BoundVars))
+      if (Error Er = checkExpr(R, Alt, *Ref.index()))
         return Er;
     }
 
     // Look for a producing sibling term in this alternative, then in the
-    // enclosing lexical alternatives (for where-rules).
-    std::vector<const Alternative *> Chain(Scope.begin(), Scope.end());
-    Chain.push_back(&Alt);
-    for (auto It = Chain.rbegin(); It != Chain.rend(); ++It) {
-      for (const TermPtr &T : (*It)->Terms) {
+    // enclosing lexical alternatives (for where-rules), innermost first.
+    for (size_t Level = Scope.size() + 1; Level-- > 0;) {
+      const Alternative &In = Level == Scope.size() ? Alt : *Scope[Level];
+      for (const TermPtr &T : In.Terms) {
         if (const auto *N = dyn_cast<NTTerm>(T.get())) {
           if (N->Name != NT)
             continue;
           if (Ref.refKind() == RefKind::NtElemAttr)
-            return Err("'" + std::string(G.interner().name(NT)) +
-                       "' is not an array; use '" +
-                       std::string(G.interner().name(NT)) + ".attr'");
+            return fail(R, {"'", name(NT), "' is not an array; use '",
+                            name(NT), ".attr'"});
           if (Attr == SymStart || Attr == SymEnd)
             return Error::success();
           if (N->Resolved != InvalidRuleId &&
-              ruleDefSet(G, N->Resolved).count(Attr))
+              definedByEveryAlt(G.rule(N->Resolved), Attr))
             return Error::success();
-          return Err("attribute '" + std::string(G.interner().name(Attr)) +
-                     "' is not defined by every alternative of '" +
-                     std::string(G.interner().name(NT)) + "'");
+          return fail(R, {"attribute '", name(Attr),
+                          "' is not defined by every alternative of '",
+                          name(NT), "'"});
         }
         if (const auto *B = dyn_cast<BlackboxTerm>(T.get())) {
           if (B->Name != NT)
             continue;
           if (Attr == SymVal || Attr == SymStart || Attr == SymEnd)
             return Error::success();
-          return Err("blackbox '" + std::string(G.interner().name(NT)) +
-                     "' only defines val/start/end");
+          return fail(R, {"blackbox '", name(NT),
+                          "' only defines val/start/end"});
         }
         if (const auto *A = dyn_cast<ArrayTerm>(T.get())) {
           if (A->Elem != NT)
             continue;
           if (Ref.refKind() == RefKind::NtAttr)
-            return Err("'" + std::string(G.interner().name(NT)) +
-                       "' is an array; use '" +
-                       std::string(G.interner().name(NT)) + "(e).attr'");
+            return fail(R, {"'", name(NT), "' is an array; use '", name(NT),
+                            "(e).attr'"});
           if (Attr == SymStart || Attr == SymEnd)
             return Error::success();
           if (A->Resolved != InvalidRuleId &&
-              ruleDefSet(G, A->Resolved).count(Attr))
+              definedByEveryAlt(G.rule(A->Resolved), Attr))
             return Error::success();
-          return Err("attribute '" + std::string(G.interner().name(Attr)) +
-                     "' is not defined by every alternative of '" +
-                     std::string(G.interner().name(NT)) + "'");
+          return fail(R, {"attribute '", name(Attr),
+                          "' is not defined by every alternative of '",
+                          name(NT), "'"});
         }
       }
     }
-    return Err("no sibling term named '" +
-               std::string(G.interner().name(NT)) + "' in scope");
+    return fail(R, {"no sibling term named '", name(NT), "' in scope"});
   }
   }
   return Error::success();
 }
 
-Error Checker::checkAltRefs(const Rule &R, Alternative &Alt,
-                            const std::vector<const Alternative *> &Scope) {
+Error Checker::checkAltRefs(const Rule &R, const Alternative &Alt) {
   // Duplicate attribute definitions are rejected up front.
-  std::set<Symbol> Seen;
-  for (const TermPtr &T : Alt.Terms)
-    if (const auto *D = dyn_cast<AttrDefTerm>(T.get()))
-      if (!Seen.insert(D->Name).second)
-        return Error::failure("rule '" + ruleName(R) +
-                              "': attribute '" +
-                              std::string(G.interner().name(D->Name)) +
-                              "' defined twice in one alternative");
+  for (size_t I = 0; I != Alt.Terms.size(); ++I)
+    if (const auto *D = dyn_cast<AttrDefTerm>(Alt.Terms[I].get()))
+      for (size_t J = 0; J != I; ++J)
+        if (const auto *Prev = dyn_cast<AttrDefTerm>(Alt.Terms[J].get()))
+          if (Prev->Name == D->Name)
+            return fail(R, {"attribute '", name(D->Name),
+                            "' defined twice in one alternative"});
 
+  Bound.clear();
+  auto Check = [&](const ExprPtr &E) {
+    return E ? checkExpr(R, Alt, *E) : Error::success();
+  };
   for (const TermPtr &T : Alt.Terms) {
-    std::set<Symbol> Bound;
-    if (const auto *A = dyn_cast<ArrayTerm>(T.get())) {
-      // From/To may not use the loop variable; el/er may.
-      if (Error E = checkExpr(R, Alt, Scope, *A->From, Bound))
-        return E;
-      if (Error E = checkExpr(R, Alt, Scope, *A->To, Bound))
-        return E;
-      Bound.insert(A->LoopVar);
-      if (A->Iv.Lo)
-        if (Error E = checkExpr(R, Alt, Scope, *A->Iv.Lo, Bound))
-          return E;
-      if (A->Iv.Hi)
-        if (Error E = checkExpr(R, Alt, Scope, *A->Iv.Hi, Bound))
-          return E;
-      continue;
-    }
     Error Err = Error::success();
-    // Walk expression roots of the remaining term kinds.
     switch (T->kind()) {
+    case Term::Kind::Array: {
+      // From/To may not use the loop variable; el/er may.
+      const auto *A = cast<ArrayTerm>(T.get());
+      if ((Err = checkExpr(R, Alt, *A->From)) ||
+          (Err = checkExpr(R, Alt, *A->To)))
+        break;
+      Bound.push_back(A->LoopVar);
+      if (!(Err = Check(A->Iv.Lo)))
+        Err = Check(A->Iv.Hi);
+      Bound.pop_back();
+      break;
+    }
     case Term::Kind::Nonterminal: {
       const auto *N = cast<NTTerm>(T.get());
-      if (N->Iv.Lo)
-        Err = checkExpr(R, Alt, Scope, *N->Iv.Lo, Bound);
-      if (!Err && N->Iv.Hi)
-        Err = checkExpr(R, Alt, Scope, *N->Iv.Hi, Bound);
+      if (!(Err = Check(N->Iv.Lo)))
+        Err = Check(N->Iv.Hi);
       break;
     }
     case Term::Kind::Terminal: {
       const auto *S = cast<TerminalTerm>(T.get());
-      if (S->Iv.Lo)
-        Err = checkExpr(R, Alt, Scope, *S->Iv.Lo, Bound);
-      if (!Err && S->Iv.Hi)
-        Err = checkExpr(R, Alt, Scope, *S->Iv.Hi, Bound);
+      if (!(Err = Check(S->Iv.Lo)))
+        Err = Check(S->Iv.Hi);
       break;
     }
     case Term::Kind::AttrDef:
-      Err = checkExpr(R, Alt, Scope, *cast<AttrDefTerm>(T.get())->Value,
-                      Bound);
+      Err = checkExpr(R, Alt, *cast<AttrDefTerm>(T.get())->Value);
       break;
     case Term::Kind::Predicate:
-      Err = checkExpr(R, Alt, Scope, *cast<PredicateTerm>(T.get())->Cond,
-                      Bound);
+      Err = checkExpr(R, Alt, *cast<PredicateTerm>(T.get())->Cond);
       break;
     case Term::Kind::Switch:
-      for (const SwitchChoice &C : cast<SwitchTerm>(T.get())->Choices) {
-        if (C.Cond)
-          Err = checkExpr(R, Alt, Scope, *C.Cond, Bound);
-        if (!Err && C.Iv.Lo)
-          Err = checkExpr(R, Alt, Scope, *C.Iv.Lo, Bound);
-        if (!Err && C.Iv.Hi)
-          Err = checkExpr(R, Alt, Scope, *C.Iv.Hi, Bound);
-        if (Err)
+      for (const SwitchChoice &C : cast<SwitchTerm>(T.get())->Choices)
+        if ((Err = Check(C.Cond)) || (Err = Check(C.Iv.Lo)) ||
+            (Err = Check(C.Iv.Hi)))
           break;
-      }
       break;
     case Term::Kind::Blackbox: {
       const auto *B = cast<BlackboxTerm>(T.get());
-      if (B->Iv.Lo)
-        Err = checkExpr(R, Alt, Scope, *B->Iv.Lo, Bound);
-      if (!Err && B->Iv.Hi)
-        Err = checkExpr(R, Alt, Scope, *B->Iv.Hi, Bound);
+      if (!(Err = Check(B->Iv.Lo)))
+        Err = Check(B->Iv.Hi);
       break;
     }
-    case Term::Kind::Array:
-      break; // handled above
     }
     if (Err)
       return Err;
@@ -500,54 +488,58 @@ Error Checker::checkAltRefs(const Rule &R, Alternative &Alt,
 }
 
 Error Checker::buildExecOrder(const Rule &R, Alternative &Alt) {
-  size_t N = Alt.Terms.size();
-  std::vector<std::set<uint32_t>> DependsOn(N);
-
+  const uint32_t N = static_cast<uint32_t>(Alt.Terms.size());
+  const size_t Words = (N + 63) / 64;
+  // DependsOn row I holds a bit per term J that term I must run after.
+  DependsOn.assign(N * Words, 0);
+  auto AddEdge = [&](uint32_t I, uint32_t J) {
+    DependsOn[I * Words + J / 64] |= uint64_t(1) << (J % 64);
+  };
+  auto DependsOnTerm = [&](uint32_t I, uint32_t J) {
+    return (DependsOn[I * Words + J / 64] >> (J % 64)) & 1;
+  };
   auto AddBareEdges = [&](uint32_t I, Symbol Id) {
-    for (uint32_t J = 0; J != N; ++J) {
-      if (J == I)
-        continue;
-      if (const auto *D = dyn_cast<AttrDefTerm>(Alt.Terms[J].get()))
-        if (D->Name == Id)
-          DependsOn[I].insert(J);
-    }
+    for (uint32_t J = 0; J != N; ++J)
+      if (J != I)
+        if (const auto *D = dyn_cast<AttrDefTerm>(Alt.Terms[J].get()))
+          if (D->Name == Id)
+            AddEdge(I, J);
   };
   auto AddNtEdges = [&](uint32_t I, Symbol NT) {
-    for (uint32_t J = 0; J != N; ++J) {
-      if (J == I)
-        continue;
-      const Term *T = Alt.Terms[J].get();
-      Symbol Produced = InvalidSymbol;
-      if (const auto *NTm = dyn_cast<NTTerm>(T))
-        Produced = NTm->Name;
-      else if (const auto *B = dyn_cast<BlackboxTerm>(T))
-        Produced = B->Name;
-      else if (const auto *A = dyn_cast<ArrayTerm>(T))
-        Produced = A->Elem;
-      if (Produced == NT)
-        DependsOn[I].insert(J);
+    for (uint32_t J = 0; J != N; ++J)
+      if (J != I && producedName(*Alt.Terms[J]) == NT)
+        AddEdge(I, J);
+  };
+  auto AddCalleeEdges = [&](uint32_t I, RuleId Callee) {
+    if (Callee == InvalidRuleId || !G.rule(Callee).IsLocal)
+      return;
+    auto [CB, CE] = freeRefs(Callee);
+    for (uint32_t K = CB; K != CE; ++K) {
+      if (FreeRefs[K].Nt)
+        AddNtEdges(I, FreeRefs[K].Name);
+      else
+        AddBareEdges(I, FreeRefs[K].Name);
     }
   };
 
   for (uint32_t I = 0; I != N; ++I) {
     const Term &T = *Alt.Terms[I];
-    // Loop variables bound by this term never create edges.
-    std::set<Symbol> Bound;
-    if (const auto *A = dyn_cast<ArrayTerm>(&T))
-      Bound.insert(A->LoopVar);
-
+    // Loop variables bound by this term never create edges; neither do
+    // exists variables, from the exists node on to the end of the root.
+    const auto *Arr = dyn_cast<ArrayTerm>(&T);
     auto VisitRoot = [&](const Expr &Root) {
-      std::set<Symbol> Inner = Bound;
+      Bound.clear();
+      if (Arr)
+        Bound.push_back(Arr->LoopVar);
       forEachExpr(Root, [&](const Expr &E) {
         if (const auto *X = dyn_cast<ExistsExpr>(&E))
-          Inner.insert(X->loopVar());
+          Bound.push_back(X->loopVar());
         const auto *Ref = dyn_cast<RefExpr>(&E);
         if (!Ref)
           return;
         switch (Ref->refKind()) {
         case RefKind::Attr:
-          if (!Inner.count(Ref->attrName()) &&
-              !isSpecialAttr(Ref->attrName()))
+          if (!isBound(Ref->attrName()) && !isSpecialAttr(Ref->attrName()))
             AddBareEdges(I, Ref->attrName());
           break;
         case RefKind::NtAttr:
@@ -556,7 +548,7 @@ Error Checker::buildExecOrder(const Rule &R, Alternative &Alt) {
           break;
         case RefKind::TermEnd:
           if (Ref->termIndex() != I)
-            DependsOn[I].insert(Ref->termIndex());
+            AddEdge(I, Ref->termIndex());
           break;
         case RefKind::Eoi:
           break;
@@ -569,13 +561,7 @@ Error Checker::buildExecOrder(const Rule &R, Alternative &Alt) {
       const auto &NTm = *cast<NTTerm>(&T);
       VisitRoot(*NTm.Iv.Lo);
       VisitRoot(*NTm.Iv.Hi);
-      if (NTm.Resolved != InvalidRuleId && G.rule(NTm.Resolved).IsLocal) {
-        const FreeRefs &FR = freeRefs(NTm.Resolved);
-        for (Symbol S : FR.Bare)
-          AddBareEdges(I, S);
-        for (Symbol S : FR.NtNames)
-          AddNtEdges(I, S);
-      }
+      AddCalleeEdges(I, NTm.Resolved);
       break;
     }
     case Term::Kind::Terminal: {
@@ -590,34 +576,20 @@ Error Checker::buildExecOrder(const Rule &R, Alternative &Alt) {
     case Term::Kind::Predicate:
       VisitRoot(*cast<PredicateTerm>(&T)->Cond);
       break;
-    case Term::Kind::Array: {
-      const auto &A = *cast<ArrayTerm>(&T);
-      VisitRoot(*A.From);
-      VisitRoot(*A.To);
-      VisitRoot(*A.Iv.Lo);
-      VisitRoot(*A.Iv.Hi);
-      if (A.Resolved != InvalidRuleId && G.rule(A.Resolved).IsLocal) {
-        const FreeRefs &FR = freeRefs(A.Resolved);
-        for (Symbol S : FR.Bare)
-          AddBareEdges(I, S);
-        for (Symbol S : FR.NtNames)
-          AddNtEdges(I, S);
-      }
+    case Term::Kind::Array:
+      VisitRoot(*Arr->From);
+      VisitRoot(*Arr->To);
+      VisitRoot(*Arr->Iv.Lo);
+      VisitRoot(*Arr->Iv.Hi);
+      AddCalleeEdges(I, Arr->Resolved);
       break;
-    }
     case Term::Kind::Switch:
       for (const SwitchChoice &C : cast<SwitchTerm>(&T)->Choices) {
         if (C.Cond)
           VisitRoot(*C.Cond);
         VisitRoot(*C.Iv.Lo);
         VisitRoot(*C.Iv.Hi);
-        if (C.Resolved != InvalidRuleId && G.rule(C.Resolved).IsLocal) {
-          const FreeRefs &FR = freeRefs(C.Resolved);
-          for (Symbol S : FR.Bare)
-            AddBareEdges(I, S);
-          for (Symbol S : FR.NtNames)
-            AddNtEdges(I, S);
-        }
+        AddCalleeEdges(I, C.Resolved);
       }
       break;
     case Term::Kind::Blackbox: {
@@ -629,50 +601,49 @@ Error Checker::buildExecOrder(const Rule &R, Alternative &Alt) {
     }
   }
 
-  // Kahn's algorithm; smallest source index first keeps the order stable.
-  std::vector<uint32_t> Unmet(N, 0);
-  std::vector<std::vector<uint32_t>> Dependents(N);
-  for (uint32_t I = 0; I != N; ++I) {
-    Unmet[I] = static_cast<uint32_t>(DependsOn[I].size());
-    for (uint32_t J : DependsOn[I])
-      Dependents[J].push_back(I);
-  }
-  std::set<uint32_t> Ready;
+  // Kahn's algorithm; the smallest ready index first keeps the order
+  // stable (source order where no edge forces otherwise).
+  Unmet.assign(N, 0);
   for (uint32_t I = 0; I != N; ++I)
-    if (Unmet[I] == 0)
-      Ready.insert(I);
+    for (size_t W = 0; W != Words; ++W)
+      Unmet[I] += static_cast<uint32_t>(
+          std::popcount(DependsOn[I * Words + W]));
+  constexpr uint32_t Emitted = ~0u;
   Alt.ExecOrder.clear();
-  while (!Ready.empty()) {
-    uint32_t I = *Ready.begin();
-    Ready.erase(Ready.begin());
-    Alt.ExecOrder.push_back(I);
-    for (uint32_t Dep : Dependents[I])
-      if (--Unmet[Dep] == 0)
-        Ready.insert(Dep);
+  Alt.ExecOrder.reserve(N);
+  for (;;) {
+    uint32_t Next = 0;
+    while (Next != N && Unmet[Next] != 0)
+      ++Next;
+    if (Next == N)
+      break;
+    Unmet[Next] = Emitted;
+    Alt.ExecOrder.push_back(Next);
+    for (uint32_t Dep = 0; Dep != N; ++Dep)
+      if (Unmet[Dep] != Emitted && DependsOnTerm(Dep, Next))
+        --Unmet[Dep];
   }
   if (Alt.ExecOrder.size() != N)
-    return Error::failure("rule '" + ruleName(R) +
-                          "': circular attribute dependencies in an "
-                          "alternative");
+    return fail(R, {"circular attribute dependencies in an alternative"});
   return Error::success();
 }
 
-Error Checker::walkRule(Rule &R, std::vector<const Alternative *> &Scope) {
+Error Checker::walkRule(Rule &R) {
   for (Alternative &Alt : R.Alts) {
     // The alternative's own where-block is in scope for its terms (e.g.
     // `S -> D[...] where { D -> ... }` binds D locally, shadowing any
     // global D).
     Scope.push_back(&Alt);
-    Error E = resolveAlt(R, Alt, Scope);
+    Error E = resolveAlt(R, Alt);
     for (RuleId L : Alt.LocalRules) {
       if (E)
         break;
-      E = walkRule(G.rule(L), Scope);
+      E = walkRule(G.rule(L));
     }
     Scope.pop_back();
     if (E)
       return E;
-    if (Error E2 = checkAltRefs(R, Alt, Scope))
+    if (Error E2 = checkAltRefs(R, Alt))
       return E2;
     if (Error E2 = buildExecOrder(R, Alt))
       return E2;
@@ -681,12 +652,11 @@ Error Checker::walkRule(Rule &R, std::vector<const Alternative *> &Scope) {
 }
 
 Error Checker::run() {
-  std::vector<const Alternative *> Scope;
   for (size_t I = 0, E = G.numRules(); I != E; ++I) {
     Rule &R = G.rule(static_cast<RuleId>(I));
     if (R.IsLocal)
       continue; // visited through the owning alternative
-    if (Error Err = walkRule(R, Scope))
+    if (Error Err = walkRule(R))
       return Err;
   }
   return Error::success();

@@ -9,7 +9,6 @@
 
 #include "support/Casting.h"
 
-#include <functional>
 #include <string>
 
 using namespace ipg;
@@ -137,46 +136,4 @@ std::string Expr::str(const StringInterner &Names) const {
   }
   }
   return "?";
-}
-
-void ipg::forEachExpr(const Expr &E,
-                      const std::function<void(const Expr &)> &Fn) {
-  Fn(E);
-  switch (E.kind()) {
-  case Expr::Kind::Num:
-    break;
-  case Expr::Kind::Binary: {
-    const auto &B = *cast<BinaryExpr>(&E);
-    forEachExpr(*B.lhs(), Fn);
-    forEachExpr(*B.rhs(), Fn);
-    break;
-  }
-  case Expr::Kind::Cond: {
-    const auto &C = *cast<CondExpr>(&E);
-    forEachExpr(*C.cond(), Fn);
-    forEachExpr(*C.thenExpr(), Fn);
-    forEachExpr(*C.elseExpr(), Fn);
-    break;
-  }
-  case Expr::Kind::Ref: {
-    const auto &R = *cast<RefExpr>(&E);
-    if (R.index())
-      forEachExpr(*R.index(), Fn);
-    break;
-  }
-  case Expr::Kind::Exists: {
-    const auto &X = *cast<ExistsExpr>(&E);
-    forEachExpr(*X.cond(), Fn);
-    forEachExpr(*X.thenExpr(), Fn);
-    forEachExpr(*X.elseExpr(), Fn);
-    break;
-  }
-  case Expr::Kind::Read: {
-    const auto &R = *cast<ReadExpr>(&E);
-    forEachExpr(*R.lo(), Fn);
-    if (R.hi())
-      forEachExpr(*R.hi(), Fn);
-    break;
-  }
-  }
 }

@@ -26,10 +26,10 @@
 #ifndef IPG_EXPR_EXPR_H
 #define IPG_EXPR_EXPR_H
 
+#include "support/Casting.h"
 #include "support/Interner.h"
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -259,8 +259,48 @@ private:
   ExprPtr Lo, Hi;
 };
 
-/// Pre-order walk over \p E and all subexpressions.
-void forEachExpr(const Expr &E, const std::function<void(const Expr &)> &Fn);
+/// Pre-order walk over \p E and all subexpressions. A template, so a
+/// capturing visitor costs no std::function allocation.
+template <typename Fn> void forEachExpr(const Expr &E, Fn &&Visit) {
+  Visit(E);
+  switch (E.kind()) {
+  case Expr::Kind::Num:
+    break;
+  case Expr::Kind::Binary: {
+    const auto &B = *cast<BinaryExpr>(&E);
+    forEachExpr(*B.lhs(), Visit);
+    forEachExpr(*B.rhs(), Visit);
+    break;
+  }
+  case Expr::Kind::Cond: {
+    const auto &C = *cast<CondExpr>(&E);
+    forEachExpr(*C.cond(), Visit);
+    forEachExpr(*C.thenExpr(), Visit);
+    forEachExpr(*C.elseExpr(), Visit);
+    break;
+  }
+  case Expr::Kind::Ref: {
+    const auto &R = *cast<RefExpr>(&E);
+    if (R.index())
+      forEachExpr(*R.index(), Visit);
+    break;
+  }
+  case Expr::Kind::Exists: {
+    const auto &X = *cast<ExistsExpr>(&E);
+    forEachExpr(*X.cond(), Visit);
+    forEachExpr(*X.thenExpr(), Visit);
+    forEachExpr(*X.elseExpr(), Visit);
+    break;
+  }
+  case Expr::Kind::Read: {
+    const auto &R = *cast<ReadExpr>(&E);
+    forEachExpr(*R.lo(), Visit);
+    if (R.hi())
+      forEachExpr(*R.hi(), Visit);
+    break;
+  }
+  }
+}
 
 } // namespace ipg
 

@@ -7,12 +7,10 @@
 
 #include "frontend/Lexer.h"
 
-#include <cctype>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -108,6 +106,31 @@ const char *ipg::tokKindName(TokKind K) {
 
 namespace {
 
+// ASCII character classes: grammar text is ASCII, and these agree with the
+// <cctype> predicates in the "C" locale without their per-call cost.
+bool isDigit(char C) { return C >= '0' && C <= '9'; }
+bool isHexDigit(char C) {
+  return isDigit(C) || (C >= 'a' && C <= 'f') || (C >= 'A' && C <= 'F');
+}
+bool isAlpha(char C) { return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z'); }
+bool isIdentChar(char C) { return isAlpha(C) || isDigit(C) || C == '_'; }
+int hexValue(char C) {
+  return C <= '9' ? C - '0' : (C | 0x20) - 'a' + 10;
+}
+
+TokKind keywordOrIdent(std::string_view Name) {
+  static constexpr std::pair<std::string_view, TokKind> Keywords[] = {
+      {"for", TokKind::KwFor},       {"to", TokKind::KwTo},
+      {"do", TokKind::KwDo},         {"where", TokKind::KwWhere},
+      {"switch", TokKind::KwSwitch}, {"check", TokKind::KwCheck},
+      {"exists", TokKind::KwExists}, {"raw", TokKind::KwRaw},
+  };
+  for (const auto &[Spelling, Kind] : Keywords)
+    if (Name == Spelling)
+      return Kind;
+  return TokKind::Ident;
+}
+
 class Lexer {
 public:
   explicit Lexer(std::string_view Src) : Src(Src) {}
@@ -135,10 +158,11 @@ private:
     return C;
   }
 
+  // Each fills in the token run() placed at the end of the vector.
   Error skipTrivia();
-  Expected<Token> lexString(Token Tok);
-  Token lexNumber(Token Tok);
-  Token lexIdent(Token Tok);
+  Error lexString(Token &Tok);
+  void lexNumber(Token &Tok);
+  void lexIdent(Token &Tok);
 
   std::string located(const std::string &Msg) const {
     return "line " + std::to_string(Line) + ":" + std::to_string(Col) + ": " +
@@ -177,13 +201,13 @@ Error Lexer::skipTrivia() {
   }
 }
 
-Expected<Token> Lexer::lexString(Token Tok) {
+Error Lexer::lexString(Token &Tok) {
   Tok.Kind = TokKind::String;
   advance(); // opening quote
   std::string Bytes;
   for (;;) {
     if (atEnd())
-      return Expected<Token>::failure(located("unterminated string literal"));
+      return Error::failure(located("unterminated string literal"));
     char C = advance();
     if (C == '"')
       break;
@@ -192,7 +216,7 @@ Expected<Token> Lexer::lexString(Token Tok) {
       continue;
     }
     if (atEnd())
-      return Expected<Token>::failure(located("unterminated escape"));
+      return Error::failure(located("unterminated escape"));
     char E = advance();
     switch (E) {
     case 'n':
@@ -212,86 +236,71 @@ Expected<Token> Lexer::lexString(Token Tok) {
       Bytes += E;
       break;
     case 'x': {
-      if (Pos + 1 >= Src.size() || !isxdigit(peek()) || !isxdigit(peek(1)))
-        return Expected<Token>::failure(
-            located("\\x escape requires two hex digits"));
-      auto Hex = [](char H) {
-        return H <= '9' ? H - '0' : (tolower(H) - 'a' + 10);
-      };
+      if (Pos + 1 >= Src.size() || !isHexDigit(peek()) ||
+          !isHexDigit(peek(1)))
+        return Error::failure(located("\\x escape requires two hex digits"));
       char Hi = advance(), LoC = advance();
-      Bytes += static_cast<char>(Hex(Hi) * 16 + Hex(LoC));
+      Bytes += static_cast<char>(hexValue(Hi) * 16 + hexValue(LoC));
       break;
     }
     default:
-      return Expected<Token>::failure(
+      return Error::failure(
           located(std::string("unknown escape '\\") + E + "'"));
     }
   }
   Tok.Text = std::move(Bytes);
-  return Tok;
+  return Error::success();
 }
 
-Token Lexer::lexNumber(Token Tok) {
+void Lexer::lexNumber(Token &Tok) {
   Tok.Kind = TokKind::Number;
   int64_t V = 0;
   if (peek() == '0' && (peek(1) == 'x' || peek(1) == 'X')) {
     advance();
     advance();
-    while (isxdigit(peek())) {
-      char C = advance();
-      int D = C <= '9' ? C - '0' : (tolower(C) - 'a' + 10);
-      V = V * 16 + D;
-    }
+    while (isHexDigit(peek()))
+      V = V * 16 + hexValue(advance());
   } else {
-    while (isdigit(peek()))
+    while (isDigit(peek()))
       V = V * 10 + (advance() - '0');
   }
   Tok.Number = V;
-  return Tok;
 }
 
-Token Lexer::lexIdent(Token Tok) {
-  std::string Name;
-  while (isalnum(peek()) || peek() == '_')
-    Name += advance();
-  static const std::unordered_map<std::string, TokKind> Keywords = {
-      {"for", TokKind::KwFor},       {"to", TokKind::KwTo},
-      {"do", TokKind::KwDo},         {"where", TokKind::KwWhere},
-      {"switch", TokKind::KwSwitch}, {"check", TokKind::KwCheck},
-      {"exists", TokKind::KwExists}, {"raw", TokKind::KwRaw},
-  };
-  auto It = Keywords.find(Name);
-  Tok.Kind = It == Keywords.end() ? TokKind::Ident : It->second;
-  Tok.Text = std::move(Name);
-  return Tok;
+void Lexer::lexIdent(Token &Tok) {
+  size_t End = Pos;
+  while (End < Src.size() && isIdentChar(Src[End]))
+    ++End;
+  std::string_view Name = Src.substr(Pos, End - Pos);
+  Col += static_cast<uint32_t>(Name.size()); // identifiers hold no newline
+  Pos = End;
+  Tok.Kind = keywordOrIdent(Name);
+  Tok.Text = Name;
 }
 
 Expected<std::vector<Token>> Lexer::run() {
   std::vector<Token> Toks;
+  Toks.reserve(Src.size() / 2 + 1); // grammar text averages ~3 bytes/token
   for (;;) {
     if (Error E = skipTrivia())
       return Expected<std::vector<Token>>(std::move(E));
-    Token Tok;
+    Token &Tok = Toks.emplace_back();
     Tok.Line = Line;
     Tok.Col = Col;
-    if (atEnd()) {
-      Toks.push_back(Tok); // Eof
-      return Toks;
-    }
+    if (atEnd())
+      return Toks; // Tok is the Eof token
     char C = peek();
     if (C == '"') {
-      auto S = lexString(Tok);
-      if (!S)
-        return Expected<std::vector<Token>>(S.takeError());
-      Toks.push_back(*S);
+      if (Error E = lexString(Tok))
+        return Expected<std::vector<Token>>(std::move(E));
       continue;
     }
-    if (isdigit(C)) {
-      Toks.push_back(lexNumber(Tok));
+    if (isDigit(C)) {
+      lexNumber(Tok);
       continue;
     }
-    if (isalpha(C) || C == '_') {
-      Toks.push_back(lexIdent(Tok));
+    if (isAlpha(C) || C == '_') {
+      lexIdent(Tok);
       continue;
     }
 
@@ -303,7 +312,6 @@ Expected<std::vector<Token>> Lexer::run() {
       } else {
         Tok.Kind = Short;
       }
-      Toks.push_back(Tok);
     };
 
     switch (C) {
@@ -315,67 +323,54 @@ Expected<std::vector<Token>> Lexer::run() {
       } else {
         Tok.Kind = TokKind::Minus;
       }
-      Toks.push_back(Tok);
       break;
     case '[':
       advance();
       Tok.Kind = TokKind::LBracket;
-      Toks.push_back(Tok);
       break;
     case ']':
       advance();
       Tok.Kind = TokKind::RBracket;
-      Toks.push_back(Tok);
       break;
     case '{':
       advance();
       Tok.Kind = TokKind::LBrace;
-      Toks.push_back(Tok);
       break;
     case '}':
       advance();
       Tok.Kind = TokKind::RBrace;
-      Toks.push_back(Tok);
       break;
     case '(':
       advance();
       Tok.Kind = TokKind::LParen;
-      Toks.push_back(Tok);
       break;
     case ')':
       advance();
       Tok.Kind = TokKind::RParen;
-      Toks.push_back(Tok);
       break;
     case ',':
       advance();
       Tok.Kind = TokKind::Comma;
-      Toks.push_back(Tok);
       break;
     case ';':
       advance();
       Tok.Kind = TokKind::Semi;
-      Toks.push_back(Tok);
       break;
     case '/':
       advance();
       Tok.Kind = TokKind::Slash;
-      Toks.push_back(Tok);
       break;
     case ':':
       advance();
       Tok.Kind = TokKind::Colon;
-      Toks.push_back(Tok);
       break;
     case '?':
       advance();
       Tok.Kind = TokKind::Question;
-      Toks.push_back(Tok);
       break;
     case '.':
       advance();
       Tok.Kind = TokKind::Dot;
-      Toks.push_back(Tok);
       break;
     case '=':
       Two('=', TokKind::EqEq, TokKind::Assign);
@@ -385,7 +380,6 @@ Expected<std::vector<Token>> Lexer::run() {
       if (peek() == '=') {
         advance();
         Tok.Kind = TokKind::Neq;
-        Toks.push_back(Tok);
         break;
       }
       return Expected<std::vector<Token>>::failure(
@@ -401,7 +395,6 @@ Expected<std::vector<Token>> Lexer::run() {
       } else {
         Tok.Kind = TokKind::Lt;
       }
-      Toks.push_back(Tok);
       break;
     case '>':
       advance();
@@ -414,7 +407,6 @@ Expected<std::vector<Token>> Lexer::run() {
       } else {
         Tok.Kind = TokKind::Gt;
       }
-      Toks.push_back(Tok);
       break;
     case '&':
       Two('&', TokKind::AndAnd, TokKind::Amp);
@@ -424,7 +416,6 @@ Expected<std::vector<Token>> Lexer::run() {
       if (peek() == '|') {
         advance();
         Tok.Kind = TokKind::OrOr;
-        Toks.push_back(Tok);
         break;
       }
       return Expected<std::vector<Token>>::failure(
@@ -432,17 +423,14 @@ Expected<std::vector<Token>> Lexer::run() {
     case '+':
       advance();
       Tok.Kind = TokKind::Plus;
-      Toks.push_back(Tok);
       break;
     case '*':
       advance();
       Tok.Kind = TokKind::Star;
-      Toks.push_back(Tok);
       break;
     case '%':
       advance();
       Tok.Kind = TokKind::Percent;
-      Toks.push_back(Tok);
       break;
     default:
       return Expected<std::vector<Token>>::failure(

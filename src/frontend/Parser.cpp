@@ -12,6 +12,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -35,7 +36,7 @@ const BuiltinRead Builtins[] = {
     {"btoi", ReadKind::BtoiLe, 2},   {"btoibe", ReadKind::BtoiBe, 2},
 };
 
-const BuiltinRead *findBuiltin(const std::string &Name) {
+const BuiltinRead *findBuiltin(std::string_view Name) {
   for (const BuiltinRead &B : Builtins)
     if (Name == B.Name)
       return &B;
@@ -53,6 +54,9 @@ private:
   size_t Pos = 0;
   Grammar G;
   Error Err = Error::success();
+  /// Terms of the alternatives being parsed, innermost last; each
+  /// alternative moves its own into an exactly sized Alternative::Terms.
+  std::vector<TermPtr> TermStack;
 
   const Token &cur() const { return Toks[Pos]; }
   const Token &peek(size_t Ahead = 1) const {
@@ -82,7 +86,7 @@ private:
                 tokKindName(cur().Kind));
   }
   /// An identifier, or a keyword used in name position (e.g. `.start`).
-  bool identLike(std::string &Out) {
+  bool identLike(std::string_view &Out) {
     if (at(TokKind::Ident) || cur().Kind >= TokKind::KwFor) {
       Out = cur().Text;
       advance();
@@ -288,7 +292,7 @@ ExprPtr Parser::parsePrimary() {
   }
   if (accept(TokKind::KwExists)) {
     // exists j . cond ? then : else
-    std::string Var;
+    std::string_view Var;
     if (!identLike(Var))
       return nullptr;
     if (!expect(TokKind::Dot))
@@ -313,13 +317,13 @@ ExprPtr Parser::parsePrimary() {
     fail("expected expression");
     return nullptr;
   }
-  std::string Name = cur().Text;
+  const std::string &Name = cur().Text;
   advance();
   if (Name == "EOI")
     return RefExpr::eoi();
 
   if (accept(TokKind::Dot)) {
-    std::string Attr;
+    std::string_view Attr;
     if (!identLike(Attr))
       return nullptr;
     return RefExpr::ntAttr(G.intern(Name), G.intern(Attr));
@@ -338,7 +342,7 @@ ExprPtr Parser::parsePrimary() {
       return nullptr;
     if (accept(TokKind::Dot)) {
       // A(e).attr — array element reference.
-      std::string Attr;
+      std::string_view Attr;
       if (!identLike(Attr))
         return nullptr;
       if (Args.size() != 1) {
@@ -393,7 +397,7 @@ bool Parser::parseOptInterval(Interval &Iv, bool Required) {
 
 TermPtr Parser::parseTerm() {
   if (at(TokKind::String)) {
-    std::string Bytes = cur().Text;
+    std::string Bytes = std::move(Toks[Pos].Text);
     advance();
     Interval Iv;
     if (!parseOptInterval(Iv, /*Required=*/false))
@@ -408,7 +412,7 @@ TermPtr Parser::parseTerm() {
                                           /*Wildcard=*/true);
   }
   if (accept(TokKind::LBrace)) {
-    std::string Name;
+    std::string_view Name;
     if (!identLike(Name))
       return nullptr;
     if (!expect(TokKind::Assign))
@@ -431,7 +435,7 @@ TermPtr Parser::parseTerm() {
     return std::make_shared<PredicateTerm>(std::move(C));
   }
   if (accept(TokKind::KwFor)) {
-    std::string Var;
+    std::string_view Var;
     if (!identLike(Var))
       return nullptr;
     if (!expect(TokKind::Assign))
@@ -446,7 +450,7 @@ TermPtr Parser::parseTerm() {
       return nullptr;
     if (!expect(TokKind::KwDo))
       return nullptr;
-    std::string Elem;
+    std::string_view Elem;
     if (!identLike(Elem))
       return nullptr;
     Interval Iv;
@@ -510,15 +514,23 @@ bool Parser::parseAlternative(Alternative &Alt) {
   // An alternative may legitimately be empty (e.g. `X -> "a" / ;` is not
   // used in practice, but the empty terminal `""` is); require at least one
   // term for sanity.
+  const size_t Base = TermStack.size();
+  auto TakeTerms = [&] {
+    Alt.Terms.assign(std::make_move_iterator(TermStack.begin() + Base),
+                     std::make_move_iterator(TermStack.end()));
+    TermStack.resize(Base);
+  };
   for (;;) {
     switch (cur().Kind) {
     case TokKind::Slash:
     case TokKind::Semi:
     case TokKind::Eof:
+      TakeTerms();
       if (Alt.Terms.empty())
         return fail("empty alternative");
       return true;
     case TokKind::KwWhere: {
+      TakeTerms(); // before the local rules stack terms of their own
       advance();
       if (!expect(TokKind::LBrace))
         return false;
@@ -544,7 +556,7 @@ bool Parser::parseAlternative(Alternative &Alt) {
       TermPtr T = parseTerm();
       if (!T)
         return false;
-      Alt.Terms.push_back(std::move(T));
+      TermStack.push_back(std::move(T));
     }
     }
   }
@@ -568,7 +580,7 @@ bool Parser::parseTopLevel() {
   while (!at(TokKind::Eof)) {
     if (!at(TokKind::Ident))
       return fail("expected a rule or declaration");
-    std::string Name = cur().Text;
+    const std::string &Name = cur().Text;
     if (Name == "blackbox" && peek().Kind == TokKind::Ident) {
       advance();
       G.declareBlackbox(G.intern(cur().Text));

@@ -10,7 +10,6 @@
 #include "support/Casting.h"
 
 #include <cassert>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -37,8 +36,10 @@ Rule &Grammar::createRule(Symbol Name, bool IsLocal) {
   Rules.push_back(std::move(R));
   Rule &Ref = *Rules.back();
   if (!IsLocal) {
-    assert(!GlobalRules.count(Name) && "duplicate global rule");
-    GlobalRules.emplace(Name, Ref.Id);
+    assert(findGlobal(Name) == InvalidRuleId && "duplicate global rule");
+    if (GlobalRules.size() <= Name)
+      GlobalRules.resize(Name + 1, InvalidRuleId);
+    GlobalRules[Name] = Ref.Id;
     if (Start == InvalidSymbol)
       Start = Name;
   }
@@ -46,51 +47,7 @@ Rule &Grammar::createRule(Symbol Name, bool IsLocal) {
 }
 
 RuleId Grammar::findGlobal(Symbol Name) const {
-  auto It = GlobalRules.find(Name);
-  return It == GlobalRules.end() ? InvalidRuleId : It->second;
-}
-
-void ipg::forEachTermExpr(const Term &T,
-                          const std::function<void(const Expr &)> &Fn) {
-  auto VisitIv = [&](const Interval &Iv) {
-    if (Iv.Lo)
-      forEachExpr(*Iv.Lo, Fn);
-    if (Iv.Hi)
-      forEachExpr(*Iv.Hi, Fn);
-    if (Iv.Len)
-      forEachExpr(*Iv.Len, Fn);
-  };
-  switch (T.kind()) {
-  case Term::Kind::Nonterminal:
-    VisitIv(cast<NTTerm>(&T)->Iv);
-    break;
-  case Term::Kind::Terminal:
-    VisitIv(cast<TerminalTerm>(&T)->Iv);
-    break;
-  case Term::Kind::AttrDef:
-    forEachExpr(*cast<AttrDefTerm>(&T)->Value, Fn);
-    break;
-  case Term::Kind::Predicate:
-    forEachExpr(*cast<PredicateTerm>(&T)->Cond, Fn);
-    break;
-  case Term::Kind::Array: {
-    const auto *A = cast<ArrayTerm>(&T);
-    forEachExpr(*A->From, Fn);
-    forEachExpr(*A->To, Fn);
-    VisitIv(A->Iv);
-    break;
-  }
-  case Term::Kind::Switch:
-    for (const SwitchChoice &C : cast<SwitchTerm>(&T)->Choices) {
-      if (C.Cond)
-        forEachExpr(*C.Cond, Fn);
-      VisitIv(C.Iv);
-    }
-    break;
-  case Term::Kind::Blackbox:
-    VisitIv(cast<BlackboxTerm>(&T)->Iv);
-    break;
-  }
+  return Name < GlobalRules.size() ? GlobalRules[Name] : InvalidRuleId;
 }
 
 bool ipg::isPositionalTerm(const Term &T) {

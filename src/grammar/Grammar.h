@@ -32,16 +32,15 @@
 #define IPG_GRAMMAR_GRAMMAR_H
 
 #include "expr/Expr.h"
+#include "support/Casting.h"
 #include "support/Interner.h"
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <set>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -279,7 +278,8 @@ public:
 private:
   StringInterner Names;
   std::vector<std::unique_ptr<Rule>> Rules;
-  std::unordered_map<Symbol, RuleId> GlobalRules;
+  /// Global rule by name, indexed by Symbol (symbols are dense ids).
+  std::vector<RuleId> GlobalRules;
   std::set<Symbol> Blackboxes;
   Symbol Start = InvalidSymbol;
   Symbol SymStart, SymEnd, SymEoi, SymVal;
@@ -287,8 +287,47 @@ private:
 
 /// Visits every expression appearing in \p T (interval endpoints, attribute
 /// values, predicate and switch conditions, array bounds).
-void forEachTermExpr(const Term &T,
-                     const std::function<void(const Expr &)> &Fn);
+template <typename Fn> void forEachTermExpr(const Term &T, Fn &&Visit) {
+  auto VisitIv = [&](const Interval &Iv) {
+    if (Iv.Lo)
+      forEachExpr(*Iv.Lo, Visit);
+    if (Iv.Hi)
+      forEachExpr(*Iv.Hi, Visit);
+    if (Iv.Len)
+      forEachExpr(*Iv.Len, Visit);
+  };
+  switch (T.kind()) {
+  case Term::Kind::Nonterminal:
+    VisitIv(cast<NTTerm>(&T)->Iv);
+    break;
+  case Term::Kind::Terminal:
+    VisitIv(cast<TerminalTerm>(&T)->Iv);
+    break;
+  case Term::Kind::AttrDef:
+    forEachExpr(*cast<AttrDefTerm>(&T)->Value, Visit);
+    break;
+  case Term::Kind::Predicate:
+    forEachExpr(*cast<PredicateTerm>(&T)->Cond, Visit);
+    break;
+  case Term::Kind::Array: {
+    const auto *A = cast<ArrayTerm>(&T);
+    forEachExpr(*A->From, Visit);
+    forEachExpr(*A->To, Visit);
+    VisitIv(A->Iv);
+    break;
+  }
+  case Term::Kind::Switch:
+    for (const SwitchChoice &C : cast<SwitchTerm>(&T)->Choices) {
+      if (C.Cond)
+        forEachExpr(*C.Cond, Visit);
+      VisitIv(C.Iv);
+    }
+    break;
+  case Term::Kind::Blackbox:
+    VisitIv(cast<BlackboxTerm>(&T)->Iv);
+    break;
+  }
+}
 
 /// True for term kinds that occupy input (nonterminals, terminals, arrays,
 /// switches, blackboxes) as opposed to attribute definitions / predicates.

@@ -358,6 +358,12 @@ struct Module {
 /// comment for how unchecked grammars degrade). The module borrows \p G.
 Module lower(const Grammar &G);
 
+/// The longest chain of rule activations from the start rule that
+/// repeats no rule (a recursive call is not followed): the frame depth
+/// a parse reaches unless it recurses. 0 when the start rule is
+/// unresolved. Engines size their frame pools from it.
+size_t frameDepth(const Module &M);
+
 /// Structural validation of a lowered module: resolved rule targets and
 /// intervals, literal-table consistency, jump-target well-formedness
 /// plus stack-balance of every expression program, and every record

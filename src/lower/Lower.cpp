@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 
@@ -116,16 +117,17 @@ int jumpEdgeDepth(XOp Op, int D) {
 
 /// Walks a finished program once (our compiler only emits forward jumps):
 /// checks target bounds and stack balance, and reports the high-water
-/// mark. Returns false with \p Err set on a malformed program.
+/// mark. Returns false with \p Err set on a malformed program. \p At is
+/// scratch, reused across calls.
 bool simulate(const XInstr *Code, size_t N, uint32_t &MaxStack,
-              std::string *Err) {
+              std::string *Err, std::vector<int> &At) {
   auto fail = [&](const std::string &Msg) {
     if (Err)
       *Err = Msg;
     return false;
   };
   // Expected depth at each pc; -1 = not yet known. pc N is the exit.
-  std::vector<int> At(N + 1, -1);
+  At.assign(N + 1, -1);
   At[0] = 0;
   int Max = 0;
   for (size_t PC = 0; PC < N; ++PC) {
@@ -345,6 +347,11 @@ private:
   std::unordered_map<std::string, uint32_t> LitIds;
   std::unordered_map<Symbol, uint32_t> BbIds;
   std::vector<XInstr> *Buf = nullptr; ///< program under construction
+  /// Emission buffers by compile() nesting (an exists compiles its
+  /// sub-programs while its own program is open), reused across programs.
+  std::vector<std::unique_ptr<std::vector<XInstr>>> Bufs;
+  size_t Nest = 0;
+  std::vector<int> SimScratch; ///< simulate()'s per-pc depths
 
   /// Record-planning scratch, reused across rules so planning every rule
   /// of a grammar costs no per-rule allocation once warm.
@@ -577,11 +584,15 @@ private:
   //===--------------------------------------------------------------------===//
 
   ExprId compile(const Expr &E) {
-    std::vector<XInstr> Local;
+    if (Bufs.size() == Nest)
+      Bufs.push_back(std::make_unique<std::vector<XInstr>>());
+    std::vector<XInstr> &Local = *Bufs[Nest++];
+    Local.clear();
     std::vector<XInstr> *Saved = Buf;
     Buf = &Local;
     emitExpr(E);
     Buf = Saved;
+    --Nest;
     ExprProgram P;
     P.Src = &E;
     P.Begin = static_cast<uint32_t>(M.XCode.size());
@@ -589,7 +600,7 @@ private:
     P.End = static_cast<uint32_t>(M.XCode.size());
     std::string Err;
     bool Ok = simulate(M.XCode.data() + P.Begin, Local.size(), P.MaxStack,
-                       &Err);
+                       &Err, SimScratch);
     assert(Ok && "lowering emitted a malformed expression program");
     (void)Ok;
     ExprId Id = static_cast<ExprId>(M.Exprs.size());
@@ -861,6 +872,37 @@ private:
 
 Module ipg::lir::lower(const Grammar &G) { return Lowering(G).run(); }
 
+size_t ipg::lir::frameDepth(const Module &M) {
+  if (M.Start == InvalidRuleId)
+    return 0;
+  enum : uint8_t { Unseen, Open, Closed };
+  std::vector<uint8_t> State(M.Rules.size(), Unseen);
+  std::vector<size_t> Depth(M.Rules.size(), 0);
+  auto Visit = [&](auto &Self, RuleId Id) -> size_t {
+    if (State[Id] == Open)
+      return 0; // recursion: not followed
+    if (State[Id] == Closed)
+      return Depth[Id];
+    State[Id] = Open;
+    size_t Deepest = 0;
+    auto Call = [&](RuleId Callee) {
+      if (Callee != InvalidRuleId)
+        Deepest = std::max(Deepest, Self(Self, Callee));
+    };
+    for (const AltL &A : M.Rules[Id].Alts)
+      for (const TermL &T : A.Exec) {
+        if (T.Op == TermOp::CallRule || T.Op == TermOp::ForArray)
+          Call(T.Rule);
+        else if (T.Op == TermOp::Select)
+          for (uint32_t K = T.ArmsBegin; K != T.ArmsEnd; ++K)
+            Call(M.Arms[K].Rule);
+      }
+    State[Id] = Closed;
+    return Depth[Id] = Deepest + 1;
+  };
+  return Visit(Visit, M.Start);
+}
+
 namespace {
 
 /// Checks one record plan against its rule: the rule shape the pass
@@ -988,6 +1030,7 @@ std::string ipg::lir::verify(const Module &M) {
   auto where = [&](const RuleL &R) {
     return "rule '" + std::string(M.nameOf(R.Name)) + "'";
   };
+  std::vector<int> SimScratch;
   auto checkExpr = [&](ExprId Id) -> std::string {
     if (Id == NoExpr)
       return "references expression program NoExpr";
@@ -1000,7 +1043,8 @@ std::string ipg::lir::verify(const Module &M) {
       return "expression program window out of range";
     uint32_t Max = 0;
     std::string Err;
-    if (!simulate(M.XCode.data() + P.Begin, P.End - P.Begin, Max, &Err))
+    if (!simulate(M.XCode.data() + P.Begin, P.End - P.Begin, Max, &Err,
+                  SimScratch))
       return Err;
     if (Max != P.MaxStack)
       return "recorded MaxStack " + std::to_string(P.MaxStack) +

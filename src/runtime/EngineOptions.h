@@ -123,7 +123,7 @@ struct EngineStats {
   /// failing parse stopped in, and the absolute byte offset of the
   /// window it was examining. ~0u / -1 when the parse succeeded or the
   /// failure site carries no location (e.g. "internal:" lowering
-  /// errors). Generated parsers report both through the 7-slot
+  /// errors). Generated parsers report both through the 6-slot
   /// ipg_mod_stats ABI.
   uint32_t FailRule = ~0u;
   int64_t FailOffset = -1;

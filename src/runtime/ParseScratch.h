@@ -39,6 +39,7 @@
 #include "support/Bytes.h"
 #include "support/GenRuntime.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -130,7 +131,8 @@ struct ParseScratch {
   StoreSlot Stores;
 
   /// The pooled frame of recursion depth \p Depth, resolving children
-  /// against the store of the parse in flight.
+  /// against the store of the parse in flight. Frames deeper than those
+  /// bindGrammar built (recursion) start empty and grow as they are used.
   ipg_rt::Frame &frameAt(size_t Depth) {
     while (FramePool.size() <= Depth)
       FramePool.push_back(std::make_unique<ipg_rt::Frame>());
@@ -145,13 +147,39 @@ struct ParseScratch {
     return ElemScratch[Level];
   }
 
-  /// Shared by Interp/BytecodeVM construction: lower the grammar once and
-  /// resolve every blackbox call site against \p Blackboxes.
+  /// Shared by Interp/BytecodeVM construction: lower the grammar once,
+  /// resolve every blackbox call site against \p Blackboxes, and build the
+  /// frames of the grammar's deepest rule chain (lir::frameDepth), so a
+  /// fresh engine's first parse does not grow them depth by depth.
   void bindGrammar(const Grammar &G, const BlackboxRegistry *Blackboxes) {
     Lowered = lir::lower(G);
     BbFns.reserve(Lowered.BbSites.size());
     for (const lir::BbSite &Site : Lowered.BbSites)
       BbFns.push_back(Blackboxes ? Blackboxes->find(Site.NameStr) : nullptr);
+    // Frame capacities: the terms of the longest alternative (touch
+    // records, children, env slots) and one past the largest attribute
+    // symbol a frame's env can record.
+    size_t FrameTerms = 0, FrameKeys = 0;
+    for (const lir::RuleL &R : Lowered.Rules)
+      for (const lir::AltL &A : R.Alts) {
+        FrameTerms = std::max(FrameTerms, A.Exec.size());
+        for (const lir::TermL &T : A.Exec)
+          if (T.Op == lir::TermOp::SetAttr || T.Op == lir::TermOp::ForArray)
+            FrameKeys = std::max<size_t>(FrameKeys, T.Sym + 1);
+      }
+    // Depth 0 hosts no rule (rule entry counts depth from 1): frame 0
+    // stays unsized.
+    const size_t Depth = lir::frameDepth(Lowered);
+    FramePool.reserve(Depth + 1);
+    FramePool.push_back(std::make_unique<ipg_rt::Frame>());
+    while (FramePool.size() <= Depth) {
+      auto F = std::make_unique<ipg_rt::Frame>();
+      F->Recs.resize(FrameTerms);
+      F->Kids.reserve(FrameTerms);
+      F->E.reserve(FrameTerms + 2); // + start/end, which freeze appends
+      F->EIx.reserve(FrameKeys);
+      FramePool.push_back(std::move(F));
+    }
   }
 
   /// Shared parse-entry reset: recycle or allocate the store and clear

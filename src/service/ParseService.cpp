@@ -92,6 +92,9 @@ namespace {
 
 struct Job {
   ParseRequest Req;
+  /// Req.Format's index in Impl::Formats, resolved at submission (only
+  /// requests for a configured format with an input are queued).
+  size_t FormatIdx = 0;
   SubmitOptions SOpts;
   std::promise<ParseResult> Promise;
   std::chrono::steady_clock::time_point Submitted;
@@ -161,53 +164,47 @@ void ParseService::Impl::process(
     Job &J, std::vector<std::unique_ptr<Engine>> &Engines,
     detail::ReturnSlot &Slot,
     const std::shared_ptr<detail::ReturnSlot> &SlotRef) {
+  // The job is consumed: its format name and input move into the result.
   ParseResult R;
-  R.Format = J.Req.Format;
-  R.Input = J.Req.Input;
+  R.Format = std::move(J.Req.Format);
+  R.Input = std::move(J.Req.Input);
+  const FormatCtx &FC = Formats[J.FormatIdx];
+  std::unique_ptr<Engine> &Eng = Engines[J.FormatIdx];
+  if (!Eng) {
+    if (Opts.Mode == EngineKind::Generated)
+      Eng = std::make_unique<GenEngine>(FC.Module, FC.Load->G);
+    else if (Opts.Mode == EngineKind::Vm)
+      Eng = std::make_unique<BytecodeVM>(FC.Load->G, FC.Blackboxes.get(),
+                                         Opts.Engine);
+    else
+      Eng = std::make_unique<Interp>(FC.Load->G, FC.Blackboxes.get(),
+                                     Opts.Engine);
+  }
 
-  int FI = formatIndex(J.Req.Format);
-  if (FI < 0 || !R.Input) {
-    R.Err = FI < 0 ? "format '" + J.Req.Format + "' not configured"
-                   : "null input source";
+  // Adopt one returned store before parsing: the steady-state cycle is
+  // parse -> detach -> consumer destroys -> give -> adopt -> parse,
+  // with zero heap allocation on this (the parse) side. Stores are
+  // format-agnostic scratch, so any engine of this worker may reuse
+  // one; an engine with a store already parked declines.
+  if (TreeStore *S = Slot.take())
+    if (!Eng->adoptStore(S))
+      TreeStore::destroy(S);
+
+  bool DeadlineArmed = false;
+  if (J.SOpts.hasDeadline() && !(DeadlineArmed = Eng->setDeadline(
+                                     J.SOpts.Deadline))) {
+    R.Err = std::string("engine '") + engineKindName(Opts.Mode) +
+            "' does not support deadlines";
   } else {
-    const FormatCtx &FC = Formats[FI];
-    std::unique_ptr<Engine> &Eng = Engines[FI];
-    if (!Eng) {
-      if (Opts.Mode == EngineKind::Generated)
-        Eng = std::make_unique<GenEngine>(FC.Module, FC.Load->G);
-      else if (Opts.Mode == EngineKind::Vm)
-        Eng = std::make_unique<BytecodeVM>(FC.Load->G, FC.Blackboxes.get(),
-                                           Opts.Engine);
-      else
-        Eng = std::make_unique<Interp>(FC.Load->G, FC.Blackboxes.get(),
-                                       Opts.Engine);
-    }
-
-    // Adopt one returned store before parsing: the steady-state cycle is
-    // parse -> detach -> consumer destroys -> give -> adopt -> parse,
-    // with zero heap allocation on this (the parse) side. Stores are
-    // format-agnostic scratch, so any engine of this worker may reuse
-    // one; an engine with a store already parked declines.
-    if (TreeStore *S = Slot.take())
-      if (!Eng->adoptStore(S))
-        TreeStore::destroy(S);
-
-    bool DeadlineArmed = false;
-    if (J.SOpts.hasDeadline() && !(DeadlineArmed = Eng->setDeadline(
-                                       J.SOpts.Deadline))) {
-      R.Err = std::string("engine '") + engineKindName(Opts.Mode) +
-              "' does not support deadlines";
+    Expected<TreePtr> T = Eng->parse(R.Input->span());
+    R.Stats = Eng->stats();
+    if (DeadlineArmed)
+      Eng->clearDeadline();
+    if (T) {
+      R.Tree = (*T).detach(); // severs engine-thread affinity
+      R.Slot = SlotRef;
     } else {
-      Expected<TreePtr> T = Eng->parse(R.Input->span());
-      R.Stats = Eng->stats();
-      if (DeadlineArmed)
-        Eng->clearDeadline();
-      if (T) {
-        R.Tree = (*T).detach(); // severs engine-thread affinity
-        R.Slot = SlotRef;
-      } else {
-        R.Err = T.message();
-      }
+      R.Err = T.message();
     }
   }
 
@@ -304,10 +301,13 @@ std::future<ParseResult> ParseService::submit(ParseRequest Request,
 
   // Fail fast (no worker round-trip) for requests that can never parse.
   std::string Early;
-  if (I->formatIndex(J.Req.Format) < 0)
+  int FI = I->formatIndex(J.Req.Format);
+  if (FI < 0)
     Early = "format '" + J.Req.Format + "' not configured";
   else if (!J.Req.Input)
     Early = "null input source";
+  else
+    J.FormatIdx = static_cast<size_t>(FI);
 
   {
     std::lock_guard<std::mutex> L(I->QM);
@@ -348,10 +348,13 @@ ParseService::submitBatch(std::vector<ParseRequest> Requests) {
   {
     std::lock_guard<std::mutex> L(I->QM);
     for (Job &J : Jobs) {
-      if (I->Stopping || I->formatIndex(J.Req.Format) < 0 || !J.Req.Input)
+      int FI = I->formatIndex(J.Req.Format);
+      if (I->Stopping || FI < 0 || !J.Req.Input) {
         Rejected.push_back(std::move(J));
-      else
+      } else {
+        J.FormatIdx = static_cast<size_t>(FI);
         I->Queue.push_back(std::move(J));
+      }
     }
   }
   I->QCV.notify_all();

@@ -472,6 +472,13 @@ public:
     Stamp[Key] = (static_cast<uint64_t>(Gen) << 32) | Idx;
   }
 
+  /// Sizes the index for keys below \p Keys up front, so record() never
+  /// grows it for them.
+  void reserve(size_t Keys) {
+    if (Stamp.size() < Keys)
+      Stamp.resize(Keys, 0);
+  }
+
   /// Drops \p Key from this generation.
   void forget(uint32_t Key) {
     if (Key < Stamp.size())

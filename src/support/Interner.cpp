@@ -7,22 +7,67 @@
 
 #include "support/Interner.h"
 
-#include <string>
+#include <algorithm>
+#include <cstdint>
 #include <string_view>
 
 using namespace ipg;
 
+namespace {
+constexpr size_t BlockBytes = 1024;
+constexpr size_t MinSlots = 64;
+
+size_t hashName(std::string_view Name) {
+  uint64_t H = 1469598103934665603ull; // FNV-1a
+  for (unsigned char C : Name) {
+    H ^= C;
+    H *= 1099511628211ull;
+  }
+  return static_cast<size_t>(H ^ (H >> 32));
+}
+} // namespace
+
+StringInterner::StringInterner() : Slots(MinSlots, InvalidSymbol) {
+  Names.emplace_back("<invalid>");
+}
+
+size_t StringInterner::slotOf(std::string_view Name) const {
+  const size_t Mask = Slots.size() - 1;
+  for (size_t I = hashName(Name) & Mask;; I = (I + 1) & Mask)
+    if (Slots[I] == InvalidSymbol || Names[Slots[I]] == Name)
+      return I;
+}
+
 Symbol StringInterner::intern(std::string_view Name) {
-  auto It = Ids.find(std::string(Name));
-  if (It != Ids.end())
-    return It->second;
+  size_t Slot = slotOf(Name);
+  if (Slots[Slot] != InvalidSymbol)
+    return Slots[Slot];
+
+  if (Name.size() > BlockFree) {
+    size_t Bytes = std::max(Name.size(), BlockBytes);
+    Blocks.emplace_back(new char[Bytes]);
+    BlockNext = Blocks.back().get();
+    BlockFree = Bytes;
+  }
+  char *Copy = BlockNext;
+  std::copy(Name.begin(), Name.end(), Copy);
+  BlockNext += Name.size();
+  BlockFree -= Name.size();
+
   Symbol S = static_cast<Symbol>(Names.size());
-  Names.emplace_back(Name);
-  Ids.emplace(std::string(Name), S);
+  Names.emplace_back(Copy, Name.size());
+  Slots[Slot] = S;
+  if (2 * Names.size() > Slots.size()) {
+    // Rehash into twice the slots; every spelling is already unique.
+    std::vector<Symbol> Old(Slots.size() * 2, InvalidSymbol);
+    Old.swap(Slots);
+    for (Symbol Live : Old)
+      if (Live != InvalidSymbol)
+        Slots[slotOf(Names[Live])] = Live;
+  }
   return S;
 }
 
 Symbol StringInterner::lookup(std::string_view Name) const {
-  auto It = Ids.find(std::string(Name));
-  return It == Ids.end() ? InvalidSymbol : It->second;
+  return Slots[slotOf(Name)];
 }

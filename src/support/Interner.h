@@ -18,9 +18,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
+#include <memory>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace ipg {
@@ -34,7 +33,7 @@ using ipg_rt::Symbol;
 /// one grammar refer to its interner.
 class StringInterner {
 public:
-  StringInterner() { Names.emplace_back("<invalid>"); }
+  StringInterner();
 
   /// Returns the Symbol for \p Name, creating it on first use.
   Symbol intern(std::string_view Name);
@@ -42,15 +41,25 @@ public:
   /// Returns the Symbol for \p Name, or InvalidSymbol if never interned.
   Symbol lookup(std::string_view Name) const;
 
-  /// The spelling of \p S. \p S must be a symbol from this interner.
+  /// The spelling of \p S. \p S must be a symbol from this interner. The
+  /// view stays valid for the interner's lifetime.
   std::string_view name(Symbol S) const { return Names.at(S); }
 
   /// Number of interned symbols, including the reserved invalid slot.
   size_t size() const { return Names.size(); }
 
 private:
-  std::vector<std::string> Names;
-  std::unordered_map<std::string, Symbol> Ids;
+  /// Spellings, packed into blocks that never move once allocated.
+  std::vector<std::unique_ptr<char[]>> Blocks;
+  char *BlockNext = nullptr; ///< first unused byte of Blocks.back()
+  size_t BlockFree = 0;      ///< unused bytes from BlockNext on
+  std::vector<std::string_view> Names;
+  /// Open-addressing hash index over Names: a Symbol per slot, 0 marks an
+  /// empty slot. Its size is a power of two, kept at most half full.
+  std::vector<Symbol> Slots;
+
+  /// The slot holding \p Name, or the empty slot where it would go.
+  size_t slotOf(std::string_view Name) const;
 };
 
 } // namespace ipg

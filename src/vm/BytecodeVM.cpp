@@ -19,6 +19,7 @@
 #include "runtime/ParseScratch.h"
 #include "support/GenRuntime.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -870,8 +871,15 @@ BytecodeVM::BytecodeVM(const Grammar &G, const BlackboxRegistry *Blackboxes,
   // BytecodeVM.h): the dispatch loop then only runs for the few programs
   // that genuinely need an operand stack.
   Quick.resize(S->Lowered.Exprs.size());
-  for (uint32_t Id = 0; Id < Quick.size(); ++Id)
+  uint32_t MaxStack = 0;
+  for (uint32_t Id = 0; Id < Quick.size(); ++Id) {
     Quick[Id] = classifyExpr(S->Lowered, Id, QuickDigits);
+    if (Quick[Id].K == QuickExpr::General)
+      MaxStack = std::max(MaxStack, S->Lowered.Exprs[Id].MaxStack);
+  }
+  // The operand stack of the deepest dispatch-loop program, sized once
+  // (only nested exists-scans stack above it).
+  S->VStack.reserve(MaxStack);
 }
 
 BytecodeVM::~BytecodeVM() = default;
