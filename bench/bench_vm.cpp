@@ -141,8 +141,9 @@ int main(int argc, char **argv) {
     ByteSpan Image = ByteSpan::of(Bytes);
     const Grammar &G = (*VE).Load->G;
     bool ColdOk = true;
-    double LoadAllocs = coldAllocs(
-        [&] { ColdOk &= static_cast<bool>(formats::loadFormatGrammar(FI.Name)); });
+    double LoadAllocs = coldAllocs([&] {
+      ColdOk &= static_cast<bool>(formats::loadFormatGrammar(FI.Name));
+    });
     double ColdParseAllocs = coldAllocs([&] {
       auto E = makeEngine(EngineKind::Vm, G, (*VE).Blackboxes.get());
       ColdOk &= E && (*E)->parse(Image);

@@ -73,8 +73,8 @@ bool definedByEveryAlt(const Rule &R, Symbol S) {
   return true;
 }
 
-/// Calls \p Fn with the local rule every term of \p Alt invokes (through a
-/// nonterminal, an array, or a switch arm).
+/// Calls \p Visit with the local rule every term of \p Alt invokes
+/// (through a nonterminal, an array, or a switch arm).
 template <typename Fn>
 void forEachLocalCallee(const Grammar &G, const Alternative &Alt, Fn &&Visit) {
   auto Local = [&](RuleId Id) {
@@ -145,10 +145,7 @@ private:
   void addFreeRef(const Alternative &Alt, const Expr &E);
 
   bool isBound(Symbol S) const {
-    for (Symbol B : Bound)
-      if (B == S)
-        return true;
-    return false;
+    return std::find(Bound.begin(), Bound.end(), S) != Bound.end();
   }
   std::string_view name(Symbol S) const { return G.interner().name(S); }
   /// "rule 'R': " then \p Parts, appended one by one: GCC 12 reports

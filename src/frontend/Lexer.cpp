@@ -112,7 +112,9 @@ bool isDigit(char C) { return C >= '0' && C <= '9'; }
 bool isHexDigit(char C) {
   return isDigit(C) || (C >= 'a' && C <= 'f') || (C >= 'A' && C <= 'F');
 }
-bool isAlpha(char C) { return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z'); }
+bool isAlpha(char C) {
+  return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z');
+}
 bool isIdentChar(char C) { return isAlpha(C) || isDigit(C) || C == '_'; }
 int hexValue(char C) {
   return C <= '9' ? C - '0' : (C | 0x20) - 'a' + 10;
