@@ -252,6 +252,15 @@ inline std::atomic<uint64_t> &allocCounterStorage() {
   static std::atomic<uint64_t> Count{0};
   return Count;
 }
+inline std::atomic<uint64_t> &allocByteStorage() {
+  static std::atomic<uint64_t> Bytes{0};
+  return Bytes;
+}
+/// Counts one operator-new call of \p Size bytes.
+inline void countAlloc(std::size_t Size) {
+  allocCounterStorage().fetch_add(1, std::memory_order_relaxed);
+  allocByteStorage().fetch_add(Size, std::memory_order_relaxed);
+}
 } // namespace detail
 
 /// aligned_alloc requires the size to be a multiple of the alignment.
@@ -264,74 +273,93 @@ inline std::size_t alignUp(std::size_t Size, std::align_val_t Align) {
 inline uint64_t allocCount() {
   return detail::allocCounterStorage().load(std::memory_order_relaxed);
 }
+
+/// Bytes requested by those calls (freed memory is not subtracted).
+inline uint64_t allocBytes() {
+  return detail::allocByteStorage().load(std::memory_order_relaxed);
+}
 } // namespace ipg::bench
 
-void *operator new(std::size_t Size) {
-  ipg::bench::detail::allocCounterStorage().fetch_add(
-      1, std::memory_order_relaxed);
+// Every replacement stays out of line. Inlined, one half of a pair
+// exposes malloc or free to GCC 12, which then sees them meet the other
+// half's operator new or delete in the caller and warns
+// (-Wmismatched-new-delete), although every pair here is malloc/free
+// underneath.
+#define IPG_BENCH_NOINLINE __attribute__((noinline))
+
+IPG_BENCH_NOINLINE void *operator new(std::size_t Size) {
+  ipg::bench::detail::countAlloc(Size);
   if (void *P = std::malloc(Size ? Size : 1))
     return P;
   throw std::bad_alloc();
 }
 
-void *operator new[](std::size_t Size) {
-  ipg::bench::detail::allocCounterStorage().fetch_add(
-      1, std::memory_order_relaxed);
+IPG_BENCH_NOINLINE void *operator new[](std::size_t Size) {
+  ipg::bench::detail::countAlloc(Size);
   if (void *P = std::malloc(Size ? Size : 1))
     return P;
   throw std::bad_alloc();
 }
 
-void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
-  ipg::bench::detail::allocCounterStorage().fetch_add(
-      1, std::memory_order_relaxed);
+IPG_BENCH_NOINLINE void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
+  ipg::bench::detail::countAlloc(Size);
   return std::malloc(Size ? Size : 1);
 }
 
-void *operator new[](std::size_t Size, const std::nothrow_t &) noexcept {
-  ipg::bench::detail::allocCounterStorage().fetch_add(
-      1, std::memory_order_relaxed);
+IPG_BENCH_NOINLINE void *operator new[](std::size_t Size, const std::nothrow_t &) noexcept {
+  ipg::bench::detail::countAlloc(Size);
   return std::malloc(Size ? Size : 1);
 }
 
 // Over-aligned news must be counted too, or alignas(32) runtime types
 // would silently bypass the CI allocation gate.
-void *operator new(std::size_t Size, std::align_val_t Align) {
-  ipg::bench::detail::allocCounterStorage().fetch_add(
-      1, std::memory_order_relaxed);
+IPG_BENCH_NOINLINE void *operator new(std::size_t Size, std::align_val_t Align) {
+  ipg::bench::detail::countAlloc(Size);
   if (void *P = std::aligned_alloc(static_cast<std::size_t>(Align),
                                    ipg::bench::alignUp(Size, Align)))
     return P;
   throw std::bad_alloc();
 }
 
-void *operator new[](std::size_t Size, std::align_val_t Align) {
-  ipg::bench::detail::allocCounterStorage().fetch_add(
-      1, std::memory_order_relaxed);
+IPG_BENCH_NOINLINE void *operator new[](std::size_t Size, std::align_val_t Align) {
+  ipg::bench::detail::countAlloc(Size);
   if (void *P = std::aligned_alloc(static_cast<std::size_t>(Align),
                                    ipg::bench::alignUp(Size, Align)))
     return P;
   throw std::bad_alloc();
 }
 
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
-void operator delete(void *P, const std::nothrow_t &) noexcept {
+IPG_BENCH_NOINLINE void operator delete(void *P) noexcept { std::free(P); }
+IPG_BENCH_NOINLINE void operator delete[](void *P) noexcept { std::free(P); }
+IPG_BENCH_NOINLINE void operator delete(void *P, std::size_t) noexcept {
   std::free(P);
 }
-void operator delete[](void *P, const std::nothrow_t &) noexcept {
+IPG_BENCH_NOINLINE void operator delete[](void *P, std::size_t) noexcept {
   std::free(P);
 }
-void operator delete(void *P, std::align_val_t) noexcept { std::free(P); }
-void operator delete[](void *P, std::align_val_t) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t, std::align_val_t) noexcept {
+IPG_BENCH_NOINLINE void operator delete(void *P,
+                                      const std::nothrow_t &) noexcept {
   std::free(P);
 }
-void operator delete[](void *P, std::size_t, std::align_val_t) noexcept {
+IPG_BENCH_NOINLINE void operator delete[](void *P,
+                                        const std::nothrow_t &) noexcept {
   std::free(P);
 }
+IPG_BENCH_NOINLINE void operator delete(void *P, std::align_val_t) noexcept {
+  std::free(P);
+}
+IPG_BENCH_NOINLINE void operator delete[](void *P, std::align_val_t) noexcept {
+  std::free(P);
+}
+IPG_BENCH_NOINLINE void operator delete(void *P, std::size_t,
+                                      std::align_val_t) noexcept {
+  std::free(P);
+}
+IPG_BENCH_NOINLINE void operator delete[](void *P, std::size_t,
+                                        std::align_val_t) noexcept {
+  std::free(P);
+}
+#undef IPG_BENCH_NOINLINE
 
 #endif // IPG_BENCH_COUNT_ALLOCS
 

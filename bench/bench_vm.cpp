@@ -25,6 +25,11 @@
 ///     allocations of one loadGrammar of the format (tokenize, parse,
 ///     complete, check), and of a fresh VM engine's construction plus
 ///     its first parse of the sample (lowering, frames, a new store).
+///   deep_alloc_bytes_per_level (entry `depth/vm`) — also GATED: heap
+///     bytes a fresh VM engine allocates for one 10^6-level parse of a
+///     linear list rule (depth_test's `A -> "x"[0, 1] A[1, EOI] /
+///     "x"[0, 1]`), per level — what depth-free recursion costs per
+///     grammar level: tree, memo table and the tier's level records.
 ///   mean_us, bytes_per_sec, speedup — information only (the speedup
 ///     is VM-over-interpreter on this machine; the >=1.5x target on
 ///     pdf/elf is for real cores, not noisy CI runners).
@@ -40,6 +45,7 @@
 #define IPG_BENCH_COUNT_ALLOCS
 #include "BenchUtil.h"
 
+#include "analysis/AttributeCheck.h"
 #include "formats/FormatRegistry.h"
 #include "runtime/Engine.h"
 
@@ -180,6 +186,36 @@ int main(int argc, char **argv) {
     std::printf("%-16s | %10zu | %10.2f | %12.2f | %10.1f | %7.2fx\n",
                 Entry.c_str(), Bytes.size(), Vm.MeanUs, Bps / 1e6,
                 Vm.AllocsPerParse, Speedup);
+  }
+
+  // The per-level footprint of depth-free recursion. Deterministic: the
+  // vector and arena growth it sums follows the input, not the machine.
+  {
+    constexpr size_t Levels = 1'000'000;
+    auto Load = loadGrammar(R"(A -> "x"[0, 1] A[1, EOI] / "x"[0, 1] ;)");
+    EngineOptions Opts;
+    Opts.MaxDepth = size_t{1} << 21;
+    if (!Load) {
+      std::fprintf(stderr, "error: depth/vm: %s\n", Load.message().c_str());
+      return 1;
+    }
+    auto E = makeEngine(EngineKind::Vm, Load->G, nullptr, Opts);
+    if (!E) {
+      std::fprintf(stderr, "error: depth/vm: %s\n", E.message().c_str());
+      return 1;
+    }
+    std::vector<uint8_t> In(Levels, 'x');
+    const uint64_t B0 = allocBytes();
+    if (!(*E)->parse(ByteSpan::of(In)) ||
+        (*E)->stats().PeakDepth != Levels + 1) {
+      std::fprintf(stderr, "error: depth/vm: the deep list parse failed\n");
+      return 1;
+    }
+    const double PerLevel = static_cast<double>(allocBytes() - B0) / Levels;
+    Report.add("depth/vm", "levels", static_cast<double>(Levels));
+    Report.add("depth/vm", "deep_alloc_bytes_per_level", PerLevel);
+    std::printf("%-16s | %10zu levels | %8.1f heap bytes per level\n",
+                "depth/vm", Levels, PerLevel);
   }
 
   Report.add("process", "peak_rss_bytes",

@@ -29,6 +29,9 @@ GATED_METRICS = [
     # a fresh VM engine's construction plus its first parse.
     "load_allocs",
     "cold_parse_allocs",
+    # ... and the per-level heap footprint of a 10^6-level list parse
+    # (depth-free recursion: tree, memo table, the tier's level records).
+    "deep_alloc_bytes_per_level",
     # BENCH_roundtrip.json (serializer): print-exactness facts. More gap
     # or overlap bytes means the printer (or a grammar) stopped covering
     # the corpus the way the committed baseline proves it can.

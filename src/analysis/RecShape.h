@@ -8,20 +8,21 @@
 /// \file
 /// Classifies every rule by the shape of its recursion so the execution
 /// engines can make grammar recursion depth independent of the C++ call
-/// stack. Three tiers, shared by the interpreter and the code generator
-/// (one analysis, so the two engines cannot disagree about execution
+/// stack. Three tiers, shared by the host engines and the code generator
+/// (one analysis, so the engines cannot disagree about execution
 /// strategy):
 ///
 ///   Direct    — the rule is on no call-graph cycle. Recursive descent is
 ///               safe: its C-stack use is bounded by the grammar's own
 ///               structure, never by input size.
-///   Flattened — linear self-recursion (the PDF `XNum`/`Scan` shape, DNS
-///               `Name`/`RRs`): exactly one self-reference, in plain
-///               nonterminal position, and every other callee stays off
-///               any cycle through the rule. The engines run these as a
-///               descend/unwind loop over compact per-level records — one
-///               frame total, O(1) C stack, depth bounded only by
-///               EngineOptions::MaxDepth.
+///   Flattened — linear self-recursion (every recursive rule of the
+///               bundled formats: PDF `XNum`/`Scan`, DNS `Name`/`RRs`, zip
+///               `LFs`/`CDs`, gif `Blocks`/`SubBlocks`): exactly one
+///               self-reference, in plain nonterminal position, and every
+///               other callee stays off any cycle through the rule. The
+///               engines run these as a descend/unwind loop over compact
+///               per-level records — one frame total, O(1) C stack, depth
+///               bounded only by EngineOptions::MaxDepth.
 ///   Step      — every other recursion (mutual cycles, multiple
 ///               self-alternatives, self under array/switch, where-clause
 ///               rules on a cycle), plus every rule that can transitively

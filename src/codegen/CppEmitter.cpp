@@ -822,7 +822,7 @@ void Emitter::emitRule(RuleId Id) {
             "  { bool MOk = false;\n"
             "    if (C.memoFind(" + RId + "u, AbsLo, AbsHi, MOk, Out)) "
             "return MOk; }\n";
-  Body += "  ipg_rt::Frame &F = C.frameAt((size_t)Depth);\n";
+  Body += "  ipg_rt::Frame &F = C.frameAt((size_t)Depth - C.frameBias());\n";
   Body += LocalsMarker;
   for (size_t AltIdx = 0; AltIdx < RL.Alts.size(); ++AltIdx) {
     const lir::AltL &Alt = RL.Alts[AltIdx];
@@ -893,13 +893,17 @@ void Emitter::emitFlattenedRule(RuleId Id) {
   Body += "  size_t CurLo = AbsLo, CurHi = AbsHi;\n"
           "  unsigned Sub = 0;\n"
           "  int Depth = 0; (void)Depth;\n"
-          "  ipg_rt::Frame &F = C.frameAt((size_t)Depth0);\n";
+          "  // Children run in the frames right above this loop's own: the\n"
+          "  // frame bias grows by one per pending level.\n"
+          "  const size_t Bias0 = C.frameBias();\n"
+          "  ipg_rt::Frame &F = C.frameAt((size_t)Depth0 - Bias0);\n";
   Body += LocalsMarker;
   Body += "flat_descend:\n"
           "  // Depth here is VIRTUAL: entry depth plus pending levels —\n"
           "  // the exact figure the recursive form would have reached.\n"
           "  Depth = (int)((long long)Depth0 + (long long)(Lv.size() - "
           "LvBase));\n"
+          "  C.setFrameBias(Bias0 + (Lv.size() - LvBase));\n"
           "  if ((long long)Depth >= C.depthLimit()) { C.noteFail(" +
           idRef(RL.Name) + ", (long long)CurLo); C.hardFail(); "
           "goto flat_hard; }\n"
@@ -970,7 +974,8 @@ void Emitter::emitFlattenedRule(RuleId Id) {
   // alternative failed at the current level (prefix, child, or suffix).
   Body += "flat_post_alts: ;\n"
           "  Depth = (int)((long long)Depth0 + (long long)(Lv.size() - "
-          "LvBase));\n";
+          "LvBase));\n"
+          "  C.setFrameBias(Bias0 + (Lv.size() - LvBase));\n";
   if (PN)
     Body += "  FK.resize(KidBase + (Lv.size() - LvBase) * " + PNs + "u);\n";
   for (size_t AltIdx = FI.SelfAlt + 1; AltIdx < RL.Alts.size(); ++AltIdx) {
@@ -1002,7 +1007,8 @@ void Emitter::emitFlattenedRule(RuleId Id) {
           "  if (Lv.size() == LvBase) {\n";
   if (PN)
     Body += "    FK.resize(KidBase);\n";
-  Body += "    return false;\n"
+  Body += "    C.setFrameBias(Bias0);\n"
+          "    return false;\n"
           "  }\n"
           "  CurLo = Lv.back().AbsLo; CurHi = Lv.back().AbsHi; "
           "Lv.pop_back();\n"
@@ -1018,6 +1024,7 @@ void Emitter::emitFlattenedRule(RuleId Id) {
           "Lv.pop_back();\n"
           "    Depth = (int)((long long)Depth0 + (long long)(Lv.size() - "
           "LvBase));\n"
+          "    C.setFrameBias(Bias0 + (Lv.size() - LvBase));\n"
           "    F.beginAlt(C.base(), CurLo, CurHi, nullptr, " +
           std::to_string(SAlt.Exec.size()) + ");\n";
   {
@@ -1059,9 +1066,11 @@ void Emitter::emitFlattenedRule(RuleId Id) {
           "  }\n";
   if (PN)
     Body += "  FK.resize(KidBase);\n";
-  Body += "  Out = Sub;\n"
+  Body += "  C.setFrameBias(Bias0);\n"
+          "  Out = Sub;\n"
           "  return true;\n"
           "flat_hard:\n"
+          "  C.setFrameBias(Bias0);\n"
           "  Lv.resize(LvBase);\n";
   if (PN)
     Body += "  FK.resize(KidBase);\n";
@@ -1215,6 +1224,7 @@ Expected<std::string> Emitter::run() {
            BbNames + "0u,\n};\n\n";
 
   RuleId Start = M.Start;
+  const lir::FramePlan Frames = lir::framePlan(M);
   std::string StartCall =
       M.Rules[Start].Shape == ExecShape::Step
           ? "ipg_rt::runMachine(C, StepFns, RuleNames, " +
@@ -1228,8 +1238,8 @@ Expected<std::string> Emitter::run() {
   Out += "/// A parse result: the root node, in the store it was built into.\n"
          "using NodePtr = const ipg_rt::NodeTree *;\n\n";
   Out += Table + Decls + "\n" + StepTable + EvalFns + RuleFns;
-  Out += "/// A reusable generated parser. The memo table and the per-depth\n"
-         "/// frame pool are recycled across parse() calls, and so is the\n"
+  Out += "/// A reusable generated parser. The memo table and the frame\n"
+         "/// pool are recycled across parse() calls, and so is the\n"
          "/// store a tree is built into, so steady-state parsing performs\n"
          "/// no heap allocation. Leaves alias the input buffer.\n"
          "class Parser {\n"
@@ -1237,6 +1247,9 @@ Expected<std::string> Emitter::run() {
          "  Parser() {\n"
          "    C.setNames(Names, sizeof(Names) / sizeof(Names[0]));\n"
          "    C.setBlackboxNames(BlackboxNames);\n"
+         "    C.setFramePlan(" + std::to_string(Frames.Depth) + ", " +
+         std::to_string(Frames.Terms) + ", " +
+         std::to_string(Frames.Keys) + ");\n"
          "    // EngineOptions::MaxDepth at emission time; adjust per\n"
          "    // instance with setDepthLimit.\n"
          "    C.setDepthLimit(" + std::to_string(Opts.MaxDepth) +

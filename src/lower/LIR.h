@@ -358,11 +358,21 @@ struct Module {
 /// comment for how unchecked grammars degrade). The module borrows \p G.
 Module lower(const Grammar &G);
 
-/// The longest chain of rule activations from the start rule that
-/// repeats no rule (a recursive call is not followed): the frame depth
-/// a parse reaches unless it recurses. 0 when the start rule is
-/// unresolved. Engines size their frame pools from it.
-size_t frameDepth(const Module &M);
+/// How engines size their frame pools. Frames are indexed by C-stack
+/// nesting (a flattened loop's children run right above the loop's own
+/// frame), so a parse uses Depth frames at most — the longest chain of
+/// rule activations from the start rule that repeats no rule, 0 when the
+/// start rule is unresolved — unless the step machine or nested
+/// where-clause rules go deeper. Each of those Depth frames is built in
+/// one allocation (ipg_rt::Frame::create) with capacity for the longest
+/// alternative's Terms (touch records, child ids, env slots plus
+/// start/end) and an attribute index for every symbol below Keys.
+struct FramePlan {
+  size_t Depth = 0;
+  size_t Terms = 0;
+  size_t Keys = 0;
+};
+FramePlan framePlan(const Module &M);
 
 /// Structural validation of a lowered module: resolved rule targets and
 /// intervals, literal-table consistency, jump-target well-formedness

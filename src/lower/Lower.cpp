@@ -872,7 +872,9 @@ private:
 
 Module ipg::lir::lower(const Grammar &G) { return Lowering(G).run(); }
 
-size_t ipg::lir::frameDepth(const Module &M) {
+namespace {
+
+size_t frameDepth(const Module &M) {
   if (M.Start == InvalidRuleId)
     return 0;
   enum : uint8_t { Unseen, Open, Closed };
@@ -901,6 +903,21 @@ size_t ipg::lir::frameDepth(const Module &M) {
     return Depth[Id] = Deepest + 1;
   };
   return Visit(Visit, M.Start);
+}
+
+} // namespace
+
+lir::FramePlan ipg::lir::framePlan(const Module &M) {
+  FramePlan P;
+  P.Depth = frameDepth(M);
+  for (const RuleL &R : M.Rules)
+    for (const AltL &A : R.Alts) {
+      P.Terms = std::max(P.Terms, A.Exec.size());
+      for (const TermL &T : A.Exec)
+        if (T.Op == TermOp::SetAttr || T.Op == TermOp::ForArray)
+          P.Keys = std::max<size_t>(P.Keys, T.Sym + 1);
+    }
+  return P;
 }
 
 namespace {

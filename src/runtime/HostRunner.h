@@ -144,6 +144,11 @@ private:
   unsigned Tick = 0; ///< amortizes the deadline clock reads
   Error Hard = Error::success();
   size_t Depth = 0;
+  /// Depth minus frame index: the rule entered at depth D runs in frame
+  /// D - FrameBias. A flattened loop raises it by one per pending level,
+  /// so its children run in the frames right above the loop's own,
+  /// however deep its virtual recursion is.
+  size_t FrameBias = 0;
 
   /// Salvage gate (see Lower.cpp's markRecoverable): the number of
   /// alternative attempts anywhere on the (virtual) stack that still
@@ -831,7 +836,7 @@ private:
     if (!enterRule(R, Id, Input, Memoize, Result))
       return Result;
 
-    Frame &F = St.frameAt(Depth);
+    Frame &F = St.frameAt(Depth - FrameBias);
     if constexpr (Evaluator::Fuse) {
       if (R.Plan != lir::NoPlan) {
         const lir::RecordPlan &P = L.Plans[R.Plan];
@@ -900,9 +905,10 @@ private:
     // alternative iff post-self alternatives exist to fall back to.
     const bool HasPost = FI.SelfAlt + 1 < R.Alts.size();
     const size_t EntryDepth = Depth;
+    const size_t EntryBias = FrameBias;
     const size_t LvBase = St.FlatLevels.size();
     const size_t KidBase = St.FlatKids.size();
-    Frame &F = St.frameAt(EntryDepth + 1);
+    Frame &F = St.frameAt(EntryDepth + 1 - EntryBias);
     ByteSpan Cur = Input;
     uint32_t Sub = InvalidNode;
     int64_t SLo = 0, SHi = 0;
@@ -911,6 +917,7 @@ private:
     // Depth here is VIRTUAL — entry depth plus pending levels, the exact
     // figure the recursive form would have reached.
     Depth = EntryDepth + (St.FlatLevels.size() - LvBase);
+    FrameBias = EntryBias + (St.FlatLevels.size() - LvBase);
     if (!enterRule(R, Id, Cur, Memoize, Sub)) {
       if (Hard)
         goto flat_hard;
@@ -1004,6 +1011,7 @@ private:
     // alternative failed at the current level (prefix, child, or suffix).
   flat_post_alts:
     Depth = EntryDepth + 1 + (St.FlatLevels.size() - LvBase);
+    FrameBias = EntryBias + (St.FlatLevels.size() - LvBase);
     St.FlatKids.resize(KidBase +
                        (St.FlatLevels.size() - LvBase) * PN);
     for (size_t AI = FI.SelfAlt + 1; AI < R.Alts.size(); ++AI) {
@@ -1035,6 +1043,7 @@ private:
     if (St.FlatLevels.size() == LvBase) {
       St.FlatKids.resize(KidBase);
       Depth = EntryDepth;
+      FrameBias = EntryBias;
       return InvalidNode;
     }
     Cur = St.FlatLevels.back();
@@ -1051,6 +1060,7 @@ private:
       Cur = St.FlatLevels.back();
       St.FlatLevels.pop_back();
       Depth = EntryDepth + 1 + (St.FlatLevels.size() - LvBase);
+      FrameBias = EntryBias + (St.FlatLevels.size() - LvBase);
       beginAlt(F, Cur, nullptr, SAlt.Exec.size());
       size_t KidJ = 0;
       bool Ok = true;
@@ -1094,6 +1104,7 @@ private:
     }
     St.FlatKids.resize(KidBase);
     Depth = EntryDepth;
+    FrameBias = EntryBias;
     return Sub;
 
     // A hard failure aborts the whole activation: recursion unwinds every
@@ -1102,6 +1113,7 @@ private:
     St.FlatLevels.resize(LvBase);
     St.FlatKids.resize(KidBase);
     Depth = EntryDepth;
+    FrameBias = EntryBias;
     return InvalidNode;
   }
 

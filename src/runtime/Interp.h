@@ -35,7 +35,7 @@
 /// code generator.
 ///
 /// Hot-path memory discipline: parse trees are built in an arena-backed
-/// TreeStore, per-depth frame scratch lives in a pool, and the memo table
+/// TreeStore, frame scratch lives in a pool, and the memo table
 /// keeps its capacity across parses. A parse allocates from the heap only
 /// while these structures first grow; once the caller drops the previous
 /// TreePtr before the next parse() the engine recycles the store and

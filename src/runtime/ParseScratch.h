@@ -13,15 +13,14 @@
 /// recursion / Flattened descend-replay / Step work-stack machine) over
 /// the same lowered module (lower/LIR.h). The frame an alternative runs
 /// in is ipg_rt::Frame (support/GenRuntime.h), the one generated parsers
-/// use too; this header pools those frames per depth and holds what only
+/// use too; this header pools those frames by nesting and holds what only
 /// the host needs around them: the lowered module and resolved blackbox
 /// sites, the memo table, per-nesting array scratch, the flattened
 /// window stack, machine activation records, the VM's operand stack, and
 /// the store-recycling slot. Everything here survives across parse()
 /// calls so the steady state allocates nothing: vectors and the memo
 /// table keep their capacity through clear(), the TreeStore keeps its
-/// arena blocks through reset(), and frames are pooled per recursion
-/// depth.
+/// arena blocks through reset(), and frames are pooled.
 ///
 /// This header is an implementation detail of the host runner and its two
 /// engines; nothing else should include it (public surfaces expose it
@@ -39,10 +38,8 @@
 #include "support/Bytes.h"
 #include "support/GenRuntime.h"
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace ipg {
@@ -51,8 +48,10 @@ struct ParseScratch {
   /// ipg_rt::memoPack'd outcomes — the same encoding the generated Ctx
   /// uses, through the same helpers; ids are stable within a parse.
   ipg_rt::FlatIntervalMap<uint32_t> Memo;
-  /// Per-depth frames (ipg_rt::Frame, the frame every tier runs in).
-  std::vector<std::unique_ptr<ipg_rt::Frame>> FramePool;
+  /// Frames by C-stack nesting (ipg_rt::Frame, the frame every tier runs
+  /// in), sized by FrameSizes.
+  std::vector<ipg_rt::FramePtr> FramePool;
+  lir::FramePlan FrameSizes;
   std::vector<std::vector<uint32_t>> ElemScratch; // per array-nesting level
   size_t ArrayNest = 0;
 
@@ -130,12 +129,12 @@ struct ParseScratch {
   /// failed one it serves the next parse (no result escaped).
   StoreSlot Stores;
 
-  /// The pooled frame of recursion depth \p Depth, resolving children
-  /// against the store of the parse in flight. Frames deeper than those
-  /// bindGrammar built (recursion) start empty and grow as they are used.
+  /// The pooled frame \p Depth, resolving children against the store of
+  /// the parse in flight. Frames deeper than those bindGrammar built (the
+  /// step machine, nested where-clause rules) are built on first use.
   ipg_rt::Frame &frameAt(size_t Depth) {
     while (FramePool.size() <= Depth)
-      FramePool.push_back(std::make_unique<ipg_rt::Frame>());
+      growFramePool();
     ipg_rt::Frame &F = *FramePool[Depth];
     F.Store = &Stores.current();
     return F;
@@ -147,39 +146,30 @@ struct ParseScratch {
     return ElemScratch[Level];
   }
 
+  /// Adds the next frame to the pool. Frame 0 hosts no rule (rule entry
+  /// counts depth from 1); frames 1 to FrameSizes.Depth are sized for any
+  /// alternative; deeper ones, a step machine's frame per level, start
+  /// empty so a million-level machine parse pays only what it uses.
+  void growFramePool() {
+    const size_t D = FramePool.size();
+    const bool Sized = D > 0 && D <= FrameSizes.Depth;
+    FramePool.push_back(ipg_rt::Frame::create(Sized ? FrameSizes.Terms : 0,
+                                              Sized ? FrameSizes.Keys : 0));
+  }
+
   /// Shared by Interp/BytecodeVM construction: lower the grammar once,
   /// resolve every blackbox call site against \p Blackboxes, and build the
-  /// frames of the grammar's deepest rule chain (lir::frameDepth), so a
+  /// frames of the grammar's deepest rule chain (lir::FramePlan), so a
   /// fresh engine's first parse does not grow them depth by depth.
   void bindGrammar(const Grammar &G, const BlackboxRegistry *Blackboxes) {
     Lowered = lir::lower(G);
     BbFns.reserve(Lowered.BbSites.size());
     for (const lir::BbSite &Site : Lowered.BbSites)
       BbFns.push_back(Blackboxes ? Blackboxes->find(Site.NameStr) : nullptr);
-    // Frame capacities: the terms of the longest alternative (touch
-    // records, children, env slots) and one past the largest attribute
-    // symbol a frame's env can record.
-    size_t FrameTerms = 0, FrameKeys = 0;
-    for (const lir::RuleL &R : Lowered.Rules)
-      for (const lir::AltL &A : R.Alts) {
-        FrameTerms = std::max(FrameTerms, A.Exec.size());
-        for (const lir::TermL &T : A.Exec)
-          if (T.Op == lir::TermOp::SetAttr || T.Op == lir::TermOp::ForArray)
-            FrameKeys = std::max<size_t>(FrameKeys, T.Sym + 1);
-      }
-    // Depth 0 hosts no rule (rule entry counts depth from 1): frame 0
-    // stays unsized.
-    const size_t Depth = lir::frameDepth(Lowered);
-    FramePool.reserve(Depth + 1);
-    FramePool.push_back(std::make_unique<ipg_rt::Frame>());
-    while (FramePool.size() <= Depth) {
-      auto F = std::make_unique<ipg_rt::Frame>();
-      F->Recs.resize(FrameTerms);
-      F->Kids.reserve(FrameTerms);
-      F->E.reserve(FrameTerms + 2); // + start/end, which freeze appends
-      F->EIx.reserve(FrameKeys);
-      FramePool.push_back(std::move(F));
-    }
+    FrameSizes = lir::framePlan(Lowered);
+    FramePool.reserve(FrameSizes.Depth + 1);
+    while (FramePool.size() <= FrameSizes.Depth)
+      growFramePool();
   }
 
   /// Shared parse-entry reset: recycle or allocate the store and clear

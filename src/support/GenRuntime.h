@@ -54,7 +54,7 @@
 ///    freeze(), which turns a frame into a node.
 ///
 /// 5. The embedded runtime of generated parsers: the per-parse Ctx with
-///    its memo table and per-depth frame pools, the step machine, and the
+///    its memo table and frame pool, the step machine, and the
 ///    blackbox registration hook (Section 3.4), recycled across parses so
 ///    steady-state parsing performs no heap allocation.
 ///
@@ -436,6 +436,52 @@ private:
 // Slot indexing (the O(1) attribute index behind every Frame).
 //===----------------------------------------------------------------------===//
 
+/// The one block a pooled frame's arrays start in (Frame::create): a
+/// bump region that FrameAlloc carves in order.
+struct FrameBlock {
+  unsigned char *Begin = nullptr, *Cur = nullptr, *End = nullptr;
+};
+
+/// The allocator of a frame's arrays: requests that fit the frame's block
+/// are carved from it, and anything else — an array outgrowing its
+/// share, or a frame built without a block — goes to the heap. Memory
+/// inside the block is never freed piecemeal; it goes with the frame.
+template <class T> struct FrameAlloc {
+  using value_type = T;
+  FrameBlock *B = nullptr;
+
+  FrameAlloc() = default;
+  explicit FrameAlloc(FrameBlock *B) : B(B) {}
+  template <class U> FrameAlloc(const FrameAlloc<U> &O) : B(O.B) {}
+
+  T *allocate(size_t N) {
+    if (B && B->Cur) {
+      const uintptr_t At =
+          (reinterpret_cast<uintptr_t>(B->Cur) + alignof(T) - 1) &
+          ~static_cast<uintptr_t>(alignof(T) - 1);
+      if (N <= (reinterpret_cast<uintptr_t>(B->End) - At) / sizeof(T)) {
+        B->Cur = reinterpret_cast<unsigned char *>(At + N * sizeof(T));
+        return reinterpret_cast<T *>(At);
+      }
+    }
+    return static_cast<T *>(::operator new(N * sizeof(T)));
+  }
+  void deallocate(T *P, size_t) {
+    const auto *C = reinterpret_cast<const unsigned char *>(P);
+    if (!B || C < B->Begin || C >= B->End)
+      ::operator delete(P);
+  }
+  template <class U> bool operator==(const FrameAlloc<U> &O) const {
+    return B == O.B;
+  }
+  template <class U> bool operator!=(const FrameAlloc<U> &O) const {
+    return B != O.B;
+  }
+};
+
+/// A growable array that starts in its frame's block.
+template <class T> using FrameVec = std::vector<T, FrameAlloc<T>>;
+
 /// A generation-stamped direct map from small integer keys (interned
 /// symbols) to slot positions in a flat
 /// environment. Replaces the linear scans attribute-heavy rules used to
@@ -444,6 +490,10 @@ private:
 /// environment resets stay free no matter how large the key space grew.
 class SlotIndex {
 public:
+  /// An index whose stamps start in \p B (a frame's block), or on the
+  /// heap.
+  explicit SlotIndex(FrameBlock *B = nullptr) : Stamp(FrameAlloc<uint64_t>(B)) {}
+
   /// Invalidate every recorded position (new environment generation).
   void clear() {
     if (++Gen == 0) {
@@ -486,7 +536,7 @@ public:
   }
 
 private:
-  std::vector<uint64_t> Stamp; ///< per-key (generation << 32) | index
+  FrameVec<uint64_t> Stamp; ///< per-key (generation << 32) | index
   uint32_t Gen = 1;            ///< stamp 0 marks never-written keys
 };
 
@@ -1114,26 +1164,45 @@ inline const NodeTree *ArrayTree::element(size_t I) const {
 
 /// Per-alternative execution state: the local input window, the scratch
 /// environment E, the ids of already-built children, and per-term touch
-/// records. Frames are pooled per recursion depth and reused across
-/// alternatives and parses.
+/// records. Frames are pooled by nesting and reused across alternatives
+/// and parses; a pooled frame (create) holds itself and the first
+/// buffers of all four of its arrays in one allocation.
 ///
 /// Env slot order, the same in every tier: E holds the alternative's own
 /// attributes in first-definition order, start/end live in fields, and
 /// freeze() appends them last — so a node lists its own attributes in
 /// definition order, then start, then end.
+struct Frame;
+struct FrameDelete {
+  void operator()(Frame *F) const;
+};
+/// An owning handle to a pooled frame (Frame::create).
+using FramePtr = std::unique_ptr<Frame, FrameDelete>;
+
 struct Frame {
+  Frame() = default;
+  Frame(const Frame &) = delete; // the arrays point into Block
+  Frame &operator=(const Frame &) = delete;
+
+  /// A frame sized for alternatives of up to \p Terms terms whose env
+  /// records symbols below \p Keys (lir::FramePlan): the frame and the
+  /// first buffers of its four arrays share one allocation.
+  static FramePtr create(size_t Terms, size_t Keys);
+
   const unsigned char *Base = nullptr; ///< the byte at absolute offset 0
   size_t Lo = 0, Hi = 0; ///< local input = Base[Lo, Hi), absolute offsets
   const NodeStore *Store = nullptr; ///< resolves the ids in Kids
   const Frame *Lexical = nullptr; ///< enclosing frame for where-clause rules
-  std::vector<EnvSlot> E;
-  SlotIndex EIx; ///< O(1) symbol -> E position, regenerated per alternative
+  FrameBlock Block; ///< where the arrays below start (create)
+  FrameVec<EnvSlot> E{FrameAlloc<EnvSlot>(&Block)};
+  /// O(1) symbol -> E position, regenerated per alternative.
+  SlotIndex EIx{&Block};
   /// start/end live in dedicated fields, not E slots: updStartEnd touches
   /// them on every byte-touching term, so the hottest two keys skip the
   /// index entirely.
   bool HasStart = false, HasEnd = false;
   long long StartV = 0, EndV = 0;
-  std::vector<unsigned> Kids;
+  FrameVec<unsigned> Kids{FrameAlloc<unsigned>(&Block)};
   /// Per-term touch records, invalidated per alternative by generation
   /// stamp (a rule with many failing alternatives — every Digit-style
   /// dispatch — pays O(1) per attempt instead of refilling the array).
@@ -1142,7 +1211,7 @@ struct Frame {
     long long Start = 0;
     long long End = 0;
   };
-  std::vector<Rec> Recs;
+  FrameVec<Rec> Recs{FrameAlloc<Rec>(&Block)};
   unsigned RecGen = 0;
 
   void beginAlt(const unsigned char *B, size_t L, size_t H, const Frame *Lex,
@@ -1280,6 +1349,32 @@ struct Frame {
   }
 };
 
+inline FramePtr Frame::create(size_t Terms, size_t Keys) {
+  // Rounding every array to 8 bytes covers each next array's alignment.
+  static_assert(alignof(Rec) <= 8 && alignof(EnvSlot) <= 8,
+                "frame arrays are carved at 8-byte granularity");
+  auto Round8 = [](size_t N) { return (N + 7) & ~size_t{7}; };
+  const size_t Head = (sizeof(Frame) + alignof(std::max_align_t) - 1) &
+                      ~(alignof(std::max_align_t) - 1);
+  const size_t Bytes = Round8(Terms * sizeof(Rec)) +
+                       Round8(Terms * sizeof(unsigned)) +
+                       Round8((Terms + 2) * sizeof(EnvSlot)) +
+                       Round8(Keys * sizeof(uint64_t));
+  auto *Mem = static_cast<unsigned char *>(::operator new(Head + Bytes));
+  Frame *F = new (Mem) Frame();
+  F->Block = FrameBlock{Mem + Head, Mem + Head, Mem + Head + Bytes};
+  F->Recs.resize(Terms);
+  F->Kids.reserve(Terms);
+  F->E.reserve(Terms + 2); // + start/end, which freeze appends
+  F->EIx.reserve(Keys);
+  return FramePtr(F);
+}
+
+inline void FrameDelete::operator()(Frame *F) const {
+  F->~Frame();
+  ::operator delete(F);
+}
+
 /// Freezes \p F's environment and child ids into \p S as a node of rule
 /// \p Rule: E's slots, then start/end folded back from their fields (the
 /// frame's env slot order), then dropped again — E's index never saw them.
@@ -1352,9 +1447,10 @@ using BlackboxInvFn = bool (*)(void *User, const unsigned char *Decoded,
                                BlackboxEncOut &Out);
 
 /// One pending level of a flattened linear-recursive rule: the interval
-/// the level parses. 16 bytes per grammar-recursion level (instead of a
-/// C-stack frame) is what lets a megabyte-deep PDF `Scan`/`XNum` spine
-/// fit in a few MB of heap.
+/// the level parses. 16 bytes per grammar-recursion level, plus 4 per
+/// banked prefix child (Ctx::flatPrefixKids), instead of a C-stack frame
+/// is what lets a megabyte-deep PDF `Scan`/`XNum` spine run in about
+/// 16 MB of level records.
 struct FlatLevel {
   size_t AbsLo = 0;
   size_t AbsHi = 0;
@@ -1394,7 +1490,7 @@ using StepFn = int (*)(Ctx &, Task &);
 enum : int { StepFail = 0, StepDone = 1, StepCall = 2 };
 
 /// The recycled scratch state behind one generated parser: the memo
-/// table, per-depth frame pool and per-nesting array scratch, plus the
+/// table, frame pool and per-nesting array scratch, plus the
 /// NodeStore of the parse in flight, which the caller owns. beginParse()
 /// recycles everything without releasing capacity.
 class Ctx {
@@ -1428,6 +1524,7 @@ public:
     Hits = 0;
     Misses = 0;
     Peak = 0;
+    Bias = 0;
     FlatLevels.clear();
     FlatKids.clear();
     Steps.clear();
@@ -1567,11 +1664,30 @@ public:
   /// Tree objects in the store of the current parse.
   size_t nodeCount() const { return S ? S->nodeCount() : 0; }
 
-  /// The pooled frame of recursion depth \p Depth, resolving children
-  /// against the store of the parse in flight.
+  /// The grammar's lir::FramePlan: the first \p Frames frames this
+  /// context builds fit every alternative (\p Terms, \p Keys) in one
+  /// allocation each; deeper ones, a step machine's frame per level,
+  /// start empty.
+  void setFramePlan(size_t Frames, size_t Terms, size_t Keys) {
+    SizedFrames = Frames;
+    FrameTerms = Terms;
+    FrameKeys = Keys;
+  }
+
+  /// Depth minus frame index of direct rule functions: a flattened loop
+  /// raises it by one per pending level, so its children run in the
+  /// frames right above the loop's own, however deep its virtual
+  /// recursion is.
+  size_t frameBias() const { return Bias; }
+  void setFrameBias(size_t B) { Bias = B; }
+
+  /// The pooled frame \p Depth, resolving children against the store of
+  /// the parse in flight.
   Frame &frameAt(size_t Depth) {
     while (Frames.size() <= Depth)
-      Frames.push_back(std::unique_ptr<Frame>(new Frame()));
+      Frames.push_back(Frames.size() < SizedFrames
+                           ? Frame::create(FrameTerms, FrameKeys)
+                           : Frame::create(0, 0));
     Frame &F = *Frames[Depth];
     F.Store = S;
     return F;
@@ -1659,7 +1775,9 @@ private:
   FlatIntervalMap<unsigned> Memo; ///< memoPack'd outcomes
 
   std::vector<BlackboxSlot> Blackboxes;
-  std::vector<std::unique_ptr<Frame>> Frames;
+  std::vector<FramePtr> Frames;
+  size_t SizedFrames = 0, FrameTerms = 0, FrameKeys = 0; ///< setFramePlan
+  size_t Bias = 0; ///< frameBias()
   std::vector<std::vector<unsigned>> ElemScratch;
   std::vector<FlatLevel> FlatLevels;
   std::vector<unsigned> FlatKids;

@@ -212,6 +212,75 @@ TEST(RecoveryTest, DataDependentUnresolvedBoundsStillReject) {
   }
 }
 
+namespace {
+
+/// A self-recursive list with an alternative AFTER its self alternative
+/// (the terminator T), followed by a fixed trailer. While a list level is
+/// inside its self alternative it has T left to try, so damage inside an
+/// element is never fenced where it sits: each level fails over to T, and
+/// only the list head — with no enclosing level left to backtrack into —
+/// may fence T's failing terminal. The trailer's damage is fenced in
+/// place.
+const char *SelfListGrammar = R"(
+  S -> L[0, EOI - 2] Z[EOI - 2, EOI] ;
+  L -> E[0, 2] L[2, EOI] / T[0, EOI] ;
+  E -> "ab"[0, 2] ;
+  T -> "."[0, 1] raw[1, EOI] ;
+  Z -> "zz"[0, 2] ;
+)";
+
+} // namespace
+
+TEST(RecoveryTest, SalvageOnSelfRecursiveListFencesAtTheListHead) {
+  Grammar G = load(SelfListGrammar);
+  const std::string GoodText = "ababababab.zz";
+  const std::vector<uint8_t> Good(GoodText.begin(), GoodText.end());
+  std::vector<uint8_t> Bad = Good;
+  Bad[6] = 'X';  // inside the fourth element, four list levels deep
+  Bad[12] = 'Q'; // inside the trailer
+
+  for (EngineKind Kind : InProcessKinds) {
+    SCOPED_TRACE(engineKindName(Kind));
+    auto Strict = makeEngine(Kind, G);
+    ASSERT_TRUE(Strict) << Strict.message();
+    EXPECT_FALSE((*Strict)->parse(ByteSpan::of(Bad)));
+
+    auto E = makeEngine(Kind, G, nullptr, salvageOpts());
+    ASSERT_TRUE(E) << E.message();
+    auto TGood = (*E)->parse(ByteSpan::of(Good));
+    ASSERT_TRUE(TGood) << TGood.message();
+    EXPECT_EQ((*E)->stats().ParseVerdict, Verdict::Accept);
+    // S, six L levels (five elements, then the terminator's), T.
+    EXPECT_EQ((*E)->stats().PeakDepth, 8u);
+
+    auto TBad = (*E)->parse(ByteSpan::of(Bad));
+    ASSERT_TRUE(TBad) << TBad.message();
+    const EngineStats &Stats = (*E)->stats();
+    EXPECT_EQ(Stats.ParseVerdict, Verdict::Salvage);
+    ASSERT_EQ(Stats.HolesInTree, 2u);
+    expectHolesWellFormed(**TBad, Stats, Bad.size());
+    std::vector<HoleRecord> Holes;
+    collectHoles(**TBad, Holes);
+    ASSERT_EQ(Holes.size(), 2u);
+    // The list head's terminator, over its own "." window: levels 3
+    // down to 1 ran T while an enclosing level still had T left to try,
+    // so none of them could fence.
+    EXPECT_EQ(G.interner().name(Holes[0].Rule), "T");
+    EXPECT_EQ(Holes[0].Lo, 0);
+    EXPECT_EQ(Holes[0].Hi, 1);
+    EXPECT_EQ(G.interner().name(Holes[1].Rule), "Z");
+    EXPECT_EQ(Holes[1].Lo, 11);
+    EXPECT_EQ(Holes[1].Hi, 13);
+
+    // Holes alias the damaged bytes and T's raw covers the rest of the
+    // list, so the salvaged tree reprints the input with no gaps.
+    auto P = serialize::printTree(**TBad, G);
+    ASSERT_TRUE(P) << P.message();
+    EXPECT_EQ(P->Bytes, Bad) << "salvaged tree did not reprint byte-exact";
+    EXPECT_EQ(P->GapBytes, 0u);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Every format corpus under the shared damage grid: interpreter and VM
 // must agree verdict-for-verdict (and tree-for-tree), holes must be
