@@ -23,7 +23,11 @@
 ///     aggregate bytes/sec, plus `service/scaling` with the 4-vs-1
 ///     speedup. Timing metrics are information-only in CI (runners have
 ///     2-4 cores and noisy neighbors); the >=3x acceptance figure is for
-///     local machines with >=4 real cores.
+///     local machines with >=4 real cores. The consumer walks every
+///     returned tree before dropping it, as a reading client does, so
+///     stores come home marked read and are claimed on adoption; each
+///     point also reports ParseService::metrics() as stores built and
+///     stores claimed per measured job.
 ///
 /// Usage: bench_service [output.json] [jobs] [--engine interp|vm|generated]
 ///
@@ -36,8 +40,8 @@
 /// engine-independent (the differential harness locks node/memo parity),
 /// so ONE committed baseline gates every engine — a drift in the VM run
 /// is an engine-parity break, not a schema mismatch. This is the proof
-/// that ParseService drives the VM through the identical mailbox
-/// store-recycling path with zero parse-path allocations.
+/// that ParseService drives the VM through the identical store-pool
+/// recycling path with zero parse-path allocations.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -201,6 +205,7 @@ double benchServicePoint(const std::vector<CorpusCase> &Corpus,
         return 0;
   }
 
+  ServiceMetrics M0 = (*Svc)->metrics();
   auto T0 = std::chrono::steady_clock::now();
   std::vector<std::future<ParseResult>> Futures =
       (*Svc)->submitBatch(std::move(Batch));
@@ -214,10 +219,20 @@ double benchServicePoint(const std::vector<CorpusCase> &Corpus,
       return 0;
     }
     Latencies.push_back(R.latencyUs());
+    if (treeSize(*R.root()) == 0)
+      std::abort();
     // R destroyed here, on this (the consumer) thread: the store goes
-    // home through the ReturnSlot, which is the path being measured.
+    // home, read, through the worker's pool, which is the path being
+    // measured.
   }
   auto T1 = std::chrono::steady_clock::now();
+  ServiceMetrics M1 = (*Svc)->metrics();
+  double BuiltPerJob =
+      static_cast<double>(M1.StoresBuilt - M0.StoresBuilt) /
+      static_cast<double>(Jobs);
+  double ClaimedPerJob =
+      static_cast<double>(M1.StoresClaimed - M0.StoresClaimed) /
+      static_cast<double>(Jobs);
 
   double WallUs =
       std::chrono::duration<double, std::micro>(T1 - T0).count();
@@ -234,13 +249,15 @@ double benchServicePoint(const std::vector<CorpusCase> &Corpus,
   Report.add(Entry, "p99_us",
              static_cast<double>(percentileUs(Latencies, 99)));
   Report.add(Entry, "agg_bytes_per_sec", AggBytesPerSec);
+  Report.add(Entry, "stores_built_per_job", BuiltPerJob);
+  Report.add(Entry, "stores_claimed_per_job", ClaimedPerJob);
 
   std::printf("%-24s | %6zu jobs | %9.2f ms | p50 %7llu us | p99 %7llu us"
-              " | %8.2f MB/s\n",
+              " | %8.2f MB/s | built %.2f claimed %.2f /job\n",
               Entry.c_str(), Jobs, WallUs / 1000.0,
               static_cast<unsigned long long>(percentileUs(Latencies, 50)),
               static_cast<unsigned long long>(percentileUs(Latencies, 99)),
-              AggBytesPerSec / 1e6);
+              AggBytesPerSec / 1e6, BuiltPerJob, ClaimedPerJob);
   return AggBytesPerSec;
 }
 

@@ -61,6 +61,10 @@ INFO_METRICS = [
     "agg_bytes_per_sec",
     "wall_ms",
     "speedup",
+    # ... and its store economy (ParseService::metrics per measured job):
+    # how many parses built a store, and how many adopted a read one.
+    "stores_built_per_job",
+    "stores_claimed_per_job",
 ]
 ADDITIVE_SLACK = 2.0
 

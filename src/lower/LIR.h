@@ -189,8 +189,9 @@ struct TermL {
   /// lowering (lower/Lower.cpp's marking pass) so the engines share one
   /// decision point and cannot diverge: positional terms (CallRule,
   /// MatchBytes, MatchRaw, Select, CallBlackbox) of each rule's LAST
-  /// alternative, excluding the self alternative of Flattened rules
-  /// (its descend/replay machinery must see real failures). Data-
+  /// alternative, unless that alternative calls its own rule (a
+  /// Flattened rule's descend/replay machinery must see real failures,
+  /// and every tier fences such a list alike). Data-
   /// dependent terms (SetAttr, Check, ForArray) are never recoverable —
   /// their damage escalates to the nearest enclosing recoverable
   /// boundary.

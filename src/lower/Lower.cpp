@@ -334,7 +334,7 @@ public:
       RL.Alts.reserve(R.Alts.size());
       for (const Alternative &Alt : R.Alts)
         RL.Alts.push_back(lowerAlt(Alt));
-      markRecoverable(RL);
+      markRecoverable(Id, RL);
       planRecord(Id, RL);
     }
     M.Start = G.findGlobal(G.startSymbol());
@@ -528,18 +528,21 @@ private:
   /// alternative anywhere on the stack has untried later alternatives"
   /// (the BacktrackLive counter in Interp/BytecodeVM): a hole is legal
   /// exactly when Strict would have failed the whole parse rather than
-  /// backtracked, which keeps Salvage strictly additive. The self
-  /// alternative of a Flattened rule is excluded wholesale (the
-  /// descend/replay loop banks child results and probes terminals
-  /// without building leaves; a hole emitted mid-probe would be
-  /// double-materialized on replay).
-  void markRecoverable(RuleL &RL) {
+  /// backtracked, which keeps Salvage strictly additive. A last
+  /// alternative that calls its own rule is excluded wholesale, whatever
+  /// tier runs the rule: the descend/replay loop of a Flattened rule
+  /// banks child results and probes terminals without building leaves (a
+  /// hole emitted mid-probe would be double-materialized on replay), and
+  /// the same list run on the step machine (say, written as a where-
+  /// clause rule) must fence where its Flattened twin does.
+  void markRecoverable(RuleId Id, RuleL &RL) {
     if (RL.Alts.empty())
       return;
-    const size_t Last = RL.Alts.size() - 1;
-    if (RL.Shape == ExecShape::Flattened && RL.Flatten.SelfAlt == Last)
-      return;
-    for (TermL &T : RL.Alts[Last].Exec) {
+    std::vector<TermL> &Last = RL.Alts.back().Exec;
+    for (const TermL &T : Last)
+      if (T.Op == TermOp::CallRule && T.Rule == Id)
+        return;
+    for (TermL &T : Last) {
       switch (T.Op) {
       case TermOp::CallRule:
       case TermOp::MatchBytes:

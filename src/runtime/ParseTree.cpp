@@ -52,6 +52,10 @@ bool StoreSlot::adopt(TreeStore *Store) {
   if (!Store || Cur || Pool->Returned)
     return false;
   Store->bindRecycler(Pool);
+  if (Store->consumerRead()) {
+    Store->claim();
+    Store->Read.store(false, std::memory_order_relaxed);
+  }
   Store->reset();
   Pool->Returned = Store;
   return true;

@@ -40,9 +40,11 @@
 /// happen on the engine's thread; after it the store has no refcount
 /// traffic and no recycler rendezvous left, so the FrozenTree may be
 /// read and destroyed on ANY thread (synchronize the handoff itself — a
-/// promise/future or queue — as with any published object). No atomics
-/// are involved at any point: the hot path stays plain, and thread
-/// safety comes from ownership being exclusive by construction. Builds
+/// promise/future or queue — as with any published object). The parse
+/// path uses no atomics, and thread safety comes from ownership being
+/// exclusive by construction; the one atomic is the relaxed bit a
+/// FrozenTree sets when its tree is first read, which tells the adopting
+/// engine to claim the store's cache lines (StoreSlot::adopt). Builds
 /// with -DIPG_CHECK_OWNERSHIP=1 additionally record the owning thread
 /// per store and abort on a TreePtr touched from any other thread.
 ///
@@ -54,6 +56,7 @@
 #include "grammar/Grammar.h"
 #include "support/GenRuntime.h"
 
+#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -135,6 +138,12 @@ public:
 #endif
   }
 
+  /// Whether a consumer has read this store's tree since the store last
+  /// came home: set by the first FrozenTree accessor that exposes the
+  /// tree, and read and cleared by StoreSlot::adopt, which claims a read
+  /// store's cache lines before the next parse writes into them.
+  bool consumerRead() const { return Read.load(std::memory_order_relaxed); }
+
   /// Deletes \p S and, when it was the recycler's last store and the
   /// owner is already gone, the recycler too.
   static void destroy(TreeStore *S) {
@@ -146,6 +155,15 @@ public:
 
 private:
   friend class TreePtr;
+  friend class FrozenTree;
+  friend class StoreSlot;
+
+  /// Load first: a tree read over and over (or on several threads at
+  /// once) stores the bit once and keeps its line shared.
+  void markRead() const {
+    if (!Read.load(std::memory_order_relaxed))
+      Read.store(true, std::memory_order_relaxed);
+  }
 
 #ifdef IPG_CHECK_OWNERSHIP
   /// Debug-only single-mutator enforcement: every refcount touch must
@@ -188,6 +206,10 @@ private:
 
   Recycler *Pool = nullptr;
   mutable size_t RefCount = 0; ///< plain count: engine-thread only
+  /// consumerRead(). Relaxed-atomic because one FrozenTree may be read
+  /// on several threads at once; the store's trip home synchronizes it
+  /// with the adopting thread.
+  mutable std::atomic<bool> Read{false};
 #ifdef IPG_CHECK_OWNERSHIP
   /// The thread allowed to touch the refcount; default-constructed after
   /// detach() (meaning: any thread may destroy, none may share).
@@ -258,12 +280,14 @@ private:
 };
 
 /// An owning, immutable parse result with NO ties left to the engine
-/// that produced it: move-only (exclusive ownership — no refcount, no
-/// atomics), safe to read and to destroy on any thread once the handoff
-/// itself is synchronized (promise/future, queue). Destruction frees the
-/// store; releaseStore() instead surrenders it intact so a pool can
-/// route it back to a worker for Engine::adoptStore (the ParseService
-/// steady-state path).
+/// that produced it: move-only (exclusive ownership — no refcount),
+/// safe to read and to destroy on any thread once the handoff itself is
+/// synchronized (promise/future, queue). Destruction frees the store;
+/// releaseStore() instead surrenders it intact so a pool can route it
+/// back to a worker for Engine::adoptStore (the ParseService
+/// steady-state path). The accessors that expose the tree mark the
+/// store as read (TreeStore::consumerRead: one relaxed-atomic bit,
+/// stored once); operator bool does not.
 class FrozenTree {
 public:
   FrozenTree() = default;
@@ -283,9 +307,13 @@ public:
       TreeStore::destroy(Store);
   }
 
-  const ParseTree *get() const { return Root; }
-  const ParseTree &operator*() const { return *Root; }
-  const ParseTree *operator->() const { return Root; }
+  const ParseTree *get() const {
+    if (Store)
+      Store->markRead();
+    return Root;
+  }
+  const ParseTree &operator*() const { return *get(); }
+  const ParseTree *operator->() const { return get(); }
   explicit operator bool() const { return Root != nullptr; }
 
   const TreeStore *store() const { return Store; }
@@ -356,8 +384,10 @@ public:
   }
 
   /// Engine::adoptStore: parks a store coming home from a FrozenTree
-  /// round trip, declining when a spare already waits (one spare is all
-  /// a worker needs).
+  /// round trip, declining when the engine already holds one (a spare,
+  /// or the store a failed parse left behind). A store whose tree a
+  /// consumer read is claimed first (NodeStore::claim); an unread one is
+  /// only reset.
   bool adopt(TreeStore *Store);
 
 private:

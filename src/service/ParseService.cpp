@@ -12,76 +12,110 @@
 #include "runtime/Interp.h"
 #include "vm/BytecodeVM.h"
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 using namespace ipg;
 
 //===----------------------------------------------------------------------===//
-// ReturnSlot: consumer -> worker store channel
+// StorePool: one worker's stores, coming home from consumers
 //===----------------------------------------------------------------------===//
 
 namespace ipg::detail {
 
-/// A small mutex-protected mailbox of stores coming home from destroyed
-/// ParseResults. The mutex is only ever taken on the consumer's
-/// destruction path and at the worker's loop top — never inside a parse.
-/// Stores here are UNBOUND (detach() severed their recycler), so any
-/// thread may destroy them.
-struct ReturnSlot {
-  static constexpr size_t Cap = 4;
+/// A counter with one writer at a time (its worker, or whoever holds the
+/// pool's mutex) and lock-free readers (ParseService::metrics): relaxed
+/// load and store, no read-modify-write on the job path.
+struct Counter {
+  std::atomic<uint64_t> N{0};
+  void bump() {
+    N.store(N.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  }
+  uint64_t get() const { return N.load(std::memory_order_relaxed); }
+};
+
+/// The stores of one worker that no engine and no result holds: those
+/// destroyed ParseResults gave back (any thread, under the mutex), plus
+/// at most one Spare that an engine declined because it still held a
+/// store of its own. The worker offers the Spare first, so a declined
+/// store waits for the next engine that has none instead of dying. The
+/// mutex is taken on the consumer's destruction path and once per job at
+/// the worker's loop top, never inside a parse. Stores here are UNBOUND
+/// (detach() severed their recycler), so any thread may destroy them.
+struct StorePool {
+  /// Above what a worker keeps in circulation with a few requests in
+  /// flight (its results plus one store per engine), so a warm worker
+  /// drops none. Kept small because a worker frees its pool in one burst
+  /// at shutdown: with 64 small-input stores that burst freed enough
+  /// heap for glibc to trim it (a thread heap's top past 128 KB), and a
+  /// service created next page-faulted it back in (about 80 faults per
+  /// create-and-warm of a two-worker, six-format service).
+  static constexpr size_t Cap = 16;
 
   std::mutex M;
-  TreeStore *Stores[Cap];
-  size_t N = 0;
+  std::vector<TreeStore *> Stores; ///< capacity Cap: give() never allocates
   bool Open = true;
+  Counter Dropped;
 
-  /// Called by ParseResult destructors (any thread). Full or closed:
-  /// the store simply dies — correctness never depends on recycling.
+  /// Worker-only state, on its own line: consumers lock M above.
+  alignas(64) TreeStore *Spare = nullptr;
+  Counter Jobs, Built, Claimed;
+
+  StorePool() { Stores.reserve(Cap); }
+
+  /// Called by ParseResult destructors (any thread). Full or closed: the
+  /// store simply dies — correctness never depends on recycling.
   void give(TreeStore *S) {
     {
       std::lock_guard<std::mutex> L(M);
-      if (Open && N < Cap) {
-        Stores[N++] = S;
+      if (Open && Stores.size() < Cap) {
+        Stores.push_back(S);
         return;
       }
+      Dropped.bump();
     }
     TreeStore::destroy(S);
   }
 
-  /// Called by the owning worker only.
+  /// The owning worker only: the Spare, else the last store given back.
   TreeStore *take() {
+    if (TreeStore *S = std::exchange(Spare, nullptr))
+      return S;
     std::lock_guard<std::mutex> L(M);
-    return N ? Stores[--N] : nullptr;
+    if (Stores.empty())
+      return nullptr;
+    TreeStore *S = Stores.back();
+    Stores.pop_back();
+    return S;
   }
 
-  /// Worker shutdown: refuse future gives, drop what is parked.
+  /// Worker shutdown: refuse future gives, drop what is pooled.
   void close() {
-    TreeStore *Dead[Cap];
-    size_t NDead;
+    std::vector<TreeStore *> Dead;
     {
       std::lock_guard<std::mutex> L(M);
       Open = false;
-      NDead = N;
-      for (size_t I = 0; I < N; ++I)
-        Dead[I] = Stores[I];
-      N = 0;
+      Dead.swap(Stores);
     }
-    for (size_t I = 0; I < NDead; ++I)
-      TreeStore::destroy(Dead[I]);
+    if (Spare)
+      Dead.push_back(std::exchange(Spare, nullptr));
+    for (TreeStore *S : Dead)
+      TreeStore::destroy(S);
   }
 };
 
 } // namespace ipg::detail
 
 ParseResult::~ParseResult() {
-  // Route the store back to the worker that built it; without a slot
+  // Route the store back to the worker that built it; without a pool
   // (failed parse, moved-from result) the FrozenTree destructor frees it.
-  if (Tree && Slot)
-    Slot->give(Tree.releaseStore());
+  if (Tree && Pool)
+    Pool->give(Tree.releaseStore());
 }
 
 //===----------------------------------------------------------------------===//
@@ -120,7 +154,7 @@ struct ParseService::Impl {
   std::deque<Job> Queue;
   bool Stopping = false;
 
-  std::vector<std::shared_ptr<detail::ReturnSlot>> Slots;
+  std::vector<std::shared_ptr<detail::StorePool>> Pools;
   std::vector<std::thread> Threads;
 
   int formatIndex(const std::string &Name) const {
@@ -132,12 +166,11 @@ struct ParseService::Impl {
 
   void workerMain(unsigned Idx);
   void process(Job &J, std::vector<std::unique_ptr<Engine>> &Engines,
-               detail::ReturnSlot &Slot,
-               const std::shared_ptr<detail::ReturnSlot> &SlotRef);
+               const std::shared_ptr<detail::StorePool> &Pool);
 };
 
 void ParseService::Impl::workerMain(unsigned Idx) {
-  std::shared_ptr<detail::ReturnSlot> Slot = Slots[Idx];
+  std::shared_ptr<detail::StorePool> Pool = Pools[Idx];
   // One engine per format, built lazily ON THIS THREAD so every store,
   // recycler, and memo table it ever touches belongs here.
   std::vector<std::unique_ptr<Engine>> Engines(Formats.size());
@@ -152,18 +185,17 @@ void ParseService::Impl::workerMain(unsigned Idx) {
     Job J(std::move(Queue.front()));
     Queue.pop_front();
     L.unlock();
-    process(J, Engines, *Slot, Slot);
+    process(J, Engines, Pool);
   }
 
   // After close() a late ParseResult destruction frees its own store;
   // engine destructors then reclaim whatever is still parked in them.
-  Slot->close();
+  Pool->close();
 }
 
 void ParseService::Impl::process(
     Job &J, std::vector<std::unique_ptr<Engine>> &Engines,
-    detail::ReturnSlot &Slot,
-    const std::shared_ptr<detail::ReturnSlot> &SlotRef) {
+    const std::shared_ptr<detail::StorePool> &Pool) {
   // The job is consumed: its format name and input move into the result.
   ParseResult R;
   R.Format = std::move(J.Req.Format);
@@ -181,14 +213,19 @@ void ParseService::Impl::process(
                                      Opts.Engine);
   }
 
-  // Adopt one returned store before parsing: the steady-state cycle is
+  // Offer one pooled store before parsing: the steady-state cycle is
   // parse -> detach -> consumer destroys -> give -> adopt -> parse,
   // with zero heap allocation on this (the parse) side. Stores are
   // format-agnostic scratch, so any engine of this worker may reuse
-  // one; an engine with a store already parked declines.
-  if (TreeStore *S = Slot.take())
+  // one. An engine that still holds a store (a failed parse leaves its
+  // store behind) declines, and the store stays pooled as the Spare.
+  if (TreeStore *S = Pool->take()) {
+    bool Read = S->consumerRead();
     if (!Eng->adoptStore(S))
-      TreeStore::destroy(S);
+      Pool->Spare = S;
+    else if (Read)
+      Pool->Claimed.bump();
+  }
 
   bool DeadlineArmed = false;
   if (J.SOpts.hasDeadline() && !(DeadlineArmed = Eng->setDeadline(
@@ -200,14 +237,17 @@ void ParseService::Impl::process(
     R.Stats = Eng->stats();
     if (DeadlineArmed)
       Eng->clearDeadline();
+    if (!R.Stats.StoreRecycled)
+      Pool->Built.bump();
     if (T) {
       R.Tree = (*T).detach(); // severs engine-thread affinity
-      R.Slot = SlotRef;
+      R.Pool = Pool;
     } else {
       R.Err = T.message();
     }
   }
 
+  Pool->Jobs.bump(); // before set_value: the future publishes it
   R.LatencyUs = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - J.Submitted)
@@ -267,10 +307,10 @@ ParseService::create(const std::vector<std::string> &Formats,
     I.Formats.push_back(std::move(FC));
   }
 
-  I.Slots.reserve(I.Opts.Workers);
+  I.Pools.reserve(I.Opts.Workers);
   I.Threads.reserve(I.Opts.Workers);
   for (unsigned W = 0; W < I.Opts.Workers; ++W)
-    I.Slots.push_back(std::make_shared<detail::ReturnSlot>());
+    I.Pools.push_back(std::make_shared<detail::StorePool>());
   Impl *IP = &I;
   for (unsigned W = 0; W < I.Opts.Workers; ++W)
     I.Threads.emplace_back([IP, W] { IP->workerMain(W); });
@@ -369,6 +409,17 @@ ParseService::submitBatch(std::vector<ParseRequest> Requests) {
     J.Promise.set_value(std::move(R));
   }
   return Futures;
+}
+
+ServiceMetrics ParseService::metrics() const {
+  ServiceMetrics M;
+  for (const std::shared_ptr<detail::StorePool> &P : I->Pools) {
+    M.Jobs += P->Jobs.get();
+    M.StoresBuilt += P->Built.get();
+    M.StoresClaimed += P->Claimed.get();
+    M.StoresDropped += P->Dropped.get();
+  }
+  return M;
 }
 
 unsigned ParseService::workers() const { return I->Opts.Workers; }

@@ -26,13 +26,29 @@
 ///    read and destroyed on ANY thread.
 ///
 ///  - Recycling still works across the handoff: every result carries a
-///    reference to its worker's ReturnSlot. When the consumer destroys
-///    the result, the store is pushed into the slot (one mutex op on the
-///    *consumer's* cold path, not the parse path) and the worker adopts
-///    it at the top of its loop — steady-state service throughput does
-///    zero parse-path heap allocation per request, exactly like the
-///    single-threaded engines. If the worker is gone or the slot is
-///    full, the store is simply destroyed.
+///    reference to its worker's store pool. When the consumer destroys
+///    the result, the store is pushed into the pool (one mutex op on the
+///    *consumer's* cold path, not the parse path) and the worker offers
+///    one pooled store to the job's engine at the top of its loop —
+///    steady-state service throughput does zero parse-path heap
+///    allocation per request, exactly like the single-threaded engines.
+///    An engine that still holds a store (a failed parse leaves its
+///    store behind) declines the offer, and the store stays pooled for
+///    the next engine that has none, so a warm worker builds no store
+///    however its jobs mix formats and verdicts. The pool is bounded
+///    (16 stores per worker); a store given back to a full pool, or
+///    after its worker is gone, is destroyed.
+///
+///  - A store whose tree the consumer read comes home with its cache
+///    lines in the consumer's cache. FrozenTree's accessors mark such a
+///    store (one relaxed-atomic bit), and adopting it writes one byte per
+///    line of the span its last tree used, so the worker takes those
+///    lines in one pass before the parse instead of stalling on each
+///    write during it. A store nobody read is only reset.
+///
+///  - metrics() sums per-worker counters of that economy: jobs, stores
+///    built, stores claimed, stores dropped. The job path bumps them
+///    with relaxed single-writer stores and reads no clock for them.
 ///
 ///  - Results also keep their InputSource alive (ordinary leaves alias
 ///    the input bytes), so a ParseResult is valid after the request, the
@@ -88,10 +104,20 @@ struct SubmitOptions {
 };
 
 namespace detail {
-/// The store-return channel between result consumers (any thread) and
-/// the owning worker; see the ParseService file comment.
-struct ReturnSlot;
+/// One worker's pool of stores coming home from result consumers (any
+/// thread); see the ParseService file comment.
+struct StorePool;
 } // namespace detail
+
+/// A snapshot of the service's store-economy counters, summed over the
+/// workers when metrics() runs. Each counter is exact for the jobs it
+/// has seen; the snapshot is not atomic across counters or workers.
+struct ServiceMetrics {
+  uint64_t Jobs = 0;          ///< requests a worker finished
+  uint64_t StoresBuilt = 0;   ///< parses that found no store to recycle
+  uint64_t StoresClaimed = 0; ///< adopted stores whose tree was read
+  uint64_t StoresDropped = 0; ///< stores given back to a full or closed pool
+};
 
 /// The outcome of one request. Move-only and self-contained: owns the
 /// tree (FrozenTree), the input bytes backing its leaves, and a copy of
@@ -132,7 +158,7 @@ private:
 
   FrozenTree Tree;
   std::shared_ptr<InputSource> Input;
-  std::shared_ptr<detail::ReturnSlot> Slot;
+  std::shared_ptr<detail::StorePool> Pool;
   EngineStats Stats;
   std::string Err;
   std::string Format;
@@ -176,6 +202,11 @@ public:
   /// returned vector corresponds to Requests[I].
   std::vector<std::future<ParseResult>>
   submitBatch(std::vector<ParseRequest> Requests);
+
+  /// The workers' counters (see ServiceMetrics). Safe on any thread,
+  /// concurrently with submissions; a job is counted before its future
+  /// becomes ready.
+  ServiceMetrics metrics() const;
 
   unsigned workers() const;
   EngineKind mode() const;

@@ -652,6 +652,30 @@ public:
     End = Cur + Blocks[0].Size;
   }
 
+  /// Writes one byte per cache line over the blocks handed out since the
+  /// last reset(), so a thread about to reuse an arena another thread
+  /// has read takes those lines in one tight pass rather than stalling
+  /// on each one mid-parse. The contents become garbage: call it only
+  /// right before reset().
+  void claimUsed() {
+    for (size_t I = 0; I < Blocks.size() && I <= Current; ++I) {
+      uint8_t *B = Blocks[I].Memory.get();
+      claimLines(B, I == Current ? Cur : B + Blocks[I].Size);
+    }
+  }
+
+  /// One written byte in every 64-byte line [Begin, End) overlaps.
+  static void claimLines(void *Begin, void *End) {
+    auto *B = static_cast<uint8_t *>(Begin);
+    auto *E = static_cast<uint8_t *>(End);
+    if (B >= E)
+      return;
+    *B = 0;
+    for (uint8_t *P = B + (64 - (reinterpret_cast<uintptr_t>(B) & 63)); P < E;
+         P += 64)
+      *P = 0;
+  }
+
   /// Bytes handed out since construction or the last reset().
   size_t bytesAllocated() const { return TotalAllocated; }
 
@@ -1116,6 +1140,13 @@ public:
   void reset() {
     Mem.reset();
     Nodes.clear();
+  }
+
+  /// Arena::claimUsed over the arena bytes and the node index the last
+  /// parse used; call it right before reset().
+  void claim() {
+    Mem.claimUsed();
+    Arena::claimLines(Nodes.data(), Nodes.data() + Nodes.size());
   }
 
 private:

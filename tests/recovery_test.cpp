@@ -18,6 +18,9 @@
 ///    the input byte-for-byte (the hole aliases the damaged bytes);
 ///  - the limit: a bound that DEPENDS on data lost to the damage does
 ///    not resolve, so the parse cleanly rejects — salvage never guesses;
+///  - self-recursive lists fence by shape, not by execution tier: the
+///    same list as a loop-flattened global rule and as a where-clause
+///    rule on the step machine salvages to the same holes;
 ///  - the corrupt-at-offset sweep (tests/CorruptCorpus.h) over every
 ///    format corpus, in the interpreter AND the bytecode VM, demanding
 ///    identical verdicts, identical trees, well-formed hole records,
@@ -278,6 +281,65 @@ TEST(RecoveryTest, SalvageOnSelfRecursiveListFencesAtTheListHead) {
     ASSERT_TRUE(P) << P.message();
     EXPECT_EQ(P->Bytes, Bad) << "salvaged tree did not reprint byte-exact";
     EXPECT_EQ(P->GapBytes, 0u);
+  }
+}
+
+namespace {
+
+/// One list whose self alternative is its LAST (pdf's `Scan` shape):
+/// written as a global rule it is loop-flattened; written inside a where
+/// clause it runs on the step machine. A last alternative that calls its
+/// own rule never fences, in either form, so damage to an element's
+/// inline terminal unwinds the whole list into one hole at its caller.
+const char *TailListGlobal = R"(
+  S -> L[0, EOI - 2] Z[EOI - 2, EOI] ;
+  L -> "."[0, 1] / "ab"[0, 2] L[2, EOI] ;
+  Z -> "zz"[0, 2] ;
+)";
+const char *TailListLocal = R"(
+  S -> L[0, EOI - 2] Z[EOI - 2, EOI]
+       where { L -> "."[0, 1] / "ab"[0, 2] L[2, EOI] ; } ;
+  Z -> "zz"[0, 2] ;
+)";
+
+} // namespace
+
+TEST(RecoveryTest, SalvageVerdictIsTheSameForGlobalAndLocalTailList) {
+  Grammar Global = load(TailListGlobal);
+  Grammar Local = load(TailListLocal);
+  const std::string GoodText = "ababab.zz";
+  std::vector<uint8_t> Bad(GoodText.begin(), GoodText.end());
+  Bad[3] = 'X'; // inside the second element
+
+  for (EngineKind Kind : InProcessKinds) {
+    SCOPED_TRACE(engineKindName(Kind));
+    auto EG = makeEngine(Kind, Global, nullptr, salvageOpts());
+    ASSERT_TRUE(EG) << EG.message();
+    auto EL = makeEngine(Kind, Local, nullptr, salvageOpts());
+    ASSERT_TRUE(EL) << EL.message();
+
+    auto TG = (*EG)->parse(ByteSpan::of(Bad));
+    auto TL = (*EL)->parse(ByteSpan::of(Bad));
+    ASSERT_TRUE(TG) << TG.message();
+    ASSERT_TRUE(TL) << TL.message();
+    EXPECT_EQ((*EG)->stats().ParseVerdict, Verdict::Salvage);
+    EXPECT_EQ((*EL)->stats().ParseVerdict, Verdict::Salvage);
+
+    // One hole, the whole list, in both forms.
+    for (auto [G, T] : {std::pair<const Grammar *, const TreePtr *>{
+                            &Global, &*TG},
+                        {&Local, &*TL}}) {
+      std::vector<HoleRecord> Holes;
+      collectHoles(**T, Holes);
+      ASSERT_EQ(Holes.size(), 1u);
+      EXPECT_EQ(G->interner().name(Holes[0].Rule), "L");
+      EXPECT_EQ(Holes[0].Lo, 0);
+      EXPECT_EQ(Holes[0].Hi, 7);
+      auto P = serialize::printTree(**T, *G);
+      ASSERT_TRUE(P) << P.message();
+      EXPECT_EQ(P->Bytes, Bad) << "salvaged tree did not reprint byte-exact";
+      EXPECT_EQ(P->GapBytes, 0u);
+    }
   }
 }
 

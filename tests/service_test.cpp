@@ -16,6 +16,10 @@
 ///    through a FrozenTree is re-bound and recycled by the next parse;
 ///  - ParseService runs those pieces across N workers and M queued
 ///    mixed-format files with correct, self-contained results;
+///  - its per-worker store pool: a warm worker builds no store however
+///    rejects and accepts alternate, and stores whose trees the consumer
+///    read are claimed (ParseService::metrics counts both) without
+///    changing the trees parsed into them;
 ///  - under IPG_CHECK_OWNERSHIP, touching a NON-detached TreePtr's
 ///    refcount off the engine thread aborts (death test).
 ///
@@ -246,6 +250,81 @@ TEST(ParseServiceTest, SteadyStateJobCostsOnlyTheClientsPromise) {
   double PerJob = static_cast<double>(bench::allocCount() - Before) / Jobs;
   EXPECT_GE(PerJob, 2.0) << "the client's promise must be counted";
   EXPECT_LT(PerJob, 3.0);
+}
+
+TEST(ParseServiceTest, WarmWorkerBuildsNoStoreAcrossRejects) {
+  // A rejected parse leaves its store inside its engine, so that engine
+  // declines the next store it is offered. The declined store must stay
+  // pooled for the accepting engine: once warm, alternating a reject
+  // and an accept builds no store at all.
+  ParseServiceOptions Opts;
+  Opts.Workers = 1;
+  Opts.Mode = EngineKind::Vm;
+  Opts.Engine.Recovery = RecoveryPolicy::Salvage;
+  Opts.Engine.UseMemo = false;
+  auto Svc = ParseService::create({"dns", "gif"}, Opts);
+  ASSERT_TRUE(Svc) << Svc.message();
+  std::shared_ptr<InputSource> Bad = InputSource::fromBytes({9, 9, 9});
+  std::shared_ptr<InputSource> Good =
+      InputSource::fromBytes(formats::sampleInput("gif", 1));
+  auto RunRounds = [&](int N) {
+    for (int I = 0; I < N; ++I) {
+      ParseResult R = (*Svc)->submit(ParseRequest{"dns", Bad}).get();
+      ASSERT_FALSE(R.ok());
+      EXPECT_EQ(R.verdict(), Verdict::Reject);
+      ParseResult A = (*Svc)->submit(ParseRequest{"gif", Good}).get();
+      ASSERT_TRUE(A.ok()) << A.error();
+      EXPECT_NE(A.verdict(), Verdict::Reject);
+    }
+  };
+  RunRounds(4);
+  ServiceMetrics Warm = (*Svc)->metrics();
+  EXPECT_EQ(Warm.Jobs, 8u);
+  RunRounds(100);
+  ServiceMetrics M = (*Svc)->metrics();
+  EXPECT_EQ(M.Jobs - Warm.Jobs, 200u);
+  EXPECT_EQ(M.StoresBuilt, Warm.StoresBuilt)
+      << "a warm worker built a store";
+  EXPECT_EQ(M.StoresDropped, 0u);
+  // ok() and verdict() do not expose the tree: nothing was read, so
+  // nothing is claimed.
+  EXPECT_EQ(M.StoresClaimed, 0u);
+}
+
+TEST(ParseServiceTest, ClaimedStoresParseIdenticalTrees) {
+  // The consumer reads every tree before releasing it, so every store
+  // comes home marked read and is claimed before the next parse writes
+  // into it. The trees built into claimed stores must not change.
+  ParseServiceOptions Opts;
+  Opts.Workers = 1;
+  Opts.Mode = EngineKind::Vm;
+  const char *Names[] = {"dns", "gif", "zip"};
+  auto Svc = ParseService::create({Names[0], Names[1], Names[2]}, Opts);
+  ASSERT_TRUE(Svc) << Svc.message();
+  std::string Want[3];
+  std::shared_ptr<InputSource> In[3];
+  std::shared_ptr<LoadResult> Load[3];
+  for (int F = 0; F < 3; ++F) {
+    Want[F] = referenceDump(Names[F], 1);
+    In[F] = InputSource::fromBytes(formats::sampleInput(Names[F], 1));
+    auto FE = formats::makeFormatEngine(Names[F], EngineKind::Interp);
+    ASSERT_TRUE(FE) << FE.message();
+    Load[F] = FE->Load;
+  }
+  const int Rounds = 200;
+  for (int Round = 0; Round < Rounds; ++Round)
+    for (int F = 0; F < 3; ++F) {
+      ParseResult R = (*Svc)->submit(ParseRequest{Names[F], In[F]}).get();
+      ASSERT_TRUE(R.ok()) << R.error();
+      ASSERT_EQ(renderCanonical(R.root(), Load[F]->G), Want[F])
+          << Names[F] << " round " << Round;
+    }
+  // One job in flight: every store a later job adopts was read first.
+  ServiceMetrics M = (*Svc)->metrics();
+  EXPECT_EQ(M.Jobs, 3u * Rounds);
+  EXPECT_LE(M.StoresBuilt, 3u);
+  EXPECT_EQ(M.StoresClaimed, M.Jobs - M.StoresBuilt);
+  EXPECT_EQ(M.StoresDropped, 0u);
 }
 
 TEST(ParseServiceTest, MisusesFailFastWithDiagnostics) {
